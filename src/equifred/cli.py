@@ -11,7 +11,9 @@ sweep      Fredholm proxy sweep of a named operator family
 
 Exit codes: 0 report written and the checked criterion holds; 2 report written
 but the criterion fails (not elliptic, degenerating sweep, undecidable rank);
-1 malformed input, with a document pointer on stderr.
+1 malformed input, with a document pointer on stderr; 3 internal
+inconsistency (two routes to the same quantity disagreed), with an
+"internal:" line on stderr.
 """
 from __future__ import annotations
 
@@ -39,7 +41,13 @@ from .lab import (
     reflection_circle_rep,
     GridOperator,
 )
-from .reps import AmbiguousRankError, character_rep, decompose, induce
+from .reps import (
+    AmbiguousRankError,
+    InternalInconsistencyError,
+    character_rep,
+    decompose,
+    induce,
+)
 from .serialize import (
     InputDocumentError,
     canonical_json,
@@ -328,6 +336,9 @@ def main(argv=None) -> int:
     except (ModelInconsistencyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    except InternalInconsistencyError as exc:
+        print(f"internal: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,6 +7,11 @@ cyclic rotation group or the order-two reflection.  Boundary conditions on an
 interval are encoded by doubling: reflections act on the doubled circle, with
 a sign twist on every Dirichlet double, and the boundary-value spectrum is the
 spectrum of the doubled operator compressed to the fully invariant subspace.
+
+Every symmetry here permutes grid points up to a sign, so it is stored as a
+`MonomialRep` (index arrays, no dense matrices), and isotypical bases are the
+exact character-weighted orbit sums rather than a Gram-Schmidt of a dense
+projector.  The operators themselves stay dense.
 """
 from __future__ import annotations
 
@@ -16,39 +21,29 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import Character, Group
+from .groups import Character, Group, character
 from .reps import (
-    UnitaryRep,
-    deterministic_range_basis,
+    MonomialRep,
+    RepT,
     equivariance_defect,
+    isotypical_basis,
+    isotypical_projector,
     pi_alpha_restrict,
-    unitary_rep,
 )
 
 
-def rotation_circle_rep(n: int, m: int) -> UnitaryRep:
+def rotation_circle_rep(n: int, m: int) -> MonomialRep:
     """Z_m acting on n circle points by rotation (shift by n/m)."""
     if n % m != 0:
         raise ValueError(f"rotation order {m} must divide the grid size {n}")
-    group = Group((m,))
-    step = n // m
-    mats = {}
-    for (a,) in group.elements:
-        mat = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            mat[(j + a * step) % n, j] = 1.0
-        mats[(a,)] = mat
-    return unitary_rep(group, mats, validate=False)
+    perm = (np.arange(n) + (n // m) * np.arange(m)[:, None]) % n
+    return MonomialRep(Group((m,)), perm, np.ones((m, n)))
 
 
-def reflection_circle_rep(n: int) -> UnitaryRep:
+def reflection_circle_rep(n: int) -> MonomialRep:
     """Z_2 acting on n circle points by the angle flip j -> -j."""
-    group = Group((2,))
-    eye = np.eye(n, dtype=complex)
-    flip = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        flip[(-j) % n, j] = 1.0
-    return unitary_rep(group, {(0,): eye, (1,): flip}, validate=False)
+    perm = np.stack([np.arange(n), -np.arange(n) % n])
+    return MonomialRep(Group((2,)), perm, np.ones((2, n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,12 +52,26 @@ class GridOperator:
 
     n: int
     matrix: np.ndarray
-    group_rep: UnitaryRep
+    group_rep: RepT
     kind: str
 
 
 def _circle_angles(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
+
+
+def _periodic_laplacian(size: int, h: float, shift: float) -> np.ndarray:
+    """Periodic second difference (2u_j - u_{j+1} - u_{j-1}) / h^2 plus shift * u_j."""
+    lap = np.zeros((size, size), dtype=complex)
+    j = np.arange(size)
+    lap[j, j] = 2.0 / h**2 + shift
+    lap[j, (j + 1) % size] += -1.0 / h**2
+    lap[j, (j - 1) % size] += -1.0 / h**2
+    return lap
+
+
+def _trivial(group: Group) -> Character:
+    return character(group, (0,) * group.rank)
 
 
 def build_invariant_circle_operator(
@@ -91,12 +100,7 @@ def build_invariant_circle_operator(
     else:
         raise ValueError(f"unknown action {action!r}")
 
-    h = 2.0 * np.pi / n
-    lap = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        lap[j, j] = 2.0 / h**2 + 1.0
-        lap[j, (j + 1) % n] += -1.0 / h**2
-        lap[j, (j - 1) % n] += -1.0 / h**2
+    lap = _periodic_laplacian(n, 2.0 * np.pi / n, 1.0)
 
     if kind == "shifted_laplacian":
         mat = lap
@@ -140,11 +144,9 @@ def build_fixed_point_degenerate_operator(n: int) -> GridOperator:
     if n % 2 != 0:
         raise ValueError("needs an even grid so both reflection fixed points are nodes")
     rep = reflection_circle_rep(n)
-    group = rep.carrier
-    p_even = sum(rep.matrix(g) for g in group.elements) / group.order
+    p_even = isotypical_projector(rep, _trivial(rep.carrier))
     p_odd = np.eye(n) - p_even
-    mult = np.diag(np.sin(_circle_angles(n)) ** 2).astype(complex)
-    mat = mult @ p_even + p_odd
+    mat = (np.sin(_circle_angles(n)) ** 2)[:, None] * p_even + p_odd
     return GridOperator(n, mat, rep, "fixed_point_degenerate")
 
 
@@ -255,18 +257,19 @@ class DoubledProblem:
     grid_size: int
     h: float
     group: Group
-    rep: UnitaryRep
+    rep: MonomialRep
     operator: np.ndarray
     free_nodes: tuple[int, ...]
     invariant_dim: int
 
 
-def _signed_flip(size: int, center_doubled: int, sign: float) -> np.ndarray:
-    """Matrix of u_j -> sign * u_{center_doubled - j (mod size)}."""
-    mat = np.zeros((size, size), dtype=complex)
-    for j in range(size):
-        mat[(center_doubled - j) % size, j] = sign
-    return mat
+def _identity(size: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.arange(size), np.ones(size)
+
+
+def _signed_flip(size: int, center_doubled: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) of u_j -> sign * u_{center_doubled - j (mod size)}."""
+    return (center_doubled - np.arange(size)) % size, np.full(size, sign)
 
 
 def double_interval_bvp(n: int, bc: Sequence[str]) -> DoubledProblem:
@@ -287,9 +290,7 @@ def double_interval_bvp(n: int, bc: Sequence[str]) -> DoubledProblem:
         size = 2 * n
         group = Group((2,))
         sign = -1.0 if left == "dirichlet" else 1.0
-        flip = _signed_flip(size, 0, sign)
-        mats = {(0,): np.eye(size, dtype=complex), (1,): flip}
-        rep = unitary_rep(group, mats, validate=False)
+        rows = [_identity(size), _signed_flip(size, 0, sign)]
         if left == "dirichlet":
             free = tuple(range(1, n))
         else:
@@ -307,25 +308,13 @@ def double_interval_bvp(n: int, bc: Sequence[str]) -> DoubledProblem:
             a = _signed_flip(size, 2 * n, -1.0)  # Dirichlet at theta = pi
             b = _signed_flip(size, 0, 1.0)
             free = tuple(range(0, n))
-        mats = {
-            (0, 0): np.eye(size, dtype=complex),
-            (1, 0): a,
-            (0, 1): b,
-            (1, 1): a @ b,
-        }
-        rep = unitary_rep(group, mats, validate=False)
-
-    lap = np.zeros((size, size), dtype=complex)
-    for j in range(size):
-        lap[j, j] = 2.0 / h**2
-        lap[j, (j + 1) % size] += -1.0 / h**2
-        lap[j, (j - 1) % size] += -1.0 / h**2
-
-    proj = sum(rep.matrix(g) for g in group.elements) / group.order
-    trace = float(np.trace(proj).real)
-    inv_dim = int(round(trace))
-    if abs(trace - inv_dim) > 1e-9:
-        raise ValueError(f"invariant dimension came out non-integral ({trace})")
+        # elements in order (0,0), (0,1), (1,0), (1,1); U(a) U(b) e_j =
+        # phase_b[j] phase_a[perm_b[j]] e_{perm_a[perm_b[j]]}
+        ab = (a[0][b[0]], b[1] * a[1][b[0]])
+        rows = [_identity(size), b, a, ab]
+    rep = MonomialRep(group, *(np.stack(part) for part in zip(*rows)))
+    lap = _periodic_laplacian(size, h, 0.0)
+    inv_dim = rep.multiplicity(_trivial(group))
     return DoubledProblem(
         n, (left, right), size, h, group, rep, lap, free, inv_dim
     )
@@ -333,9 +322,7 @@ def double_interval_bvp(n: int, bc: Sequence[str]) -> DoubledProblem:
 
 def invariant_subspace_basis(problem: DoubledProblem) -> np.ndarray:
     """Reproducible orthonormal basis of the fully invariant circle functions."""
-    group = problem.group
-    proj = sum(problem.rep.matrix(g) for g in group.elements) / group.order
-    return deterministic_range_basis(proj, problem.invariant_dim)
+    return isotypical_basis(problem.rep, _trivial(problem.group))
 
 
 def restriction_to_base(problem: DoubledProblem) -> np.ndarray:
@@ -344,8 +331,7 @@ def restriction_to_base(problem: DoubledProblem) -> np.ndarray:
     Base node i sits at doubled index i (the first copy of the interval).
     """
     rows = np.zeros((len(problem.free_nodes), problem.grid_size), dtype=complex)
-    for r, j in enumerate(problem.free_nodes):
-        rows[r, j] = 1.0
+    rows[np.arange(len(problem.free_nodes)), problem.free_nodes] = 1.0
     return rows
 
 

@@ -5,6 +5,11 @@ compression to isotypical blocks in a reproducible basis, induction from a
 subgroup realized on a fixed coset transversal, the two averaging maps between
 invariants/homomorphism spaces, and the kernel/image split of the isotypical
 compression on induced endomorphism algebras.
+
+A representation is either dense (`UnitaryRep`, one matrix per element) or
+monomial (`MonomialRep`, one permutation with unit phases per element).  The
+isotypical basis of a monomial representation is its exact orbit sums; a dense
+one goes through its projector and a pivoted Gram-Schmidt.
 """
 from __future__ import annotations
 
@@ -110,6 +115,76 @@ def unitary_rep(
                         f"homomorphism law fails at ({g}, {h}) beyond {tol}"
                     )
     return UnitaryRep(carrier, dim, store)
+
+
+_PHASE_TOL = 1e-10
+
+
+class MonomialRep:
+    """Representation in which every element permutes the basis up to unit phases.
+
+    Row i of `perm` and `phase` belongs to the i-th carrier element g:
+    U(g) e_j = phase[i, j] e_{perm[i, j]}.  Dense matrices are built only on
+    request by `matrix`.  Construction always checks that each row of `perm`
+    is a permutation, that the phases have unit modulus, and the homomorphism
+    law: the permutations compose exactly as integers and the phases multiply
+    to 1e-10, at O(|G|^2 d) cost.  The law forces U(identity) = I.
+    """
+
+    def __init__(self, carrier: CarrierT, perm: np.ndarray, phase: np.ndarray):
+        elems = carrier.elements
+        perm = np.array(perm, dtype=np.intp)
+        phase = np.array(phase, dtype=complex)
+        if perm.ndim != 2 or perm.shape[0] != len(elems) or phase.shape != perm.shape:
+            raise ValueError(
+                f"perm and phase need shape ({len(elems)}, d), got {perm.shape} and {phase.shape}"
+            )
+        if (np.sort(perm, axis=1) != np.arange(perm.shape[1])).any():
+            raise ValueError("every row of perm must be a permutation of range(d)")
+        if np.abs(np.abs(phase) - 1.0).max(initial=0.0) > _PHASE_TOL:
+            raise ValueError(f"phases are not unit modulus to {_PHASE_TOL}")
+        index = {g: i for i, g in enumerate(elems)}
+        for i, g in enumerate(elems):
+            prod = [index[carrier.op(g, h)] for h in elems]
+            # U(g) U(h) e_j = phase[h, j] phase[g, perm[h, j]] e_{perm[g, perm[h, j]]}
+            bad = ~(perm[i, perm] == perm[prod]).all(axis=1)
+            defect = np.abs(phase * phase[i, perm] - phase[prod])
+            bad |= defect.max(axis=1, initial=0.0) > _PHASE_TOL
+            if bad.any():
+                h = elems[int(np.argmax(bad))]
+                raise ValueError(f"homomorphism law fails at ({g}, {h}) beyond {_PHASE_TOL}")
+        perm.setflags(write=False)
+        phase.setflags(write=False)
+        self.carrier, self.perm, self.phase, self._row = carrier, perm, phase, index
+
+    @property
+    def dim(self) -> int:
+        return self.perm.shape[1]
+
+    @property
+    def elements(self) -> tuple[ElementT, ...]:
+        return self.carrier.elements
+
+    def matrix(self, g: ElementT) -> np.ndarray:
+        i = self._row[g]
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        m[self.perm[i], np.arange(self.dim)] = self.phase[i]
+        return m
+
+    def multiplicity(self, chi: Character | SubgroupCharacter) -> int:
+        """Multiplicity of chi by the trace oracle (1/|G|) sum_g conj(chi(g)) tr U(g).
+
+        tr U(g) is the sum of the phases at the indices g fixes.
+        """
+        traces = np.where(self.perm == np.arange(self.dim), self.phase, 0.0).sum(axis=1)
+        value = np.vdot(_character_values(self, chi), traces) / len(self.elements)
+        mult = round(value.real)
+        if abs(value - mult) > 1e-8:
+            raise InternalInconsistencyError(f"non-integral multiplicity {value}")
+        return mult
+
+
+RepT = UnitaryRep | MonomialRep
 
 
 # ---------------------------------------------------------------------------
@@ -253,28 +328,68 @@ def deterministic_range_basis(a: np.ndarray, rank: int, *, rel_tol: float = 1e-8
 # isotypical calculus
 
 
-def isotypical_projector(rep: UnitaryRep, chi: Character | SubgroupCharacter) -> np.ndarray:
-    """Orthogonal projector onto the chi-isotypical subspace.
-
-    The character coefficient enters conjugated, so the projector averages the
-    action against chi and is idempotent and Hermitian for unitary input.
-    """
+def _character_values(rep: RepT, chi: Character | SubgroupCharacter) -> np.ndarray:
+    """chi at every carrier element, in carrier order; chi must live on the carrier."""
     if isinstance(chi, SubgroupCharacter):
         if chi.subgroup != rep.carrier:
             raise ValueError("character belongs to a different subgroup than the carrier")
     elif chi.group != rep.carrier:
         raise ValueError("character belongs to a different group than the carrier")
-    elems = rep.elements
+    return np.array([chi.value(g) for g in rep.elements], dtype=complex)
+
+
+def isotypical_projector(rep: RepT, chi: Character | SubgroupCharacter) -> np.ndarray:
+    """Orthogonal projector onto the chi-isotypical subspace.
+
+    The character coefficient enters conjugated, so the projector averages the
+    action against chi and is idempotent and Hermitian for unitary input.
+    """
     acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for g in elems:
-        acc += np.conj(chi.value(g)) * rep.matrix(g)
-    return acc / len(elems)
+    for g, value in zip(rep.elements, _character_values(rep, chi)):
+        acc += np.conj(value) * rep.matrix(g)
+    return acc / len(rep.elements)
+
+
+def _orbit_sum_basis(rep: MonomialRep, chi: Character | SubgroupCharacter) -> np.ndarray:
+    """Normalized chi-weighted orbit sums of a monomial representation.
+
+    On the stabilizer H of an orbit's least index j the phases at j form a
+    character of H.  The orbit carries a chi-isotypical vector exactly when
+    chi agrees with that character on H, and the vector is
+    sum_g conj(chi(g)) U(g) e_j, whose coefficient at j is real and positive.
+    Columns come smaller orbits first, then by least index: the order in
+    which pivoted Gram-Schmidt picks the projector's columns.  The count is
+    checked against the trace oracle.
+    """
+    order, d = rep.perm.shape
+    weights = np.conj(_character_values(rep, chi))[:, None] * rep.phase
+    fixed = rep.perm == np.arange(d)
+    stabilizer = fixed.sum(axis=0)
+    on_stabilizer = np.where(fixed, weights, 0.0).sum(axis=0)  # |H| or 0
+    leads = np.flatnonzero(rep.perm.min(axis=0) == np.arange(d))
+    leads = leads[np.abs(on_stabilizer[leads]) > stabilizer[leads] / 2]
+    expected = rep.multiplicity(chi)
+    if leads.size != expected:
+        raise InternalInconsistencyError(
+            f"{leads.size} orbit sums carry the character, the trace oracle says {expected}"
+        )
+    leads = leads[np.lexsort((leads, order // stabilizer[leads]))]
+    basis = np.zeros((d, leads.size), dtype=complex)
+    cols = np.broadcast_to(np.arange(leads.size), (order, leads.size))
+    np.add.at(basis, (rep.perm[:, leads], cols), weights[:, leads])
+    return basis / np.linalg.norm(basis, axis=0)
 
 
 def isotypical_basis(
-    rep: UnitaryRep, chi: Character | SubgroupCharacter, *, rel_tol: float = 1e-8
+    rep: RepT, chi: Character | SubgroupCharacter, *, rel_tol: float = 1e-8
 ) -> np.ndarray:
-    """Reproducible orthonormal basis of the chi-isotypical subspace."""
+    """Reproducible orthonormal basis of the chi-isotypical subspace.
+
+    A MonomialRep gets its exact orbit sums; a dense UnitaryRep gets the
+    pivoted Gram-Schmidt basis of its projector at the numerical rank.
+    """
+    if isinstance(rep, MonomialRep):
+        return _orbit_sum_basis(rep, chi)
     p = isotypical_projector(rep, chi)
     rank = numerical_rank(p, rel_tol=rel_tol)
     return deterministic_range_basis(p, rank, rel_tol=rel_tol)
@@ -336,7 +451,7 @@ def decompose(rep: UnitaryRep, *, rel_tol: float = 1e-8) -> MultiplicityVector:
     return mv
 
 
-def equivariance_defect(rep: UnitaryRep, m: np.ndarray) -> float:
+def equivariance_defect(rep: RepT, m: np.ndarray) -> float:
     """Largest commutator norm between m and the representation matrices."""
     return max(
         float(np.linalg.norm(rep.matrix(g) @ m - m @ rep.matrix(g), 2))
@@ -348,12 +463,12 @@ def equivariance_defect(rep: UnitaryRep, m: np.ndarray) -> float:
 class EquivariantEndomorphism:
     """A matrix together with the representation it commutes with."""
 
-    rep: UnitaryRep
+    rep: RepT
     matrix: np.ndarray
 
 
 def equivariant_endomorphism(
-    rep: UnitaryRep, matrix: np.ndarray, *, tol: float = 1e-10
+    rep: RepT, matrix: np.ndarray, *, tol: float = 1e-10
 ) -> EquivariantEndomorphism:
     """Wrap a matrix after checking it commutes with the representation."""
     m = np.asarray(matrix, dtype=complex)
@@ -368,7 +483,7 @@ def equivariant_endomorphism(
 
 
 def pi_alpha_restrict(
-    rep: UnitaryRep | EquivariantEndomorphism,
+    rep: RepT | EquivariantEndomorphism,
     m: np.ndarray | Character | SubgroupCharacter,
     chi: Character | SubgroupCharacter | None = None,
     *,
@@ -463,7 +578,7 @@ def frobenius_invariant_map(rep: UnitaryRep, gamma: Group, xi: np.ndarray, *, to
         return np.tile(xi, len(reps_))
     if xi.shape != (rep.dim, rep.dim):
         raise ValueError(f"matrix shape {xi.shape} does not match dim {rep.dim}")
-    worst = equivariance_defect(UnitaryRep(sub, rep.dim, rep.matrices), xi)
+    worst = equivariance_defect(rep, xi)
     if worst > tol * max(1.0, float(np.linalg.norm(xi, 2))):
         raise ValueError(f"matrix is not invariant (defect {worst:.3e})")
     return np.kron(np.eye(len(reps_)), xi)

@@ -75,9 +75,13 @@ def _as_int(node: Any, path: str) -> int:
 
 def parse_complex(node: Any, path: str) -> complex:
     pair = _as_list(node, path)
-    if len(pair) != 2 or not all(isinstance(x, (int, float)) for x in pair):
+    # type() rather than isinstance(): bool is an int subclass, not a number here
+    if len(pair) != 2 or not all(type(x) in (int, float) for x in pair):
         raise InputDocumentError(path, "complex entries are [re, im] pairs")
-    return complex(pair[0], pair[1])
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError:
+        raise InputDocumentError(path, "number too large for a float")
 
 
 def parse_matrix(node: Any, path: str) -> np.ndarray:
@@ -93,7 +97,11 @@ def parse_matrix(node: Any, path: str) -> np.ndarray:
         elif len(entries) != width:
             raise InputDocumentError(f"{path}/{i}", "ragged matrix rows")
         data.append([parse_complex(e, f"{path}/{i}/{j}") for j, e in enumerate(entries)])
-    return np.array(data, dtype=complex)
+    m = np.array(data, dtype=complex)
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise InputDocumentError(f"{path}/{i}/{j}", "entries must be finite numbers")
+    return m
 
 
 def matrix_doc(m: np.ndarray) -> list:

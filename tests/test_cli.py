@@ -5,12 +5,15 @@ documents, and stderr diagnostics can all be asserted; one test also goes
 through ``python3 -m equifred`` to pin the installed entry point.
 """
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import equifred.cli
+from equifred import InternalInconsistencyError
 from equifred.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -223,6 +226,16 @@ def test_missing_symbol_field(tmp_path, capsys):
     assert "/symbol" in err
 
 
+def test_nan_in_symbol_is_pointered(tmp_path, capsys):
+    doc = json.loads(Path(FIXED).read_text())
+    doc["symbol"]["p0"][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "check", "--input", str(path), "--alpha", "1")
+    assert rc == 1 and not out
+    assert "input error at /symbol/p0/0/0" in err
+
+
 def test_induce_document_missing_generators(tmp_path, capsys):
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"group": {"orders": [4]}, "character_exponents": [1]}))
@@ -246,6 +259,17 @@ def test_tol_must_be_positive(capsys):
     rc, out, err = run(capsys, "check", "--input", FREE, "--alpha", "0", "--tol", "-1")
     assert rc == 1 and not out
     assert "--tol" in err
+
+
+def test_internal_inconsistency_exits_3_without_traceback(capsys, monkeypatch):
+    def broken(rep):
+        raise InternalInconsistencyError("multiplicities sum to 2, dimension is 3")
+
+    monkeypatch.setattr(equifred.cli, "decompose", broken)
+    rc, out, err = run(capsys, "decompose", "--input", REP_Z3)
+    assert rc == 3 and out == ""
+    assert err.startswith("internal: multiplicities sum to 2")
+    assert "Traceback" not in err
 
 
 def test_unknown_flag(capsys):
@@ -315,3 +339,14 @@ def test_module_entry_point_matches_in_process_run(capsys):
     )
     assert proc.returncode == rc == 0
     assert proc.stdout == out
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = "import sys, equifred.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -9,11 +9,13 @@ from equifred import (
     build_invariant_circle_operator,
     character,
     convergence_order,
+    deterministic_range_basis,
     double_interval_bvp,
     dual_characters,
     equivariance_defect,
     fredholm_proxy_sweep,
     invariant_subspace_basis,
+    isotypical_basis,
     isotypical_block,
     isotypical_projector,
     make_group,
@@ -22,6 +24,7 @@ from equifred import (
     reflection_circle_rep,
     restriction_to_base,
     rotation_circle_rep,
+    unitary_rep,
 )
 
 Z2 = make_group((2,))
@@ -334,3 +337,132 @@ def test_convergence_order_helper():
     sizes = (10, 20, 40)
     errors = [1.0 / n**2 for n in sizes]
     assert convergence_order(sizes, errors) == pytest.approx(2.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# monomial route against the dense projector route
+
+
+BOUNDARY_PAIRS = (("d", "d"), ("n", "n"), ("d", "n"), ("n", "d"))
+
+
+def _dense(rep):
+    """The same representation as validated dense matrices."""
+    return unitary_rep(rep.carrier, {g: rep.matrix(g) for g in rep.elements})
+
+
+def _lab_reps():
+    """(label, rep, whether the dense route's pivots are free of rounding ties)."""
+    for n, m in ((12, 1), (12, 3), (12, 4), (16, 8), (18, 9)):
+        yield f"rotation {n}/{m}", rotation_circle_rep(n, m), True
+    # Z_10 and Z_12 rotations: the columns of a projector onto a complex
+    # isotype have norms that are equal in exact arithmetic but differ in the
+    # last bit, so pivoted Gram-Schmidt picks a column by rounding and its
+    # basis vector differs from the orbit sum by a unit factor
+    for n, m in ((10, 10), (24, 12)):
+        yield f"rotation {n}/{m}", rotation_circle_rep(n, m), False
+    for n in (7, 8):
+        yield f"reflection {n}", reflection_circle_rep(n), True
+    for n in (9, 12):
+        for bc in BOUNDARY_PAIRS:
+            yield f"doubled {n} {bc}", double_interval_bvp(n, bc).rep, True
+
+
+def _loop_flip(size, center, sign):
+    mat = np.zeros((size, size), dtype=complex)
+    for j in range(size):
+        mat[(center - j) % size, j] = sign
+    return mat
+
+
+def _loop_laplacian(size, h, shift):
+    lap = np.zeros((size, size), dtype=complex)
+    for j in range(size):
+        lap[j, j] = 2.0 / h**2 + shift
+        lap[j, (j + 1) % size] += -1.0 / h**2
+        lap[j, (j - 1) % size] += -1.0 / h**2
+    return lap
+
+
+def test_vectorised_builders_match_loop_reference():
+    for n, m in ((12, 3), (12, 4), (5, 5)):
+        rep = rotation_circle_rep(n, m)
+        for (a,) in rep.elements:
+            ref = np.zeros((n, n), dtype=complex)
+            for j in range(n):
+                ref[(j + a * (n // m)) % n, j] = 1.0
+            assert np.array_equal(rep.matrix((a,)), ref)
+    for n in (7, 8):
+        assert np.array_equal(reflection_circle_rep(n).matrix((1,)), _loop_flip(n, 0, 1.0))
+        op = build_invariant_circle_operator(n, 2, "shifted_laplacian", action="reflection")
+        assert np.array_equal(op.matrix, _loop_laplacian(n, 2.0 * np.pi / n, 1.0))
+    p_even = (np.eye(8) + _loop_flip(8, 0, 1.0)) / 2
+    mult = np.diag(np.sin(2.0 * np.pi * np.arange(8) / 8) ** 2).astype(complex)
+    degenerate = build_fixed_point_degenerate_operator(8).matrix
+    assert np.array_equal(degenerate, mult @ p_even + (np.eye(8) - p_even))
+    n = 6
+    flips = {
+        ("d", "d"): {(1,): _loop_flip(2 * n, 0, -1.0)},
+        ("n", "n"): {(1,): _loop_flip(2 * n, 0, 1.0)},
+        ("d", "n"): {(1, 0): _loop_flip(4 * n, 0, -1.0), (0, 1): _loop_flip(4 * n, 2 * n, 1.0)},
+        ("n", "d"): {(1, 0): _loop_flip(4 * n, 2 * n, -1.0), (0, 1): _loop_flip(4 * n, 0, 1.0)},
+    }
+    for bc, ref in flips.items():
+        prob = double_interval_bvp(n, bc)
+        if len(ref) == 2:
+            ref[(1, 1)] = ref[(1, 0)] @ ref[(0, 1)]
+        for g, mat in ref.items():
+            assert np.array_equal(prob.rep.matrix(g), mat), (bc, g)
+        assert np.array_equal(prob.operator, _loop_laplacian(prob.grid_size, prob.h, 0.0))
+
+
+def test_monomial_basis_matches_dense_route_column_for_column():
+    for label, rep, tie_free in _lab_reps():
+        dense = _dense(rep)
+        for chi in dual_characters(rep.carrier):
+            mono = isotypical_basis(rep, chi)
+            ref = isotypical_basis(dense, chi)
+            assert mono.shape == ref.shape, (label, chi)
+            overlaps = np.abs(np.einsum("ij,ij->j", ref.conj(), mono))
+            assert np.all(np.abs(overlaps - 1.0) <= 1e-12), (label, chi)
+            if tie_free:
+                assert np.abs(mono - ref).max(initial=0.0) <= 1e-12, (label, chi)
+
+
+def _dense_route_spectrum(prob, count):
+    trivial = character(prob.group, (0,) * len(prob.group.orders))
+    proj = isotypical_projector(prob.rep, trivial)
+    basis = deterministic_range_basis(proj, prob.invariant_dim)
+    compressed = basis.conj().T @ prob.operator @ basis
+    return np.linalg.eigvalsh((compressed + compressed.conj().T) / 2.0)[:count]
+
+
+def test_bvp_spectra_match_dense_route():
+    for bc in BOUNDARY_PAIRS:
+        for n in (64, 128, 256):
+            prob = double_interval_bvp(n, bc)
+            fast = mixed_bvp_spectrum(prob, 5)
+            ref = _dense_route_spectrum(prob, 5)
+            assert np.all(np.abs(fast - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref))), (bc, n)
+
+
+def test_sweep_blocks_match_dense_route():
+    families = {
+        "reflection_laplacian": _laplacian_family,
+        "degenerate_even": build_fixed_point_degenerate_operator,
+    }
+    for name, family in families.items():
+        for alpha in (TRIV, SIGN):
+            for n in (64, 128, 256):
+                op = family(n)
+                block = isotypical_block(op, alpha)
+                basis = isotypical_basis(_dense(op.group_rep), alpha)
+                ref = basis.conj().T @ op.matrix @ basis
+                scale = max(1.0, np.abs(ref).max())
+                assert np.abs(block - ref).max() <= 1e-10 * scale, (name, alpha, n)
+
+
+def test_bvp_n512_within_one_percent():
+    exact = analytic_bvp_spectrum(("d", "n"), 5)
+    eigs = mixed_bvp_spectrum(double_interval_bvp(512, ("d", "n")), 5)
+    assert np.all(np.abs(eigs - exact) / exact < 0.01)

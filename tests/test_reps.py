@@ -7,6 +7,8 @@ import pytest
 
 from equifred import (
     AmbiguousRankError,
+    InternalInconsistencyError,
+    MonomialRep,
     all_subgroups,
     character,
     character_rep,
@@ -73,6 +75,53 @@ def test_unitary_rep_rejects_broken_homomorphism():
     }
     with pytest.raises(ValueError):
         unitary_rep(g, mats)
+
+
+def test_monomial_rep_rejects_broken_homomorphism():
+    g = make_group((3,))
+    ones = np.ones((3, 3))
+    # rows of the regular rep: translation by 0, 1, 2
+    shifts = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    MonomialRep(g, shifts, ones)
+    # translation by 2 at the element 1: U(1) U(1) != U(2)
+    with pytest.raises(ValueError, match="homomorphism law"):
+        MonomialRep(g, shifts[[0, 2, 2]], ones)
+    # right permutations, but the phases are not a cocycle
+    twisted = ones.copy()
+    twisted[1, 0] = -1.0
+    with pytest.raises(ValueError, match="homomorphism law"):
+        MonomialRep(g, shifts, twisted)
+    with pytest.raises(ValueError, match="permutation"):
+        MonomialRep(g, np.array([[0, 1, 2], [1, 1, 0], [2, 0, 1]]), ones)
+    with pytest.raises(ValueError, match="unit modulus"):
+        MonomialRep(g, shifts, 2.0 * ones)
+    with pytest.raises(ValueError, match="shape"):
+        MonomialRep(g, shifts[:2], ones[:2])
+
+
+def test_monomial_rep_matrices_on_demand():
+    g = make_group((4,))
+    # Z4 on two points: the generator swaps them with phase i, so 2 acts as -1
+    perm = np.array([[0, 1], [1, 0], [0, 1], [1, 0]])
+    phase = np.array([[1, 1], [1j, 1j], [-1, -1], [-1j, -1j]])
+    rep = MonomialRep(g, perm, phase)
+    assert rep.dim == 2 and not hasattr(rep, "matrices")
+    assert np.array_equal(rep.matrix((1,)), np.array([[0, 1j], [1j, 0]]))
+    assert [rep.multiplicity(chi) for chi in dual_characters(g)] == [0, 1, 0, 1]
+    dense = unitary_rep(g, {x: rep.matrix(x) for x in g.elements})
+    for chi in dual_characters(g):
+        assert rep.multiplicity(chi) == multiplicity_oracle(dense, chi)
+        mono = isotypical_basis(rep, chi)
+        assert np.allclose(mono, isotypical_basis(dense, chi), atol=1e-12)
+
+
+def test_orbit_sum_basis_checks_the_trace_oracle(monkeypatch):
+    rep = MonomialRep(make_group((2,)), np.array([[0, 1], [1, 0]]), np.ones((2, 2)))
+    chi = dual_characters(rep.carrier)[0]
+    assert isotypical_basis(rep, chi).shape == (2, 1)
+    monkeypatch.setattr(MonomialRep, "multiplicity", lambda self, chi: 2)
+    with pytest.raises(InternalInconsistencyError):
+        isotypical_basis(rep, chi)
 
 
 def test_unitary_rep_rejects_missing_element():

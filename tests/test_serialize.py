@@ -63,6 +63,34 @@ def test_parse_complex():
             parse_complex(bad, "/c")
 
 
+def test_parse_complex_rejects_bools():
+    with pytest.raises(InputDocumentError) as err:
+        parse_matrix([[[1.0, 0.0], [True, False]]], "/m")
+    assert err.value.path == "/m/0/1"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_parse_matrix_rejects_non_finite(bad):
+    with pytest.raises(InputDocumentError) as err:
+        parse_matrix([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, bad]]], "/m")
+    assert err.value.path == "/m/1/1"
+    assert "finite" in str(err.value)
+
+
+def test_load_rep_points_at_a_nan_entry():
+    doc = json.loads(json.dumps(rep_doc(regular_rep(make_group((2,))))))
+    doc["matrices"]["1"][1][0] = [math.nan, 0.0]
+    with pytest.raises(InputDocumentError) as err:
+        load_rep(doc)
+    assert err.value.path == "/matrices/1/1/0"
+
+
+def test_parse_complex_rejects_huge_integers():
+    with pytest.raises(InputDocumentError) as err:
+        parse_complex([10**400, 0], "/c")
+    assert err.value.path == "/c"
+
+
 def test_matrix_round_trip():
     m = np.array([[1.0 + 2.0j, 0.0], [0.5, -1.0j]])
     doc = matrix_doc(m)
