@@ -23,7 +23,7 @@ from .groups import (
     SubgroupCharacter,
     all_subgroups,
     associated,
-    coset_transversal,
+    coset_table,
     full_subgroup,
     trivial_subgroup,
 )
@@ -34,11 +34,20 @@ from .reps import (
     isotypical_basis,
     isotypical_projector,
     random_rep,
+    require_intertwining,
 )
 
 
 class ModelInconsistencyError(ValueError):
     """The bundle data contradicts itself (stabilizers, isotypes, or cocycle)."""
+
+
+class InputDocumentError(ValueError):
+    """Malformed input document, with a pointer to the offending node."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path or "/"
+        super().__init__(f"{self.path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -345,17 +354,22 @@ def symbol_field(bundle: EquivariantSampleBundle, values: Mapping[str, np.ndarra
     return SymbolField(bundle, store)
 
 
-def symbol_equivariance_defect(sym: SymbolField) -> float:
-    """Largest deviation from transport-conjugation equivariance, in 2-norm."""
+def _worst_symbol_defect(sym: SymbolField) -> tuple[float, str | None]:
+    """Largest |sigma(g p) - T(g, p) sigma(p) T(g, p)^*|_2, and the first p attaining it."""
     b = sym.bundle
-    worst = 0.0
+    worst, where = 0.0, None
     for g in b.group.elements:
         for p in b.points:
             t = b.transport_matrix(g, p)
-            lhs = sym.value(b.act(g, p))
-            rhs = t @ sym.value(p) @ t.conj().T
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-    return worst
+            err = float(np.linalg.norm(sym.value(b.act(g, p)) - t @ sym.value(p) @ t.conj().T, 2))
+            if err > worst:
+                worst, where = err, p
+    return worst, where
+
+
+def symbol_equivariance_defect(sym: SymbolField) -> float:
+    """Largest deviation from transport-conjugation equivariance, in 2-norm."""
+    return _worst_symbol_defect(sym)[0]
 
 
 def propagate_symbol(
@@ -372,13 +386,9 @@ def propagate_symbol(
     values: dict[str, np.ndarray] = {}
     for p0, raw in seed_values.items():
         raw = np.asarray(raw, dtype=complex)
-        rep = fiber_rep(bundle, p0)
-        worst = max(
-            float(np.linalg.norm(rep.matrix(h) @ raw - raw @ rep.matrix(h), 2))
-            for h in rep.elements
+        require_intertwining(
+            f"seed at {p0!r} is not stabilizer-invariant", fiber_rep(bundle, p0), raw, tol=tol
         )
-        if worst > tol * max(1.0, float(np.linalg.norm(raw, 2))):
-            raise ValueError(f"seed at {p0!r} is not stabilizer-invariant ({worst:.3e})")
         for g in bundle.group.elements:
             q = bundle.act(g, p0)
             if q in values:
@@ -454,16 +464,20 @@ def alpha_elliptic_check(
     spread of the singular values along each orbit is certified; a spread
     beyond 1e-9 (relative) only produces a warning since the verdict at the
     representative stands.  An empty associated set yields a vacuous True with
-    a warning.
+    a warning.  A symbol whose equivariance defect exceeds
+    equiv_tol * max(1, max_p |sigma(p)|) raises InputDocumentError at
+    /symbol/<p> for the point p where the defect is largest.
     """
     b = sym.bundle
     require_valid(b)
-    defect = symbol_equivariance_defect(sym)
+    defect, where = _worst_symbol_defect(sym)
     scale = max(
         [1.0] + [float(np.linalg.norm(sym.value(p), 2)) for p in b.points]
     )
     if defect > equiv_tol * scale:
-        raise ValueError(f"symbol is not equivariant (defect {defect:.3e})")
+        raise InputDocumentError(
+            f"/symbol/{where}", f"symbol is not equivariant (defect {defect:.3e})"
+        )
     g0 = gamma0 if gamma0 is not None else minimal_isotropy(b)
     x_alpha = build_X_alpha(build_X(b), alpha, g0)
 
@@ -570,11 +584,7 @@ def random_bundle(
     for o in range(count):
         stab = g0 if o == 0 else containing[int(rng.integers(len(containing)))]
         v = random_rep(stab, int(rng.integers(1, max_fiber_dim + 1)), rng)
-        reps_ = coset_transversal(group, stab)
-        locate: dict[ElementT, tuple[int, ElementT]] = {}
-        for j, x in enumerate(reps_):
-            for h in stab.elements:
-                locate[group.op(x, h)] = (j, h)
+        reps_, locate = coset_table(group, stab)
         ids = [f"o{o}p{j}" for j in range(len(reps_))]
         for j, pid in enumerate(ids):
             points.append(pid)

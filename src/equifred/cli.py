@@ -130,6 +130,8 @@ def _checked_bundle(args):
 
 
 def cmd_check(args) -> int:
+    if args.tol <= 0:
+        raise _CliError("--tol must be positive")
     bundle, symbol = _checked_bundle(args)
     if symbol is None:
         raise InputDocumentError("/symbol", "missing (check needs a symbol field)")
@@ -274,7 +276,6 @@ def build_parser() -> _Parser:
 
     def common(p, with_alpha=False):
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--tol", type=float, default=1e-8, help="numerical tolerance")
         if with_alpha:
             p.add_argument(
                 "--alpha", type=_csv_ints, required=True,
@@ -283,6 +284,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="alpha-ellipticity of a bundle+symbol document")
     p.add_argument("--input", required=True)
+    # the other verbs have no tolerance they could honour, so they refuse --tol
+    p.add_argument("--tol", type=float, default=1e-8, help="invertibility margin of the blocks")
     common(p, with_alpha=True)
     p.set_defaults(func=cmd_check)
 
@@ -321,8 +324,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "tol", 1.0) <= 0:
-            raise _CliError("--tol must be positive")
         return args.func(args)
     except InputDocumentError as exc:
         print(f"input error at {exc}", file=sys.stderr)

@@ -178,6 +178,14 @@ def coset_transversal(group: Group, sub: Subgroup) -> tuple[ElementT, ...]:
     return tuple(reps)
 
 
+def coset_table(group: Group, sub: Subgroup) -> tuple[tuple[ElementT, ...], dict]:
+    """The transversal (x_0, x_1, ...) of `coset_transversal` and the table
+    g -> (j, h) with g = x_j + h, h in `sub`."""
+    reps = coset_transversal(group, sub)
+    locate = {group.op(x, h): (j, h) for j, x in enumerate(reps) for h in sub.elements}
+    return reps, locate
+
+
 # ---------------------------------------------------------------------------
 # characters
 

@@ -25,10 +25,10 @@ from .groups import Character, Group, character
 from .reps import (
     MonomialRep,
     RepT,
-    equivariance_defect,
     isotypical_basis,
     isotypical_projector,
     pi_alpha_restrict,
+    require_intertwining,
 )
 
 
@@ -119,12 +119,7 @@ def build_invariant_circle_operator(
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
 
-    scale = max(1.0, float(np.linalg.norm(mat, 2)))
-    defect = equivariance_defect(rep, mat)
-    if defect > tol * scale:
-        raise ValueError(
-            f"operator does not commute with the {action} action (defect {defect:.3e})"
-        )
+    require_intertwining(f"operator does not commute with the {action} action", rep, mat, tol=tol)
     return GridOperator(n, mat, rep, kind)
 
 

@@ -27,6 +27,7 @@ from .groups import (
     SubgroupCharacter,
     associated,
     characters_of_subgroup,
+    coset_table,
     coset_transversal,
     dual_characters,
     full_subgroup,
@@ -275,16 +276,8 @@ def random_rep(carrier: CarrierT, dim: int, rng: np.random.Generator) -> Unitary
 # rank decisions and the reproducible range basis
 
 
-def numerical_rank(a: np.ndarray, *, rel_tol: float = 1e-8) -> int:
-    """Rank by singular values, refusing to decide ambiguous cases.
-
-    Values below rel_tol * max(1, s_max) count as zero.  A singular value
-    within a factor 10 of that threshold (either side) raises
-    AmbiguousRankError instead of silently choosing.
-    """
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
+def _rank_cut(s: np.ndarray, rel_tol: float) -> int:
+    """The rank cut of `numerical_rank`, on non-empty descending singular values."""
     thresh = rel_tol * max(1.0, float(s[0]))
     near = s[(s >= thresh / 10) & (s <= thresh * 10)]
     if near.size:
@@ -294,13 +287,26 @@ def numerical_rank(a: np.ndarray, *, rel_tol: float = 1e-8) -> int:
     return int(np.count_nonzero(s > thresh))
 
 
+def numerical_rank(a: np.ndarray, *, rel_tol: float = 1e-8) -> int:
+    """Rank by singular values, refusing to decide ambiguous cases.
+
+    Values below rel_tol * max(1, s_max) count as zero.  A singular value
+    within a factor 10 of that threshold (either side) raises
+    AmbiguousRankError instead of silently choosing.  An empty matrix has rank 0.
+    """
+    if a.size == 0:
+        return 0
+    return _rank_cut(np.linalg.svd(a, compute_uv=False), rel_tol)
+
+
 def deterministic_range_basis(a: np.ndarray, rank: int, *, rel_tol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis of the column range, reproducible across runs.
 
     Pivoted modified Gram-Schmidt over the columns of `a`: at each step the
-    column with the largest residual norm is taken (lowest index on ties),
-    normalized, re-orthogonalized once, and removed from the rest.  The pivot
-    rule is fixed so serialized output built on this basis is byte-stable.
+    lowest-index column whose residual norm is within a relative 1e-12 of the
+    largest is taken, normalized, re-orthogonalized once, and removed from the
+    rest.  The tie band keeps the pivot independent of rounding, so serialized
+    output built on this basis is byte-stable.
 
     Returns an (n, rank) array.
     """
@@ -309,7 +315,7 @@ def deterministic_range_basis(a: np.ndarray, rank: int, *, rel_tol: float = 1e-8
     basis = np.zeros((n, rank), dtype=complex)
     for step in range(rank):
         norms = np.linalg.norm(work, axis=0)
-        j = int(np.argmax(norms))
+        j = int(np.argmax(norms >= norms.max() * (1.0 - 1e-12)))
         if norms[j] <= rel_tol:
             raise AmbiguousRankError(
                 f"range collapsed after {step} columns, expected rank {rank}"
@@ -451,12 +457,30 @@ def decompose(rep: UnitaryRep, *, rel_tol: float = 1e-8) -> MultiplicityVector:
     return mv
 
 
+def intertwining_defect(target: RepT, f: np.ndarray, source: RepT | None = None) -> float:
+    """max_g |T(g) f - f S(g)|_2 over the carrier of T = target (S = source, or T).
+
+    Only the elements of T's carrier are visited; S may act on a larger one."""
+    source = target if source is None else source
+    return max(
+        float(np.linalg.norm(target.matrix(g) @ f - f @ source.matrix(g), 2))
+        for g in target.elements
+    )
+
+
 def equivariance_defect(rep: RepT, m: np.ndarray) -> float:
     """Largest commutator norm between m and the representation matrices."""
-    return max(
-        float(np.linalg.norm(rep.matrix(g) @ m - m @ rep.matrix(g), 2))
-        for g in rep.elements
-    )
+    return intertwining_defect(rep, m)
+
+
+def require_intertwining(
+    what: str, target: RepT, f: np.ndarray, source: RepT | None = None, *, tol: float
+) -> None:
+    """Raise ValueError(f"{what} (defect ...)") when the intertwining defect of f
+    exceeds tol * max(1, |f|_2); the SVD norm |f|_2 is only needed above tol."""
+    defect = intertwining_defect(target, f, source)
+    if defect > tol and defect > tol * max(1.0, float(np.linalg.norm(f, 2))):
+        raise ValueError(f"{what} (defect {defect:.3e})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,11 +498,7 @@ def equivariant_endomorphism(
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (rep.dim, rep.dim):
         raise ValueError(f"matrix shape {m.shape} does not match dim {rep.dim}")
-    defect = equivariance_defect(rep, m)
-    if defect > tol * max(1.0, float(np.linalg.norm(m, 2))):
-        raise ValueError(
-            f"matrix does not commute with the action (defect {defect:.3e})"
-        )
+    require_intertwining("matrix does not commute with the action", rep, m, tol=tol)
     return EquivariantEndomorphism(rep, m)
 
 
@@ -505,12 +525,7 @@ def pi_alpha_restrict(
     if chi is None:
         raise TypeError("missing the character argument")
     m = np.asarray(m, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
-    defect = equivariance_defect(rep, m)
-    if defect > commute_tol * scale:
-        raise ValueError(
-            f"matrix does not commute with the action (defect {defect:.3e})"
-        )
+    require_intertwining("matrix does not commute with the action", rep, m, tol=commute_tol)
     basis = isotypical_basis(rep, chi, rel_tol=rel_tol)
     return basis.conj().T @ m @ basis
 
@@ -537,15 +552,8 @@ def induce(rep: UnitaryRep, gamma: Group) -> UnitaryRep:
     element acts as a block permutation of the cosets twisted by the subgroup
     representation; the dimension is the index times dim(rep).
     """
-    sub = _as_subgroup(rep.carrier, gamma)
-    reps_ = coset_transversal(gamma, sub)
+    reps_, locate = coset_table(gamma, _as_subgroup(rep.carrier, gamma))
     r, d = len(reps_), rep.dim
-    # which coset an element lies in, and its subgroup part relative to the
-    # chosen representative
-    locate: dict[ElementT, tuple[int, ElementT]] = {}
-    for j, x in enumerate(reps_):
-        for h in sub.elements:
-            locate[gamma.op(x, h)] = (j, h)
     mats = {}
     for g in gamma.elements:
         m = np.zeros((r * d, r * d), dtype=complex)
@@ -564,24 +572,19 @@ def frobenius_invariant_map(rep: UnitaryRep, gamma: Group, xi: np.ndarray, *, to
     in every coset block.  Both are exactly the group average of coset
     translates, and the operator form is multiplicative.
     """
-    sub = _as_subgroup(rep.carrier, gamma)
-    reps_ = coset_transversal(gamma, sub)
+    index = gamma.order // _as_subgroup(rep.carrier, gamma).order
     xi = np.asarray(xi, dtype=complex)
     if xi.ndim == 1:
         if xi.shape != (rep.dim,):
             raise ValueError(f"vector has length {xi.shape}, representation dim {rep.dim}")
-        worst = max(
-            float(np.linalg.norm(rep.matrix(h) @ xi - xi)) for h in sub.elements
-        )
-        if worst > tol * max(1.0, float(np.linalg.norm(xi))):
-            raise ValueError(f"vector is not invariant (defect {worst:.3e})")
-        return np.tile(xi, len(reps_))
+        # a vector is a map from the trivial character, which comes first
+        trivial = character_rep(carrier_dual(rep.carrier)[0])
+        require_intertwining("vector is not invariant", rep, xi[:, None], trivial, tol=tol)
+        return np.tile(xi, index)
     if xi.shape != (rep.dim, rep.dim):
         raise ValueError(f"matrix shape {xi.shape} does not match dim {rep.dim}")
-    worst = equivariance_defect(rep, xi)
-    if worst > tol * max(1.0, float(np.linalg.norm(xi, 2))):
-        raise ValueError(f"matrix is not invariant (defect {worst:.3e})")
-    return np.kron(np.eye(len(reps_)), xi)
+    require_intertwining("matrix is not invariant", rep, xi, tol=tol)
+    return np.kron(np.eye(index), xi)
 
 
 def frobenius_hom_map(
@@ -609,13 +612,9 @@ def frobenius_hom_map(
         raise ValueError(
             f"map has shape {f.shape}, expected {(target.dim, source.dim)}"
         )
-    scale = max(1.0, float(np.linalg.norm(f, 2)))
-    worst = max(
-        float(np.linalg.norm(f @ source.matrix(h) - target.matrix(h) @ f, 2))
-        for h in sub.elements
+    require_intertwining(
+        "map does not intertwine the subgroup actions", target, f, source, tol=tol
     )
-    if worst > tol * scale:
-        raise ValueError(f"map does not intertwine the subgroup actions ({worst:.3e})")
     averaged = sum(
         target.matrix(h) @ f @ source.matrix(gamma.inv(h)) for h in sub.elements
     ) / sub.order
@@ -632,15 +631,8 @@ def null_space_basis(a: np.ndarray, *, rel_tol: float = 1e-8) -> np.ndarray:
     """Orthonormal null-space basis with the same rank cut as numerical_rank."""
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(a)
-    thresh = rel_tol * max(1.0, float(s[0]) if s.size else 0.0)
-    near = s[(s >= thresh / 10) & (s <= thresh * 10)]
-    if near.size:
-        raise AmbiguousRankError(
-            f"singular value {near[0]:.3e} within a factor 10 of cut {thresh:.3e}"
-        )
-    rank = int(np.count_nonzero(s > thresh))
-    return vh[rank:].conj().T
+    _, s, vh = np.linalg.svd(a)
+    return vh[_rank_cut(s, rel_tol):].conj().T
 
 
 def intertwiner_basis(
@@ -733,11 +725,7 @@ def ker_im_pi_alpha(
             big = np.kron(eye_cosets, t)
             block = basis_a.conj().T @ big @ basis_a
             compressed.append(block.reshape(-1))
-        stacked = np.array(compressed)
-        if stacked.size == 0 or basis_a.shape[1] == 0:
-            rank = 0
-        else:
-            rank = numerical_rank(stacked, rel_tol=rel_tol)
+        rank = numerical_rank(np.array(compressed), rel_tol=rel_tol)
         if rank == k * k:
             observed_im.append(j)
         elif rank == 0:

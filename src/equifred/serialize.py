@@ -14,17 +14,10 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .bundles import EquivariantSampleBundle, SymbolField, sample_bundle, symbol_field
+from .bundles import EquivariantSampleBundle, InputDocumentError, SymbolField
+from .bundles import sample_bundle, symbol_field
 from .groups import Character, ElementT, Group, SubgroupCharacter
 from .reps import MultiplicityVector, UnitaryRep, unitary_rep
-
-
-class InputDocumentError(ValueError):
-    """Malformed input document, with a pointer to the offending node."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path or "/"
-        super().__init__(f"{self.path}: {message}")
 
 
 def element_key(g: ElementT) -> str:

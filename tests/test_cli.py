@@ -236,6 +236,20 @@ def test_nan_in_symbol_is_pointered(tmp_path, capsys):
     assert "input error at /symbol/p0/0/0" in err
 
 
+def test_non_equivariant_symbol_points_at_the_worst_point(tmp_path, capsys):
+    doc = json.loads(Path(FREE).read_text())
+    doc["symbol"]["q0"][0][0] = [5, 0]
+    path = tmp_path / "skewed.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "check", "--input", str(path), "--alpha", "0")
+    assert rc == 1 and not out
+    assert err == "input error at /symbol/q0: symbol is not equivariant (defect 4.500e+00)\n"
+    node = doc
+    for part in err.split()[3].rstrip(":").split("/")[1:]:
+        node = node[part]  # the pointer resolves in the mutated document
+    assert node == [[[5, 0]]]
+
+
 def test_induce_document_missing_generators(tmp_path, capsys):
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"group": {"orders": [4]}, "character_exponents": [1]}))
@@ -259,6 +273,25 @@ def test_tol_must_be_positive(capsys):
     rc, out, err = run(capsys, "check", "--input", FREE, "--alpha", "0", "--tol", "-1")
     assert rc == 1 and not out
     assert "--tol" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--input", REP_Z3),
+        ("induce", "--input", INDUCE_Z4),
+        ("prim", "--input", FIXED),
+        ("bvp", "--bc", "d,n", "--sizes", "8,16"),
+        ("sweep", "--family", "zero", "--alpha", "0"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tol_is_refused_where_it_would_be_ignored(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--tol", "0.5")
+    assert rc == 1 and not out
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --tol 0.5" in err
+    assert "Traceback" not in err
 
 
 def test_internal_inconsistency_exits_3_without_traceback(capsys, monkeypatch):
