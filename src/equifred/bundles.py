@@ -9,8 +9,9 @@ alpha-associated part of X are uniformly invertible.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -66,6 +67,27 @@ class BundleValidation:
         return not self.violations
 
 
+class _ShapeStacks:
+    """A list of matrices held as one stack per matrix shape.
+
+    Matrix i is stacks[cls[i]][pos[i]]; members[k] lists, in increasing
+    order, the indices that stacks[k] holds.
+    """
+
+    def __init__(self, mats: list[np.ndarray]):
+        kinds: dict[tuple[int, ...], int] = {}
+        self.cls = np.array([kinds.setdefault(m.shape, len(kinds)) for m in mats], dtype=np.intp)
+        self.members = [np.flatnonzero(self.cls == k) for k in range(len(kinds))]
+        self.pos = np.empty(len(mats), dtype=np.intp)
+        for idx in self.members:
+            self.pos[idx] = np.arange(idx.size)
+        self.stacks = [np.stack([mats[i] for i in idx]) for idx in self.members]
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """The matrices at the (non-empty) indices idx, which must share one shape."""
+        return self.stacks[self.cls[idx[0]]][self.pos[idx]]
+
+
 @dataclass(frozen=True, eq=False)
 class EquivariantSampleBundle:
     """Finite group-set with unitary fiber transport.
@@ -73,7 +95,8 @@ class EquivariantSampleBundle:
     points are ids (strings); base maps each point to its base-point label;
     action maps (group element, point) to a point; transport maps the same
     keys to a unitary matrix from the fiber at the point to the fiber at its
-    image.
+    image.  The mappings are read once, on first validation: change them
+    only before that.
     """
 
     group: Group
@@ -88,6 +111,33 @@ class EquivariantSampleBundle:
 
     def transport_matrix(self, g: ElementT, p: str) -> np.ndarray:
         return self.transport[(g, p)]
+
+    @cached_property
+    def _action_table(self) -> np.ndarray:
+        """A[g, p]: index of g·p among the points (g, p indices into group.elements
+        and points); -1 where the entry is missing, -2 where it is not a point."""
+        index = {p: i for i, p in enumerate(self.points)}
+        rows = [
+            [index.get(self.action[(g, p)], -2) if (g, p) in self.action else -1
+             for p in self.points]
+            for g in self.group.elements
+        ]
+        return np.array(rows, dtype=np.intp).reshape(self.group.order, len(self.points))
+
+    @cached_property
+    def _transports(self) -> _ShapeStacks:
+        """T(g, p) at index g·len(points) + p (every entry must be present)."""
+        return _ShapeStacks(
+            [self.transport[(g, p)] for g in self.group.elements for p in self.points]
+        )
+
+    @cached_property
+    def _validated(self) -> BundleValidation:
+        return _check_bundle(self, _VALIDATE_TOL)
+
+    @cached_property
+    def _x_orbits(self) -> tuple:
+        return _isotype_orbits(self, _REL_TOL)
 
 
 def sample_bundle(
@@ -110,102 +160,183 @@ def sample_bundle(
     )
 
 
-def validate_bundle(b: EquivariantSampleBundle, *, tol: float = 1e-10) -> BundleValidation:
+_VALIDATE_TOL = 1e-10
+_REL_TOL = 1e-8  # default rank cut of the fiber decompositions
+
+
+def _norms_over(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the matrices in a stack whose 2-norm exceeds tol, and those norms.
+
+    Every defect threshold of the validation and of the symbol-equivariance
+    gate goes through here.  The whole stack gets Frobenius norms; only
+    matrices whose Frobenius norm exceeds tol/2 get an SVD.  Since
+    |A|_2 <= |A|_F, a matrix below that cut is below tol with room to spare
+    for rounding in either norm, so the answer is exactly that of one SVD
+    per matrix.  A NaN is never below the cut.
+    """
+    fro = np.linalg.norm(stack, axis=(-2, -1))
+    cand = np.flatnonzero(~(fro <= tol / 2))
+    if not cand.size:  # the common case, a valid bundle
+        return cand, fro[cand]
+    norms = np.linalg.norm(stack[cand], 2, axis=(-2, -1))
+    over = norms > tol
+    return cand[over], norms[over]
+
+
+def validate_bundle(b: EquivariantSampleBundle, *, tol: float = _VALIDATE_TOL) -> BundleValidation:
     """Check action, base-label, fiber-dimension, and cocycle axioms.
 
-    Collects every violation with a location instead of stopping at the first.
+    Collects every violation with a location instead of stopping at the
+    first, in a fixed order: missing or foreign action images (and nothing
+    else when there are any); the identity and composition laws, g·(h·p) =
+    (g+h)·p for all g, h, p; base labels; fiber dimensions; presence and
+    shape of transports; unitarity, T(0, p) = I and the cocycle law
+    T(g, h·p) T(h, p) = T(g+h, p) for all g, h, p.  A composition failure
+    between fibers of different dimensions is reported at the cocycle's
+    location as a shape mismatch.
+
+    The checks run on an integer action table and on transports stacked by
+    shape, all pairs at once (the cocycle one h at a time, so temporaries
+    stay O(|G|·points·d^2)).  Each tolerance decision takes the SVD 2-norm
+    only where the Frobenius norm does not already settle it; the
+    violations, their order and their printed defects are exactly those of
+    an SVD norm per pair.
+
+    The result at the default tol is computed once per bundle and kept:
+    `require_valid`, `alpha_elliptic_check` and `prim_enumerate` reuse it,
+    so a bundle is validated once however many checks it goes through.
     """
+    return _validation(b, tol)
+
+
+def _validation(b: EquivariantSampleBundle, tol: float) -> BundleValidation:
+    return b._validated if tol == _VALIDATE_TOL else _check_bundle(b, tol)
+
+
+def _check_bundle(b: EquivariantSampleBundle, tol: float) -> BundleValidation:
     out: list[Violation] = []
-    pts = set(b.points)
-    elems = b.group.elements
-
-    def key(g: ElementT) -> str:
-        return ",".join(str(x) for x in g)
-
-    def bad(kind, loc, detail):
-        out.append(Violation(kind, loc, detail))
-
-    for g in elems:
-        for p in b.points:
-            if (g, p) not in b.action:
-                bad("action", f"/action/{key(g)}/{p}", "missing")
-                continue
-            q = b.action[(g, p)]
-            if q not in pts:
-                bad("action", f"/action/{key(g)}/{p}", f"image {q!r} is not a point")
+    pts = b.points
+    n_pts = len(pts)
+    group = b.group
+    keys = [",".join(str(x) for x in g) for g in group.elements]
+    e = group.elements.index(group.identity)
+    A = b._action_table
+    for g, p in np.argwhere(A < 0):
+        detail = (
+            "missing" if A[g, p] == -1
+            else f"image {b.action[(group.elements[g], pts[p])]!r} is not a point"
+        )
+        out.append(Violation("action", f"/action/{keys[g]}/{pts[p]}", detail))
     if out:
         return BundleValidation(tuple(out))
 
-    for p in b.points:
-        if b.act(b.group.identity, p) != p:
-            bad("action", f"/action/{key(b.group.identity)}/{p}", "identity must fix every point")
-    for g, h, p in itertools.product(elems, elems, b.points):
-        if b.act(g, b.act(h, p)) != b.act(b.group.op(g, h), p):
-            bad(
-                "action",
-                f"/action/{key(g)}/{b.act(h, p)}",
-                f"composition law fails against {key(b.group.op(g, h))} at {p}",
-            )
+    residues = np.array(group.elements, dtype=np.intp)
+    radix = np.array([math.prod(group.orders[j + 1:]) for j in range(group.rank)], dtype=np.intp)
 
-    for p in b.points:
-        if p not in b.base:
-            bad("base", f"/base/{p}", "missing label")
-    if not any(v.kind == "base" for v in out):
-        for g in elems:
-            seen: dict[str, str] = {}
-            for p in b.points:
-                lbl, img = b.base[p], b.base[b.act(g, p)]
-                if lbl in seen and seen[lbl] != img:
-                    bad(
-                        "base",
-                        f"/base/{b.act(g, p)}",
-                        f"label {lbl!r} moves inconsistently under {key(g)}",
-                    )
-                seen.setdefault(lbl, img)
+    def plus(h: int) -> np.ndarray:
+        """Index of g + h for every g, by residue arithmetic."""
+        return ((residues + residues[h]) % group.orders) @ radix
 
-    for p in b.points:
-        if p not in b.fiber_dim or b.fiber_dim[p] < 1:
-            bad("fiber", f"/fiber_dim/{p}", "missing or non-positive")
-    if any(v.kind == "fiber" for v in out):
+    for p in np.flatnonzero(A[e] != np.arange(n_pts)):
+        out.append(
+            Violation("action", f"/action/{keys[e]}/{pts[p]}", "identity must fix every point")
+        )
+    broken = []
+    for h in range(group.order):
+        gh = plus(h)
+        broken += [(g, h, p, gh[g]) for g, p in np.argwhere(A[:, A[h]] != A[gh])]
+    for g, h, p, gh in sorted(broken):
+        out.append(Violation(
+            "action", f"/action/{keys[g]}/{pts[A[h, p]]}",
+            f"composition law fails against {keys[gh]} at {pts[p]}",
+        ))
+
+    unlabelled = [p for p in pts if p not in b.base]
+    out += [Violation("base", f"/base/{p}", "missing label") for p in unlabelled]
+    if not unlabelled:
+        labels = [b.base[p] for p in pts]
+        ids: dict[str, int] = {}
+        label_id = np.array([ids.setdefault(x, len(ids)) for x in labels], dtype=np.intp)
+        first: dict[int, int] = {}
+        lead = np.array([first.setdefault(x, i) for i, x in enumerate(label_id)], dtype=np.intp)
+        moved = label_id[A]  # label of g·p
+        # the label of g·p must be that of g·q for the first point q sharing p's label
+        for g, p in np.argwhere(moved != moved[:, lead]):
+            out.append(Violation(
+                "base", f"/base/{pts[A[g, p]]}",
+                f"label {labels[p]!r} moves inconsistently under {keys[g]}",
+            ))
+
+    bad_dims = [p for p in pts if p not in b.fiber_dim or b.fiber_dim[p] < 1]
+    if bad_dims:
+        out += [Violation("fiber", f"/fiber_dim/{p}", "missing or non-positive") for p in bad_dims]
         return BundleValidation(tuple(out))
 
-    for g in elems:
-        for p in b.points:
-            if (g, p) not in b.transport:
-                bad("transport", f"/transport/{key(g)}/{p}", "missing")
+    dims = [b.fiber_dim[p] for p in pts]
+    malformed = []
+    for g, elem in enumerate(group.elements):
+        for p, pt in enumerate(pts):
+            loc = f"/transport/{keys[g]}/{pt}"
+            if (elem, pt) not in b.transport:
+                malformed.append(Violation("transport", loc, "missing"))
                 continue
-            m = b.transport[(g, p)]
-            want = (b.fiber_dim[b.act(g, p)], b.fiber_dim[p])
-            if m.shape != want:
-                bad("transport", f"/transport/{key(g)}/{p}", f"shape {m.shape}, expected {want}")
-    if any(v.kind == "transport" for v in out):
-        return BundleValidation(tuple(out))
+            shape, want = b.transport[(elem, pt)].shape, (dims[A[g, p]], dims[p])
+            if shape != want:
+                malformed.append(Violation("transport", loc, f"shape {shape}, expected {want}"))
+    if malformed:
+        return BundleValidation(tuple(out + malformed))
 
-    for g in elems:
-        for p in b.points:
-            m = b.transport[(g, p)]
-            err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[1]), 2)
-            if err > tol:
-                bad("transport", f"/transport/{key(g)}/{p}", f"not unitary ({err:.3e})")
-    for p in b.points:
-        m = b.transport[(b.group.identity, p)]
-        if np.linalg.norm(m - np.eye(m.shape[0]), 2) > tol:
-            bad("transport", f"/transport/{key(b.group.identity)}/{p}", "identity transport != I")
-    for g, h, p in itertools.product(elems, elems, b.points):
-        lhs = b.transport[(g, b.act(h, p))] @ b.transport[(h, p)]
-        rhs = b.transport[(b.group.op(g, h), p)]
-        err = np.linalg.norm(lhs - rhs, 2)
-        if err > tol:
-            bad(
-                "transport",
-                f"/transport/{key(g)}/{b.act(h, p)}",
-                f"cocycle defect {err:.3e} against {key(b.group.op(g, h))} at {p}",
-            )
+    # transports are indexed g * n_pts + p from here on
+    T = b._transports
+    non_unitary, not_identity = [], []
+    for idx, t in zip(T.members, T.stacks):
+        at, err = _norms_over(t.conj().transpose(0, 2, 1) @ t - np.eye(t.shape[2]), tol)
+        non_unitary += zip(idx[at], err)
+        at_e = np.flatnonzero(idx // n_pts == e)
+        if t.shape[1] != t.shape[2]:
+            not_identity += list(idx[at_e])  # a non-square transport is not I
+        else:
+            not_identity += list(idx[at_e[_norms_over(t[at_e] - np.eye(t.shape[1]), tol)[0]]])
+    for i, err in sorted(non_unitary):
+        g, p = divmod(int(i), n_pts)
+        out.append(
+            Violation("transport", f"/transport/{keys[g]}/{pts[p]}", f"not unitary ({err:.3e})")
+        )
+    for i in sorted(not_identity):
+        loc = f"/transport/{keys[e]}/{pts[i - e * n_pts]}"
+        out.append(Violation("transport", loc, "identity transport != I"))
+
+    # T(g, h·p) T(h, p) against T(g+h, p): one h at a time, batched over (g, p)
+    # in runs whose three transports each share one shape
+    n_cls = len(T.stacks)
+    at_p = np.arange(n_pts)
+    found = []
+    for h in range(group.order):
+        gh = plus(h)
+        left = (np.arange(group.order)[:, None] * n_pts + A[h][None, :]).ravel()
+        right = np.tile(h * n_pts + at_p, group.order)
+        whole = (gh[:, None] * n_pts + at_p[None, :]).ravel()
+        run = (T.cls[left] * n_cls + T.cls[right]) * n_cls + T.cls[whole]
+        for r in np.unique(run):
+            sel = np.flatnonzero(run == r)
+            lhs, rhs, want = T.take(left[sel]), T.take(right[sel]), T.take(whole[sel])
+            if (lhs.shape[1], rhs.shape[2]) != want.shape[1:]:
+                what = f"cocycle shapes {(lhs.shape[1], rhs.shape[2])} and {want.shape[1:]} differ"
+                hits = [(j, what) for j in sel]
+            else:
+                at, err = _norms_over(lhs @ rhs - want, tol)
+                hits = [(j, f"cocycle defect {x:.3e}") for j, x in zip(sel[at], err)]
+            found += [(j // n_pts, h, j % n_pts, gh[j // n_pts], what) for j, what in hits]
+    for g, h, p, gh, what in sorted(found):
+        out.append(Violation(
+            "transport", f"/transport/{keys[g]}/{pts[A[h, p]]}",
+            f"{what} against {keys[gh]} at {pts[p]}",
+        ))
     return BundleValidation(tuple(out))
 
 
-def require_valid(b: EquivariantSampleBundle, *, tol: float = 1e-10) -> None:
-    v = validate_bundle(b, tol=tol)
+def require_valid(b: EquivariantSampleBundle, *, tol: float = _VALIDATE_TOL) -> None:
+    v = _validation(b, tol)
     if not v.ok:
         lines = "; ".join(f"{x.location}: {x.detail}" for x in v.violations[:5])
         raise ValueError(f"bundle fails validation: {lines}")
@@ -276,13 +407,18 @@ class XPoint:
     rho: SubgroupCharacter
 
 
-def build_X(b: EquivariantSampleBundle, *, rel_tol: float = 1e-8) -> tuple:
+def build_X(b: EquivariantSampleBundle, *, rel_tol: float = _REL_TOL) -> tuple:
     """All (point, isotype) pairs with positive multiplicity, grouped into orbits.
 
     Each orbit is a tuple of XPoints sorted by point id; orbits are listed by
     (least point id, isotype).  The isotype content is computed at every point
     and must agree along each orbit, otherwise the bundle data is inconsistent.
+    At the default rel_tol the result is computed once per bundle and kept.
     """
+    return b._x_orbits if rel_tol == _REL_TOL else _isotype_orbits(b, rel_tol)
+
+
+def _isotype_orbits(b: EquivariantSampleBundle, rel_tol: float) -> tuple:
     present: dict[str, tuple[SubgroupCharacter, ...]] = {}
     for p in b.points:
         mv = decompose(fiber_rep(b, p), rel_tol=rel_tol)
@@ -339,6 +475,11 @@ class SymbolField:
     def value(self, p: str) -> np.ndarray:
         return self.values[p]
 
+    @cached_property
+    def _stacked(self) -> _ShapeStacks:
+        """sigma(p) at the index of p in bundle.points."""
+        return _ShapeStacks([self.values[p] for p in self.bundle.points])
+
 
 def symbol_field(bundle: EquivariantSampleBundle, values: Mapping[str, np.ndarray]) -> SymbolField:
     store = {}
@@ -354,17 +495,27 @@ def symbol_field(bundle: EquivariantSampleBundle, values: Mapping[str, np.ndarra
     return SymbolField(bundle, store)
 
 
+def _symbol_defects(sym: SymbolField):
+    """sigma(g p) - T(g, p) sigma(p) T(g, p)^* for every (g, p), one stack per
+    transport shape, with the indices g * len(points) + p it holds."""
+    b = sym.bundle
+    T, values = b._transports, sym._stacked
+    for idx, t in zip(T.members, T.stacks):
+        g, p = np.divmod(idx, len(b.points))
+        conjugated = t @ values.take(p) @ t.conj().transpose(0, 2, 1)
+        yield idx, values.take(b._action_table[g, p]) - conjugated
+
+
 def _worst_symbol_defect(sym: SymbolField) -> tuple[float, str | None]:
     """Largest |sigma(g p) - T(g, p) sigma(p) T(g, p)^*|_2, and the first p attaining it."""
     b = sym.bundle
-    worst, where = 0.0, None
-    for g in b.group.elements:
-        for p in b.points:
-            t = b.transport_matrix(g, p)
-            err = float(np.linalg.norm(sym.value(b.act(g, p)) - t @ sym.value(p) @ t.conj().T, 2))
-            if err > worst:
-                worst, where = err, p
-    return worst, where
+    errs = np.zeros(b.group.order * len(b.points))
+    for idx, d in _symbol_defects(sym):
+        errs[idx] = np.linalg.norm(d, 2, axis=(-2, -1))
+    i = int(np.argmax(errs)) if errs.size else 0
+    if not errs.size or not errs[i] > 0.0:
+        return 0.0, None
+    return float(errs[i]), b.points[i % len(b.points)]
 
 
 def symbol_equivariance_defect(sym: SymbolField) -> float:
@@ -470,11 +621,10 @@ def alpha_elliptic_check(
     """
     b = sym.bundle
     require_valid(b)
-    defect, where = _worst_symbol_defect(sym)
-    scale = max(
-        [1.0] + [float(np.linalg.norm(sym.value(p), 2)) for p in b.points]
-    )
-    if defect > equiv_tol * scale:
+    norms = [np.linalg.norm(s, 2, axis=(-2, -1)) for s in sym._stacked.stacks]
+    scale = max([1.0] + [float(x) for n in norms for x in n])
+    if any(_norms_over(d, equiv_tol * scale)[0].size for _, d in _symbol_defects(sym)):
+        defect, where = _worst_symbol_defect(sym)
         raise InputDocumentError(
             f"/symbol/{where}", f"symbol is not equivariant (defect {defect:.3e})"
         )

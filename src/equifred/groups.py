@@ -300,6 +300,7 @@ class SubgroupCharacter:
         return char_eval(self.representative, h)
 
 
+@lru_cache(maxsize=None)
 def characters_of_subgroup(group: Group, sub: Subgroup) -> tuple[SubgroupCharacter, ...]:
     """The |H| distinct characters of a subgroup H, canonically represented."""
     if sub.parent != group:

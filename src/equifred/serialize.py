@@ -231,7 +231,7 @@ def load_bundle(doc: Any, path: str = "") -> tuple[EquivariantSampleBundle, Symb
             if p not in table:
                 raise InputDocumentError(f"{path}/action/{key}/{p}", "missing")
             q = table[p]
-            if q not in base:
+            if not isinstance(q, str) or q not in base:
                 raise InputDocumentError(
                     f"{path}/action/{key}/{p}", f"image {q!r} is not a point"
                 )

@@ -1,10 +1,12 @@
-"""Shared helpers: group enumeration and trace-based multiplicity oracles."""
+"""Shared helpers: group enumeration, trace-based multiplicity oracles and
+loop references for the batched bundle checks."""
 
 import itertools
 
 import numpy as np
 
 from equifred import carrier_dual
+from equifred.bundles import BundleValidation, Violation
 
 
 def _partitions(n):
@@ -73,3 +75,114 @@ def decompose_oracle(rep):
         if mult:
             out[chi] = mult
     return out
+
+
+def reference_validate_bundle(b, *, tol=1e-10):
+    """The pair-by-pair bundle validator that `validate_bundle` replaced.
+
+    Kept only as an oracle: the batched validator must return the same
+    violations, in the same order.  One SVD 2-norm per (g, p) or (g, h, p).
+    On a composition failure between fibers of different dimensions the
+    cocycle subtraction raises (numpy cannot broadcast the two sides).
+    """
+    out = []
+    pts = set(b.points)
+    elems = b.group.elements
+
+    def key(g):
+        return ",".join(str(x) for x in g)
+
+    def bad(kind, loc, detail):
+        out.append(Violation(kind, loc, detail))
+
+    for g in elems:
+        for p in b.points:
+            if (g, p) not in b.action:
+                bad("action", f"/action/{key(g)}/{p}", "missing")
+                continue
+            q = b.action[(g, p)]
+            if q not in pts:
+                bad("action", f"/action/{key(g)}/{p}", f"image {q!r} is not a point")
+    if out:
+        return BundleValidation(tuple(out))
+
+    for p in b.points:
+        if b.act(b.group.identity, p) != p:
+            bad("action", f"/action/{key(b.group.identity)}/{p}", "identity must fix every point")
+    for g, h, p in itertools.product(elems, elems, b.points):
+        if b.act(g, b.act(h, p)) != b.act(b.group.op(g, h), p):
+            bad(
+                "action",
+                f"/action/{key(g)}/{b.act(h, p)}",
+                f"composition law fails against {key(b.group.op(g, h))} at {p}",
+            )
+
+    for p in b.points:
+        if p not in b.base:
+            bad("base", f"/base/{p}", "missing label")
+    if not any(v.kind == "base" for v in out):
+        for g in elems:
+            seen = {}
+            for p in b.points:
+                lbl, img = b.base[p], b.base[b.act(g, p)]
+                if lbl in seen and seen[lbl] != img:
+                    bad(
+                        "base",
+                        f"/base/{b.act(g, p)}",
+                        f"label {lbl!r} moves inconsistently under {key(g)}",
+                    )
+                seen.setdefault(lbl, img)
+
+    for p in b.points:
+        if p not in b.fiber_dim or b.fiber_dim[p] < 1:
+            bad("fiber", f"/fiber_dim/{p}", "missing or non-positive")
+    if any(v.kind == "fiber" for v in out):
+        return BundleValidation(tuple(out))
+
+    for g in elems:
+        for p in b.points:
+            if (g, p) not in b.transport:
+                bad("transport", f"/transport/{key(g)}/{p}", "missing")
+                continue
+            m = b.transport[(g, p)]
+            want = (b.fiber_dim[b.act(g, p)], b.fiber_dim[p])
+            if m.shape != want:
+                bad("transport", f"/transport/{key(g)}/{p}", f"shape {m.shape}, expected {want}")
+    if any(v.kind == "transport" for v in out):
+        return BundleValidation(tuple(out))
+
+    for g in elems:
+        for p in b.points:
+            m = b.transport[(g, p)]
+            err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[1]), 2)
+            if err > tol:
+                bad("transport", f"/transport/{key(g)}/{p}", f"not unitary ({err:.3e})")
+    for p in b.points:
+        m = b.transport[(b.group.identity, p)]
+        if np.linalg.norm(m - np.eye(m.shape[0]), 2) > tol:
+            bad("transport", f"/transport/{key(b.group.identity)}/{p}", "identity transport != I")
+    for g, h, p in itertools.product(elems, elems, b.points):
+        lhs = b.transport[(g, b.act(h, p))] @ b.transport[(h, p)]
+        rhs = b.transport[(b.group.op(g, h), p)]
+        err = np.linalg.norm(lhs - rhs, 2)
+        if err > tol:
+            bad(
+                "transport",
+                f"/transport/{key(g)}/{b.act(h, p)}",
+                f"cocycle defect {err:.3e} against {key(b.group.op(g, h))} at {p}",
+            )
+    return BundleValidation(tuple(out))
+
+
+def reference_symbol_defect(sym):
+    """Pair-by-pair largest |sigma(g p) - T(g, p) sigma(p) T(g, p)^*|_2 and the
+    first point attaining it (the loop `symbol_equivariance_defect` replaced)."""
+    b = sym.bundle
+    worst, where = 0.0, None
+    for g in b.group.elements:
+        for p in b.points:
+            t = b.transport_matrix(g, p)
+            err = float(np.linalg.norm(sym.value(b.act(g, p)) - t @ sym.value(p) @ t.conj().T, 2))
+            if err > worst:
+                worst, where = err, p
+    return worst, where

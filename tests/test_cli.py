@@ -4,6 +4,8 @@ Each command is run in-process through ``main(argv)`` so exit codes, stdout
 documents, and stderr diagnostics can all be asserted; one test also goes
 through ``python3 -m equifred`` to pin the installed entry point.
 """
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import equifred.bundles
 import equifred.cli
 from equifred import InternalInconsistencyError
 from equifred.cli import main
@@ -38,6 +42,30 @@ def run_json(capsys, *argv):
     rc, out, err = run(capsys, *argv)
     assert out.endswith("\n") and not err, err
     return rc, json.loads(out)
+
+
+def resolves(doc, pointer, detail):
+    """Does a stderr pointer name a node of doc?  A "missing" error names the
+    absent member of a node that exists."""
+    parts = pointer.strip("/").split("/") if pointer.strip("/") else []
+    node = doc
+    for i, part in enumerate(parts):
+        if isinstance(node, dict) and part in node:
+            node = node[part]
+        elif isinstance(node, list) and part.isdigit() and int(part) < len(node):
+            node = node[int(part)]
+        else:
+            return i == len(parts) - 1 and detail.startswith("missing")
+    return True
+
+
+def pointer_lines(err):
+    """(pointer, detail) of every "input error at <pointer>: <detail>" line."""
+    return [
+        tuple(line[len("input error at "):].split(": ", 1))
+        for line in err.splitlines()
+        if line.startswith("input error at ")
+    ]
 
 
 def mults(doc_node):
@@ -250,6 +278,43 @@ def test_non_equivariant_symbol_points_at_the_worst_point(tmp_path, capsys):
     assert node == [[[5, 0]]]
 
 
+def mixed_fiber_composition_doc():
+    """Z3 on a, b, c, e (fiber dimensions 1, 1, 2, 3) moving a -> b -> c under 1
+    but a -> e under 2: 1·(1·a) and 2·a have fibers of different dimension."""
+    dims = {"a": 1, "b": 1, "c": 2, "e": 3}
+    moves = {"1": {"a": "b", "b": "c"}, "2": {"a": "e"}}
+
+    def eye(rows, cols):
+        return [[[1 if i == j else 0, 0] for j in range(cols)] for i in range(rows)]
+
+    action = {x: {p: moves.get(x, {}).get(p, p) for p in dims} for x in ("0", "1", "2")}
+    return {
+        "group": {"orders": [3]},
+        "points": list(dims),
+        "base": {p: p for p in dims},
+        "fiber_dim": dims,
+        "action": action,
+        "transport": {
+            x: {p: eye(dims[q], dims[p]) for p, q in table.items()} for x, table in action.items()
+        },
+        "symbol": {p: eye(d, d) for p, d in dims.items()},
+    }
+
+
+@pytest.mark.parametrize("verb", [("check", "--alpha", "0"), ("prim",)], ids=lambda v: v[0])
+def test_composition_failure_across_fiber_dimensions_is_pointered(tmp_path, capsys, verb):
+    doc = mixed_fiber_composition_doc()
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, verb[0], "--input", str(path), *verb[1:])
+    assert rc == 1 and not out
+    assert "broadcast" not in err
+    lines = pointer_lines(err)
+    assert ("/transport/1/b", "cocycle shapes (2, 1) and (3, 1) differ against 2 at a") in lines
+    assert len(lines) == len(err.splitlines()) == 10
+    assert all(resolves(doc, ptr, detail) for ptr, detail in lines)
+
+
 def test_induce_document_missing_generators(tmp_path, capsys):
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"group": {"orders": [4]}, "character_exponents": [1]}))
@@ -383,3 +448,124 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# bundle jobs validate once
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--input", FIXED, "--alpha", "0"),
+        ("check", "--input", FREE, "--alpha", "1", "--tol", "0.3"),
+        ("check", "--input", TWO_FIBER, "--alpha", "1"),
+        ("prim", "--input", FIXED),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_bundle_job_validates_once(capsys, monkeypatch, argv):
+    entries, checks = [], []
+    entry, check = equifred.bundles.validate_bundle, equifred.bundles._check_bundle
+
+    def counted_entry(b, **kw):
+        entries.append(kw)
+        return entry(b, **kw)
+
+    def counted_check(b, tol):
+        checks.append(tol)
+        return check(b, tol)
+
+    monkeypatch.setattr(equifred.cli, "validate_bundle", counted_entry)
+    monkeypatch.setattr(equifred.bundles, "validate_bundle", counted_entry)
+    monkeypatch.setattr(equifred.bundles, "_check_bundle", counted_check)
+    rc, _, err = run(capsys, *argv)
+    assert rc in (0, 2) and not err
+    assert len(entries) == 1 and checks == [1e-10]
+
+
+# ---------------------------------------------------------------------------
+# the input contract holds on mutated bundle documents
+
+BUNDLE_FIXTURES = (FIXED, FREE, TWO_FIBER, BAD_TRANSPORT)
+
+
+def _nodes(node, at=()):
+    yield at
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, at + (key,))
+
+
+_DROP = object()
+
+
+def _set(doc, at, value):
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[at[-1]]
+    else:
+        parent[at[-1]] = value
+
+
+@st.composite
+def mutated_bundle_documents(draw):
+    """A bundle fixture with one entry dropped, retyped, made non-finite, a
+    bool or a huge integer, one action image moved, or one transport scaled."""
+    doc = json.loads(Path(draw(st.sampled_from(BUNDLE_FIXTURES))).read_text())
+    how = draw(st.sampled_from(["drop", "retype", "nonfinite", "bool", "huge", "swap", "rescale"]))
+    if how == "swap":
+        g = draw(st.sampled_from(sorted(doc["action"])))
+        p = draw(st.sampled_from(sorted(doc["action"][g])))
+        others = [q for q in doc["points"] if q != doc["action"][g][p]]
+        if others:
+            doc["action"][g][p] = draw(st.sampled_from(others))
+        return doc
+    if how == "rescale":
+        g = draw(st.sampled_from(sorted(doc["transport"])))
+        p = draw(st.sampled_from(sorted(doc["transport"][g])))
+        factor = draw(st.sampled_from([0.0, 0.5, -1.0, 1 + 1e-9, 2.0]))
+        matrix = doc["transport"][g][p]
+        doc["transport"][g][p] = [[[factor * x for x in z] for z in row] for row in matrix]
+        return doc
+    # a huge cyclic order would make the loader enumerate the group: there is
+    # no size guard yet, so huge integers go everywhere but /group
+    sections = [k for k in sorted(doc) if not (how == "huge" and k == "group")]
+    section = draw(st.sampled_from(sections))
+    at = draw(st.sampled_from(list(_nodes(doc[section], (section,)))))
+    value = {
+        "drop": st.just(_DROP),
+        "retype": st.sampled_from(["x", [], {}, None, 3, 0.5, -1, [[[1, 0]]]]),
+        "nonfinite": st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        "bool": st.booleans(),
+        "huge": st.sampled_from([10**400, -(10**400), 2**64]),
+    }[how]
+    _set(doc, at, draw(value))
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_bundle_documents())
+def test_mutated_bundle_documents_keep_the_input_contract(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    # every bundle fixture is over Z2, so one exponent is the right --alpha
+    for argv in (["check", "--input", str(path), "--alpha", "0"], ["prim", "--input", str(path)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv + ["--out", str(path.with_suffix(".out"))])
+            except SystemExit as exc:
+                rc = int(exc.code or 0)
+        err = err.getvalue()
+        assert rc in (0, 1, 2), (argv[0], rc, err)
+        assert "Traceback" not in err
+        if rc == 1:
+            lines = pointer_lines(err)
+            assert lines, err
+            assert all(resolves(doc, ptr, detail) for ptr, detail in lines), err
