@@ -30,12 +30,14 @@ from .groups import (
 )
 from .reps import (
     UnitaryRep,
+    _norms_over,
     carrier_dual,
     decompose,
     isotypical_basis,
     isotypical_projector,
     random_rep,
     require_intertwining,
+    unitary_rep,
 )
 
 
@@ -162,25 +164,6 @@ def sample_bundle(
 
 _VALIDATE_TOL = 1e-10
 _REL_TOL = 1e-8  # default rank cut of the fiber decompositions
-
-
-def _norms_over(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the matrices in a stack whose 2-norm exceeds tol, and those norms.
-
-    Every defect threshold of the validation and of the symbol-equivariance
-    gate goes through here.  The whole stack gets Frobenius norms; only
-    matrices whose Frobenius norm exceeds tol/2 get an SVD.  Since
-    |A|_2 <= |A|_F, a matrix below that cut is below tol with room to spare
-    for rounding in either norm, so the answer is exactly that of one SVD
-    per matrix.  A NaN is never below the cut.
-    """
-    fro = np.linalg.norm(stack, axis=(-2, -1))
-    cand = np.flatnonzero(~(fro <= tol / 2))
-    if not cand.size:  # the common case, a valid bundle
-        return cand, fro[cand]
-    norms = np.linalg.norm(stack[cand], 2, axis=(-2, -1))
-    over = norms > tol
-    return cand[over], norms[over]
 
 
 def validate_bundle(b: EquivariantSampleBundle, *, tol: float = _VALIDATE_TOL) -> BundleValidation:
@@ -391,8 +374,7 @@ def minimal_isotropy(b: EquivariantSampleBundle) -> Subgroup:
 def fiber_rep(b: EquivariantSampleBundle, p: str) -> UnitaryRep:
     """The stabilizer representation on the fiber at p, from the transport."""
     h = isotropy(b, p)
-    mats = {g: b.transport_matrix(g, p) for g in h.elements}
-    return UnitaryRep(h, b.fiber_dim[p], mats)
+    return unitary_rep(h, {g: b.transport_matrix(g, p) for g in h.elements}, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .bundles import (
     prim_enumerate,
     validate_bundle,
 )
-from .groups import SubgroupCharacter, character, subgroup_from_generators
+from .groups import character
 from .lab import (
     analytic_bvp_spectrum,
     build_fixed_point_degenerate_operator,
@@ -54,7 +54,7 @@ from .serialize import (
     character_doc,
     group_doc,
     load_bundle,
-    load_group,
+    load_induction,
     load_rep,
     multiplicity_doc,
     rep_doc,
@@ -168,27 +168,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    doc_in = _load_json(args.input)
-    if not isinstance(doc_in, dict):
-        raise InputDocumentError("/", "expected an object")
-    group = load_group(doc_in.get("group"), "/group")
-    gens_node = doc_in.get("subgroup_generators")
-    if not isinstance(gens_node, list):
-        raise InputDocumentError("/subgroup_generators", "expected an array of elements")
-    gens = []
-    for i, g in enumerate(gens_node):
-        if not isinstance(g, list) or len(g) != len(group.orders):
-            raise InputDocumentError(
-                f"/subgroup_generators/{i}", f"expected {len(group.orders)} residues"
-            )
-        gens.append([int(x) for x in g])
-    exps = doc_in.get("character_exponents")
-    if not isinstance(exps, list) or len(exps) != len(group.orders):
-        raise InputDocumentError(
-            "/character_exponents", f"expected {len(group.orders)} exponents"
-        )
-    sub = subgroup_from_generators(group, gens)
-    rho = SubgroupCharacter(sub, character(group, [int(x) for x in exps]))
+    group, sub, rho = load_induction(_load_json(args.input))
     ind = induce(character_rep(rho), group)
     mv = decompose(ind)
     doc = {

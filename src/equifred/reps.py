@@ -14,7 +14,9 @@ one goes through its projector and a pivoted Gram-Schmidt.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,13 +53,50 @@ def carrier_dual(carrier: CarrierT):
     return characters_of_subgroup(carrier.parent, carrier)
 
 
+def _norms_over(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the matrices in a stack whose 2-norm exceeds tol, and those norms.
+
+    This is the one Frobenius prefilter: every defect threshold of the
+    representation and bundle checks goes through here.  The whole stack gets
+    Frobenius norms; only matrices whose Frobenius norm exceeds tol/2 get an
+    SVD.  Since |A|_2 <= |A|_F, a matrix below that cut is below tol with room
+    to spare for rounding in either norm, so the answer is exactly that of one
+    SVD per matrix.  A NaN is never below the cut.
+    """
+    fro = np.linalg.norm(stack, axis=(-2, -1))
+    cand = np.flatnonzero(~(fro <= tol / 2))
+    if not cand.size:  # the common case, a valid input
+        return cand, fro[cand]
+    norms = np.linalg.norm(stack[cand], 2, axis=(-2, -1))
+    over = norms > tol
+    return cand[over], norms[over]
+
+
+def _trace_multiplicity(values: np.ndarray, traces: np.ndarray) -> int:
+    """The trace oracle (1/|G|) sum_g conj(chi(g)) tr U(g), from chi's values and
+    the traces in carrier order; it must be an integer."""
+    value = np.vdot(values, traces) / len(values)
+    mult = round(value.real)
+    if abs(value - mult) > 1e-8:
+        raise InternalInconsistencyError(f"non-integral multiplicity {value}")
+    return mult
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryRep:
-    """Unitary representation given by one matrix per carrier element."""
+    """Unitary representation given by one matrix per carrier element.
+
+    The matrices are held once, as the read-only (|carrier|, dim, dim) `stack`
+    in carrier order; `matrices` maps each element to its view into it.
+    """
 
     carrier: CarrierT
     dim: int
-    matrices: Mapping[ElementT, np.ndarray]
+    stack: np.ndarray
+
+    @cached_property
+    def matrices(self) -> Mapping[ElementT, np.ndarray]:
+        return dict(zip(self.carrier.elements, self.stack))
 
     def matrix(self, g: ElementT) -> np.ndarray:
         return self.matrices[g]
@@ -65,6 +104,11 @@ class UnitaryRep:
     @property
     def elements(self) -> tuple[ElementT, ...]:
         return self.carrier.elements
+
+    @property
+    def traces(self) -> np.ndarray:
+        """tr U(g) in carrier order."""
+        return np.trace(self.stack, axis1=1, axis2=2)
 
 
 def unitary_rep(
@@ -81,41 +125,82 @@ def unitary_rep(
     carrier : Group or Subgroup
         The acting group.
     matrices : mapping element -> (d, d) array
-        One unitary matrix per element of the carrier.
+        One unitary matrix per element of the carrier.  They are copied into
+        one read-only (|carrier|, d, d) stack.
     validate : bool
-        When True (default) every matrix is checked unitary and every product
-        relation U(g) U(h) = U(gh) is checked to `tol` in operator norm.
-        Builders that produce exact permutation matrices may skip this.
+        When True (default) the identity is checked to be I, every matrix
+        unitary, and every product relation U(g) U(h) = U(g + h) to hold, all
+        to `tol` in operator norm.  The first failure is raised, in that
+        order: the identity, the first non-unitary g, the first failing
+        (g, h) in carrier order.  Builders that produce exact matrices may
+        skip this.
+
+    Notes
+    -----
+    The law is checked along the edges of the Cayley graph first.  Let
+    d0 = |U(0) - I|_2 and e = max |U(g) U(e_i) - U(g + e_i)|_2 over every g
+    and every standard generator e_i of Z_{n_1} x ... x Z_{n_k}.  After the
+    unitarity check c = sqrt(1 + tol) bounds every |U(g)|_2, and an h reached
+    by a Cayley path of L <= sum_i (n_i - 1) steps satisfies, for every g,
+
+        |U(g) U(h) - U(g + h)|_2 <= c^(L+1) d0 + (1 + c) e sum_{j<L} c^j
+                                 <= c^(L+1) (d0 + 2 L e).
+
+    So when d0 and e are at most tol / (2 (1 + 2L) c^(L+1)), which for the
+    default tol is about tol / (4 sum_i n_i) or more, every pair is within
+    tol/2, far enough from tol that rounding cannot flip a decision, and the
+    law is accepted.  Otherwise, and always on a Subgroup carrier, every pair
+    is checked, one row g at a time, and the first failing (g, h) is
+    reported.  Every threshold goes through the Frobenius prefilter
+    `_norms_over`, so the decisions are those of one SVD norm per matrix.
     """
     elems = carrier.elements
     missing = [g for g in elems if g not in matrices]
     if missing:
         raise ValueError(f"representation is missing matrices for {missing[:3]}...")
-    first = np.asarray(matrices[elems[0]])
-    dim = first.shape[0]
-    store: dict[ElementT, np.ndarray] = {}
-    for g in elems:
-        m = np.array(matrices[g], dtype=complex)
+    dim = np.asarray(matrices[elems[0]]).shape[0]
+    stack = np.empty((len(elems), dim, dim), dtype=complex)
+    for i, g in enumerate(elems):
+        m = np.asarray(matrices[g], dtype=complex)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix for {g} has shape {m.shape}, expected {(dim, dim)}")
-        m.setflags(write=False)
-        store[g] = m
+        stack[i] = m
+    stack.setflags(write=False)
+    rep = UnitaryRep(carrier, dim, stack)
     if validate:
-        eye = np.eye(dim)
-        ident = store[carrier.identity]
-        if np.linalg.norm(ident - eye, 2) > tol:
-            raise ValueError("matrix at the identity is not the identity")
-        for g in elems:
-            if np.linalg.norm(store[g].conj().T @ store[g] - eye, 2) > tol:
-                raise ValueError(f"matrix for {g} is not unitary to {tol}")
-        for g in elems:
-            for h in elems:
-                gh = carrier.op(g, h)
-                if np.linalg.norm(store[g] @ store[h] - store[gh], 2) > tol:
-                    raise ValueError(
-                        f"homomorphism law fails at ({g}, {h}) beyond {tol}"
-                    )
-    return UnitaryRep(carrier, dim, store)
+        _require_representation(rep, tol)
+    return rep
+
+
+def _require_representation(rep: UnitaryRep, tol: float) -> None:
+    """The checks of `unitary_rep(validate=True)`; temporaries are one element's
+    matrices, or one row's in the all-pairs fallback."""
+    carrier, elems, stack = rep.carrier, rep.elements, rep.stack
+    eye = np.eye(rep.dim)
+    index = {g: i for i, g in enumerate(elems)}
+    ident = stack[index[carrier.identity]] - eye
+    if _norms_over(ident[None], tol)[0].size:
+        raise ValueError("matrix at the identity is not the identity")
+    for g, u in zip(elems, stack):
+        if _norms_over((u.conj().T @ u - eye)[None], tol)[0].size:
+            raise ValueError(f"matrix for {g} is not unitary to {tol}")
+    if isinstance(carrier, Group):
+        steps = sum(n - 1 for n in carrier.orders)
+        # tol / (2 (1 + 2L) c^(L+1)) with c = sqrt(1 + tol), without overflow
+        cut = tol / (2 * (1 + 2 * steps)) * math.exp(-(steps + 1) * math.log1p(tol) / 2)
+        gens = [carrier.element(e) for e in np.eye(carrier.rank, dtype=int)]
+        at_gens = stack[[index[e] for e in gens]]
+        if not _norms_over(ident[None], cut)[0].size and not any(
+            _norms_over(u @ at_gens - stack[[index[carrier.op(g, e)] for e in gens]], cut)[0].size
+            for g, u in zip(elems, stack)
+        ):
+            return
+    for g, u in zip(elems, stack):
+        defect = u @ stack
+        defect -= stack[[index[carrier.op(g, h)] for h in elems]]
+        at = _norms_over(defect, tol)[0]
+        if at.size:
+            raise ValueError(f"homomorphism law fails at ({g}, {elems[at[0]]}) beyond {tol}")
 
 
 _PHASE_TOL = 1e-10
@@ -172,17 +257,14 @@ class MonomialRep:
         m[self.perm[i], np.arange(self.dim)] = self.phase[i]
         return m
 
-    def multiplicity(self, chi: Character | SubgroupCharacter) -> int:
-        """Multiplicity of chi by the trace oracle (1/|G|) sum_g conj(chi(g)) tr U(g).
+    @property
+    def traces(self) -> np.ndarray:
+        """tr U(g) in carrier order: the sum of the phases at the indices g fixes."""
+        return np.where(self.perm == np.arange(self.dim), self.phase, 0.0).sum(axis=1)
 
-        tr U(g) is the sum of the phases at the indices g fixes.
-        """
-        traces = np.where(self.perm == np.arange(self.dim), self.phase, 0.0).sum(axis=1)
-        value = np.vdot(_character_values(self, chi), traces) / len(self.elements)
-        mult = round(value.real)
-        if abs(value - mult) > 1e-8:
-            raise InternalInconsistencyError(f"non-integral multiplicity {value}")
-        return mult
+    def multiplicity(self, chi: Character | SubgroupCharacter) -> int:
+        """Multiplicity of chi by the trace oracle (1/|G|) sum_g conj(chi(g)) tr U(g)."""
+        return _trace_multiplicity(_character_values(self, chi), self.traces)
 
 
 RepT = UnitaryRep | MonomialRep
@@ -253,8 +335,7 @@ def restrict_rep(rep: UnitaryRep, sub: Subgroup) -> UnitaryRep:
     """Restriction of a group representation to a subgroup carrier."""
     if not isinstance(rep.carrier, Group) or sub.parent != rep.carrier:
         raise ValueError("can only restrict a full-group representation to its subgroup")
-    mats = {h: rep.matrix(h) for h in sub.elements}
-    return UnitaryRep(sub, rep.dim, mats)
+    return unitary_rep(sub, {h: rep.matrix(h) for h in sub.elements}, validate=False)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -350,8 +431,13 @@ def isotypical_projector(rep: RepT, chi: Character | SubgroupCharacter) -> np.nd
     The character coefficient enters conjugated, so the projector averages the
     action against chi and is idempotent and Hermitian for unitary input.
     """
+    return _projector(rep, _character_values(rep, chi))
+
+
+def _projector(rep: RepT, values: np.ndarray) -> np.ndarray:
+    """The isotypical projector of the character with these values in carrier order."""
     acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for g, value in zip(rep.elements, _character_values(rep, chi)):
+    for g, value in zip(rep.elements, values):
         acc += np.conj(value) * rep.matrix(g)
     return acc / len(rep.elements)
 
@@ -435,17 +521,26 @@ def _char_sort_key(chi: Character | SubgroupCharacter):
     return chi.exponents
 
 
-def decompose(rep: UnitaryRep, *, rel_tol: float = 1e-8) -> MultiplicityVector:
+def decompose(rep: RepT, *, rel_tol: float = 1e-8) -> MultiplicityVector:
     """Multiplicity of every carrier character, via projector ranks.
 
     Ranks are read off the singular values of each isotypical projector; an
-    ambiguous rank raises AmbiguousRankError.  The multiplicities are checked
-    to sum to the dimension.
+    ambiguous rank raises AmbiguousRankError.  Each rank is checked against
+    the trace oracle (1/|G|) sum_g conj(chi(g)) tr U(g), which must be an
+    integer, and the multiplicities to sum to the dimension; a disagreement
+    raises InternalInconsistencyError.
     """
     entries = []
+    traces = rep.traces
     for chi in carrier_dual(rep.carrier):
-        p = isotypical_projector(rep, chi)
-        mult = numerical_rank(p, rel_tol=rel_tol)
+        values = _character_values(rep, chi)
+        mult = numerical_rank(_projector(rep, values), rel_tol=rel_tol)
+        expected = _trace_multiplicity(values, traces)
+        if mult != expected:
+            raise InternalInconsistencyError(
+                f"projector rank {mult} for the character {_char_sort_key(chi)}, "
+                f"the trace oracle says {expected}"
+            )
         if mult:
             entries.append((chi, mult))
     entries.sort(key=lambda pair: _char_sort_key(pair[0]))
@@ -457,15 +552,18 @@ def decompose(rep: UnitaryRep, *, rel_tol: float = 1e-8) -> MultiplicityVector:
     return mv
 
 
+def _commutators(target: RepT, f: np.ndarray, source: RepT | None):
+    """T(g) f - f S(g) for every g of T's carrier (S = source, or T)."""
+    source = target if source is None else source
+    for g in target.elements:
+        yield target.matrix(g) @ f - f @ source.matrix(g)
+
+
 def intertwining_defect(target: RepT, f: np.ndarray, source: RepT | None = None) -> float:
     """max_g |T(g) f - f S(g)|_2 over the carrier of T = target (S = source, or T).
 
     Only the elements of T's carrier are visited; S may act on a larger one."""
-    source = target if source is None else source
-    return max(
-        float(np.linalg.norm(target.matrix(g) @ f - f @ source.matrix(g), 2))
-        for g in target.elements
-    )
+    return max(float(np.linalg.norm(c, 2)) for c in _commutators(target, f, source))
 
 
 def equivariance_defect(rep: RepT, m: np.ndarray) -> float:
@@ -477,10 +575,15 @@ def require_intertwining(
     what: str, target: RepT, f: np.ndarray, source: RepT | None = None, *, tol: float
 ) -> None:
     """Raise ValueError(f"{what} (defect ...)") when the intertwining defect of f
-    exceeds tol * max(1, |f|_2); the SVD norm |f|_2 is only needed above tol."""
-    defect = intertwining_defect(target, f, source)
-    if defect > tol and defect > tol * max(1.0, float(np.linalg.norm(f, 2))):
-        raise ValueError(f"{what} (defect {defect:.3e})")
+    exceeds tol * max(1, |f|_2).
+
+    Each commutator goes through the Frobenius prefilter `_norms_over`, so an
+    SVD norm is taken only of a commutator whose Frobenius norm exceeds tol/2,
+    and |f|_2 only when the defect exceeds tol.  The decision and the printed
+    defect are those of `intertwining_defect`."""
+    over = [x for c in _commutators(target, f, source) for x in _norms_over(c[None], tol)[1]]
+    if over and max(over) > tol * max(1.0, float(np.linalg.norm(f, 2))):
+        raise ValueError(f"{what} (defect {max(over):.3e})")
 
 
 @dataclass(frozen=True, eq=False)

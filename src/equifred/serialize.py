@@ -8,6 +8,7 @@ floats at 17 significant digits, so identical inputs produce identical bytes.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any, Mapping
@@ -16,7 +17,8 @@ import numpy as np
 
 from .bundles import EquivariantSampleBundle, InputDocumentError, SymbolField
 from .bundles import sample_bundle, symbol_field
-from .groups import Character, ElementT, Group, SubgroupCharacter
+from .groups import Character, ElementT, Group, Subgroup, SubgroupCharacter
+from .groups import character, subgroup_from_generators
 from .reps import MultiplicityVector, UnitaryRep, unitary_rep
 
 
@@ -77,7 +79,48 @@ def parse_complex(node: Any, path: str) -> complex:
         raise InputDocumentError(path, "number too large for a float")
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def parse_matrix(node: Any, path: str) -> np.ndarray:
+    """A complex matrix from its rows of [re, im] pairs.
+
+    A well-formed matrix (a non-empty list of equal-length lists of 2-element
+    lists whose leaves are exactly int or float, all finite as floats) is
+    built in one numpy call: the leaves become one float array, each by
+    float(), viewed as complex, which keeps the bits complex(re, im) gives,
+    -0.0 included.  Anything else goes through the entry-by-entry walk, which
+    raises the pointer and message of the first malformed node.
+    """
+    m = _matrix_in_one_call(node)
+    return _walk_matrix(node, path) if m is None else m
+
+
+def _matrix_in_one_call(node: Any) -> np.ndarray | None:
+    """The matrix of a well-formed node, or None for the walk to judge it."""
+    if type(node) is not list or not node or set(map(type, node)) != {list}:
+        return None
+    width = len(node[0])
+    entries = list(itertools.chain.from_iterable(node))
+    if (
+        set(map(len, node)) != {width}
+        or set(map(type, entries)) != {list}
+        or set(map(len, entries)) != {2}
+    ):
+        return None
+    leaves = list(itertools.chain.from_iterable(entries))
+    if not set(map(type, leaves)) <= _NUMBER_TYPES:
+        return None
+    try:
+        flat = np.fromiter(leaves, dtype=float, count=len(leaves))
+    except OverflowError:  # an integer too large for a float
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return flat.view(complex).reshape(len(node), width)
+
+
+def _walk_matrix(node: Any, path: str) -> np.ndarray:
     rows = _as_list(node, path)
     if not rows:
         raise InputDocumentError(path, "matrix must be non-empty")
@@ -157,6 +200,31 @@ def rep_doc(rep: UnitaryRep) -> dict:
         "dim": rep.dim,
         "matrices": {element_key(g): matrix_doc(rep.matrix(g)) for g in rep.elements},
     }
+
+
+def load_induction(doc: Any, path: str = "") -> tuple[Group, Subgroup, SubgroupCharacter]:
+    """Parse an induce document: a group, subgroup generators and the exponents
+    of a full-group character, which is restricted to the generated subgroup.
+    Residues and exponents must be integers; they are reduced modulo the orders."""
+    node = _as_dict(doc, path or "/")
+    group = load_group(_need(node, "group", path), f"{path}/group")
+    gens_node = _need(node, "subgroup_generators", path)
+    if not isinstance(gens_node, list):
+        raise InputDocumentError(f"{path}/subgroup_generators", "expected an array of elements")
+    gens = []
+    for i, g in enumerate(gens_node):
+        at = f"{path}/subgroup_generators/{i}"
+        if not isinstance(g, list) or len(g) != group.rank:
+            raise InputDocumentError(at, f"expected {group.rank} residues")
+        gens.append([_as_int(x, f"{at}/{j}") for j, x in enumerate(g)])
+    exps = _need(node, "character_exponents", path)
+    if not isinstance(exps, list) or len(exps) != group.rank:
+        raise InputDocumentError(f"{path}/character_exponents", f"expected {group.rank} exponents")
+    chi = character(
+        group, [_as_int(x, f"{path}/character_exponents/{j}") for j, x in enumerate(exps)]
+    )
+    sub = subgroup_from_generators(group, gens)
+    return group, sub, SubgroupCharacter(sub, chi)
 
 
 def character_doc(chi: Character | SubgroupCharacter) -> list:

@@ -1,5 +1,5 @@
 """Shared helpers: group enumeration, trace-based multiplicity oracles and
-loop references for the batched bundle checks."""
+loop references for the batched representation and bundle checks."""
 
 import itertools
 
@@ -75,6 +75,29 @@ def decompose_oracle(rep):
         if mult:
             out[chi] = mult
     return out
+
+
+def reference_unitary_rep(carrier, matrices, *, tol=1e-10):
+    """The loop validation that `unitary_rep` replaced, as an oracle.
+
+    Returns the ValueError message the loops raised, or None when they
+    accepted: one SVD 2-norm for the identity, one per element for
+    unitarity and one per pair (g, h) for the homomorphism law.
+    """
+    elems = carrier.elements
+    dim = np.asarray(matrices[elems[0]]).shape[0]
+    store = {g: np.array(matrices[g], dtype=complex) for g in elems}
+    eye = np.eye(dim)
+    if np.linalg.norm(store[carrier.identity] - eye, 2) > tol:
+        return "matrix at the identity is not the identity"
+    for g in elems:
+        if np.linalg.norm(store[g].conj().T @ store[g] - eye, 2) > tol:
+            return f"matrix for {g} is not unitary to {tol}"
+    for g in elems:
+        for h in elems:
+            if np.linalg.norm(store[g] @ store[h] - store[carrier.op(g, h)], 2) > tol:
+                return f"homomorphism law fails at ({g}, {h}) beyond {tol}"
+    return None
 
 
 def reference_validate_bundle(b, *, tol=1e-10):

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import equifred.bundles
 import equifred.cli
+import equifred.reps
 from equifred import InternalInconsistencyError
 from equifred.cli import main
 
@@ -323,6 +324,39 @@ def test_induce_document_missing_generators(tmp_path, capsys):
     assert "/subgroup_generators" in err
 
 
+@pytest.mark.parametrize("bad", ["2.7", '"2"', "true", "null", "1e400", '"x"'])
+@pytest.mark.parametrize("field", ["subgroup_generators", "character_exponents"])
+def test_induce_residues_and_exponents_must_be_integers(tmp_path, capsys, field, bad):
+    gens, exps = ("[[%s]]" % bad, "[1]") if field == "subgroup_generators" else ("[[2]]", "[%s]" % bad)
+    path = tmp_path / "induce.json"
+    path.write_text(
+        '{"group": {"orders": [4]}, "subgroup_generators": %s, "character_exponents": %s}'
+        % (gens, exps)
+    )
+    rc, out, err = run(capsys, "induce", "--input", str(path))
+    assert rc == 1 and not out
+    pointer = "/subgroup_generators/0/0" if field == "subgroup_generators" else "/character_exponents/0"
+    assert err.startswith(f"input error at {pointer}: expected an integer, got ")
+    assert len(err.splitlines()) == 1
+
+
+def test_induce_reduces_integer_residues_and_exponents(tmp_path, capsys):
+    path = tmp_path / "induce.json"
+    path.write_text(json.dumps(
+        {"group": {"orders": [4]}, "subgroup_generators": [[-2]], "character_exponents": [4 * 10**30 + 1]}
+    ))
+    rc, report = run_json(capsys, "induce", "--input", str(path))
+    _, want = run_json(capsys, "induce", "--input", INDUCE_Z4)
+    assert rc == 0 and report == want
+
+
+def test_decompose_rank_against_trace_oracle_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(equifred.reps, "numerical_rank", lambda a, rel_tol: 1 + (a.trace().real > 0.5))
+    rc, out, err = run(capsys, "decompose", "--input", REP_Z3)
+    assert rc == 3 and out == ""
+    assert err == "internal: projector rank 2 for the character (0,), the trace oracle says 1\n"
+
+
 def test_alpha_length_mismatch(capsys):
     rc, out, err = run(capsys, "check", "--input", FREE, "--alpha", "0,1")
     assert rc == 1 and not out
@@ -513,28 +547,10 @@ def _set(doc, at, value):
         parent[at[-1]] = value
 
 
-@st.composite
-def mutated_bundle_documents(draw):
-    """A bundle fixture with one entry dropped, retyped, made non-finite, a
-    bool or a huge integer, one action image moved, or one transport scaled."""
-    doc = json.loads(Path(draw(st.sampled_from(BUNDLE_FIXTURES))).read_text())
-    how = draw(st.sampled_from(["drop", "retype", "nonfinite", "bool", "huge", "swap", "rescale"]))
-    if how == "swap":
-        g = draw(st.sampled_from(sorted(doc["action"])))
-        p = draw(st.sampled_from(sorted(doc["action"][g])))
-        others = [q for q in doc["points"] if q != doc["action"][g][p]]
-        if others:
-            doc["action"][g][p] = draw(st.sampled_from(others))
-        return doc
-    if how == "rescale":
-        g = draw(st.sampled_from(sorted(doc["transport"])))
-        p = draw(st.sampled_from(sorted(doc["transport"][g])))
-        factor = draw(st.sampled_from([0.0, 0.5, -1.0, 1 + 1e-9, 2.0]))
-        matrix = doc["transport"][g][p]
-        doc["transport"][g][p] = [[[factor * x for x in z] for z in row] for row in matrix]
-        return doc
-    # a huge cyclic order would make the loader enumerate the group: there is
-    # no size guard yet, so huge integers go everywhere but /group
+def _mutate(draw, doc, how):
+    """Drop one node of doc, retype it, or make it non-finite, a bool or a huge
+    integer.  A huge cyclic order would make the loader enumerate the group:
+    there is no size guard yet, so huge integers go everywhere but /group."""
     sections = [k for k in sorted(doc) if not (how == "huge" and k == "group")]
     section = draw(st.sampled_from(sections))
     at = draw(st.sampled_from(list(_nodes(doc[section], (section,)))))
@@ -549,13 +565,57 @@ def mutated_bundle_documents(draw):
     return doc
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(doc=mutated_bundle_documents())
-def test_mutated_bundle_documents_keep_the_input_contract(tmp_path_factory, doc):
-    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+NODE_MUTATIONS = ["drop", "retype", "nonfinite", "bool", "huge"]
+
+
+def _rescaled(draw, matrix):
+    factor = draw(st.sampled_from([0.0, 0.5, -1.0, 1 + 1e-9, 2.0]))
+    return [[[factor * x for x in z] for z in row] for row in matrix]
+
+
+@st.composite
+def mutated_bundle_documents(draw):
+    """A bundle fixture with one node mutated, one action image moved, or one
+    transport scaled."""
+    doc = json.loads(Path(draw(st.sampled_from(BUNDLE_FIXTURES))).read_text())
+    how = draw(st.sampled_from(NODE_MUTATIONS + ["swap", "rescale"]))
+    if how == "swap":
+        g = draw(st.sampled_from(sorted(doc["action"])))
+        p = draw(st.sampled_from(sorted(doc["action"][g])))
+        others = [q for q in doc["points"] if q != doc["action"][g][p]]
+        if others:
+            doc["action"][g][p] = draw(st.sampled_from(others))
+        return doc
+    if how == "rescale":
+        g = draw(st.sampled_from(sorted(doc["transport"])))
+        p = draw(st.sampled_from(sorted(doc["transport"][g])))
+        doc["transport"][g][p] = _rescaled(draw, doc["transport"][g][p])
+        return doc
+    return _mutate(draw, doc, how)
+
+
+@st.composite
+def mutated_rep_documents(draw):
+    """The Z3 regular representation with one node mutated or one matrix scaled."""
+    doc = json.loads(Path(REP_Z3).read_text())
+    how = draw(st.sampled_from(NODE_MUTATIONS + ["rescale"]))
+    if how == "rescale":
+        g = draw(st.sampled_from(sorted(doc["matrices"])))
+        doc["matrices"][g] = _rescaled(draw, doc["matrices"][g])
+        return doc
+    return _mutate(draw, doc, how)
+
+
+@st.composite
+def mutated_induce_documents(draw):
+    """The Z4 sign-character induction with one node mutated."""
+    return _mutate(draw, json.loads(Path(INDUCE_Z4).read_text()), draw(st.sampled_from(NODE_MUTATIONS)))
+
+
+def assert_input_contract(path, doc, argvs):
+    """Exit 0, 1 or 2, no traceback, and every exit-1 pointer resolves in doc."""
     path.write_text(json.dumps(doc))
-    # every bundle fixture is over Z2, so one exponent is the right --alpha
-    for argv in (["check", "--input", str(path), "--alpha", "0"], ["prim", "--input", str(path)]):
+    for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -569,3 +629,26 @@ def test_mutated_bundle_documents_keep_the_input_contract(tmp_path_factory, doc)
             lines = pointer_lines(err)
             assert lines, err
             assert all(resolves(doc, ptr, detail) for ptr, detail in lines), err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_bundle_documents())
+def test_mutated_bundle_documents_keep_the_input_contract(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    # every bundle fixture is over Z2, so one exponent is the right --alpha
+    argvs = (["check", "--input", str(path), "--alpha", "0"], ["prim", "--input", str(path)])
+    assert_input_contract(path, doc, argvs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_rep_documents())
+def test_mutated_rep_documents_keep_the_input_contract(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    assert_input_contract(path, doc, (["decompose", "--input", str(path)],))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_induce_documents())
+def test_mutated_induce_documents_keep_the_input_contract(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    assert_input_contract(path, doc, (["induce", "--input", str(path)],))

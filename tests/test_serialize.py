@@ -30,7 +30,7 @@ from equifred import (
     symbol_equivariance_defect,
     validate_bundle,
 )
-from equifred.serialize import parse_complex, parse_matrix
+from equifred.serialize import _matrix_in_one_call, _walk_matrix, parse_complex, parse_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,58 @@ def test_parse_matrix_errors_are_pointered():
     with pytest.raises(InputDocumentError):
         parse_matrix([], "/m")
 
+
+
+# parse_matrix builds a well-formed matrix in one numpy call and must give the
+# bits of the entry-by-entry walk; anything else must get the walk's error
+
+EXACT_LEAVES = [-0.0, 5e-324, 2.5e-310, 1e308, -1e308, 0.1, 2**53 + 1, 2**63 + 1,
+                -(2**63) - 1, 2**64 + 3, 3 * 2**70 + 12345]
+
+
+@pytest.mark.parametrize("leaf", EXACT_LEAVES, ids=repr)
+def test_one_call_parse_gives_the_walks_bits(leaf):
+    node = [[[leaf, -0.0], [0, leaf]], [[1, 2.5], [-0.0, leaf]], [[leaf, 7], [-3, 0.0]]]
+    fast = _matrix_in_one_call(node)
+    assert fast is not None and fast.shape == (3, 2)
+    assert parse_matrix(node, "/m").tobytes() == _walk_matrix(node, "/m").tobytes()
+    assert fast.tobytes() == np.array(
+        [[complex(*e) for e in row] for row in node], dtype=complex
+    ).tobytes()
+
+
+def _with(entry=None, row=None):
+    """A 2x2 matrix with entry (1, 1) or row 1 replaced."""
+    node = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    if entry is not None:
+        node[1][1] = entry
+    if row is not None:
+        node[1] = row
+    return node
+
+
+@pytest.mark.parametrize("node, error", [
+    (_with(entry=[True, 0]), "/m/1/1: complex entries are [re, im] pairs"),
+    (_with(entry=[0, float("nan")]), "/m/1/1: entries must be finite numbers"),
+    (_with(entry=[float("-inf"), 0]), "/m/1/1: entries must be finite numbers"),
+    (_with(row=[[0, 0]]), "/m/1: ragged matrix rows"),
+    (_with(entry=["1", 0]), "/m/1/1: complex entries are [re, im] pairs"),
+    (_with(entry=[1, 0, 0]), "/m/1/1: complex entries are [re, im] pairs"),
+    (_with(row={"0": [1, 0]}), "/m/1: expected an array, got dict"),
+    (_with(entry=[10**400, 0]), "/m/1/1: number too large for a float"),
+    (_with(entry=None, row=[[0, 0], None]), "/m/1/1: expected an array, got NoneType"),
+    ([], "/m: matrix must be non-empty"),
+    ([[]], None),  # a 1x0 matrix: the shape check of the caller refuses it
+], ids=["bool", "nan", "inf", "ragged", "string", "triple", "dict-row", "huge", "null-entry",
+        "empty", "zero-width"])
+def test_malformed_matrices_get_the_walks_error(node, error):
+    assert _matrix_in_one_call(node) is None
+    if error is None:
+        assert parse_matrix(node, "/m").shape == _walk_matrix(node, "/m").shape == (1, 0)
+        return
+    with pytest.raises(InputDocumentError) as exc:
+        parse_matrix(node, "/m")
+    assert str(exc.value) == error
 
 # ---------------------------------------------------------------------------
 # groups and reps
