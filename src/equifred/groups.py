@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache, cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 ElementT = tuple  # residue tuple, one entry per cyclic factor
 
 
@@ -241,6 +243,32 @@ def char_eval(chi: Character, g: ElementT) -> complex:
     lcm = _phase_lcm(chi.group)
     num = _phase_numerator(chi.group, chi.exponents, g)
     return cmath.exp(2j * cmath.pi * num / lcm)
+
+
+def character_table(
+    chars: Sequence[Character | SubgroupCharacter], elements: Sequence[ElementT]
+) -> np.ndarray:
+    """chi(g) for every chi in `chars` (rows) and every g in `elements` (columns).
+
+    The characters share one parent group and the elements are reduced
+    residue tuples of it (a subgroup character is read through its
+    representative).  The exact phase numerators (E R^T) mod lcm(orders) come
+    from one integer product, and the exponential is taken once per distinct
+    numerator, exactly as `char_eval` takes it, so every entry has the bits
+    of `Character.value` / `SubgroupCharacter.value`.  The product cannot
+    overflow int64: a numerator is below |G|^2, and a group with
+    |G|^2 > 2^63 has no table that fits in memory anyway.
+    """
+    reps = [c.representative if isinstance(c, SubgroupCharacter) else c for c in chars]
+    group = reps[0].group
+    lcm = _phase_lcm(group)
+    scale = np.array([lcm // n for n in group.orders], dtype=np.int64)
+    exps = np.array([c.exponents for c in reps], dtype=np.int64).reshape(len(reps), group.rank)
+    res = np.array(elements, dtype=np.int64).reshape(len(elements), group.rank)
+    num = (exps * scale) @ res.T % lcm
+    distinct, at = np.unique(num, return_inverse=True)
+    values = np.array([cmath.exp(2j * cmath.pi * k / lcm) for k in distinct.tolist()])
+    return values[at.reshape(num.shape)]
 
 
 def char_mul(a: Character, b: Character) -> Character:

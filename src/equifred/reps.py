@@ -28,6 +28,7 @@ from .groups import (
     Subgroup,
     SubgroupCharacter,
     associated,
+    character_table,
     characters_of_subgroup,
     coset_table,
     coset_transversal,
@@ -264,7 +265,7 @@ class MonomialRep:
 
     def multiplicity(self, chi: Character | SubgroupCharacter) -> int:
         """Multiplicity of chi by the trace oracle (1/|G|) sum_g conj(chi(g)) tr U(g)."""
-        return _trace_multiplicity(_character_values(self, chi), self.traces)
+        return _trace_multiplicity(_character_row(self, chi), self.traces)
 
 
 RepT = UnitaryRep | MonomialRep
@@ -358,7 +359,9 @@ def random_rep(carrier: CarrierT, dim: int, rng: np.random.Generator) -> Unitary
 
 
 def _rank_cut(s: np.ndarray, rel_tol: float) -> int:
-    """The rank cut of `numerical_rank`, on non-empty descending singular values."""
+    """The rank cut of `numerical_rank`, on descending singular values."""
+    if not s.size:
+        return 0
     thresh = rel_tol * max(1.0, float(s[0]))
     near = s[(s >= thresh / 10) & (s <= thresh * 10)]
     if near.size:
@@ -375,8 +378,6 @@ def numerical_rank(a: np.ndarray, *, rel_tol: float = 1e-8) -> int:
     within a factor 10 of that threshold (either side) raises
     AmbiguousRankError instead of silently choosing.  An empty matrix has rank 0.
     """
-    if a.size == 0:
-        return 0
     return _rank_cut(np.linalg.svd(a, compute_uv=False), rel_tol)
 
 
@@ -415,14 +416,15 @@ def deterministic_range_basis(a: np.ndarray, rank: int, *, rel_tol: float = 1e-8
 # isotypical calculus
 
 
-def _character_values(rep: RepT, chi: Character | SubgroupCharacter) -> np.ndarray:
-    """chi at every carrier element, in carrier order; chi must live on the carrier."""
+def _character_row(rep: RepT, chi: Character | SubgroupCharacter) -> np.ndarray:
+    """chi's row of the character table: chi at every carrier element, in
+    carrier order; chi must live on the carrier."""
     if isinstance(chi, SubgroupCharacter):
         if chi.subgroup != rep.carrier:
             raise ValueError("character belongs to a different subgroup than the carrier")
     elif chi.group != rep.carrier:
         raise ValueError("character belongs to a different group than the carrier")
-    return np.array([chi.value(g) for g in rep.elements], dtype=complex)
+    return character_table([chi], rep.elements)[0]
 
 
 def isotypical_projector(rep: RepT, chi: Character | SubgroupCharacter) -> np.ndarray:
@@ -431,7 +433,7 @@ def isotypical_projector(rep: RepT, chi: Character | SubgroupCharacter) -> np.nd
     The character coefficient enters conjugated, so the projector averages the
     action against chi and is idempotent and Hermitian for unitary input.
     """
-    return _projector(rep, _character_values(rep, chi))
+    return _projector(rep, _character_row(rep, chi))
 
 
 def _projector(rep: RepT, values: np.ndarray) -> np.ndarray:
@@ -454,13 +456,14 @@ def _orbit_sum_basis(rep: MonomialRep, chi: Character | SubgroupCharacter) -> np
     checked against the trace oracle.
     """
     order, d = rep.perm.shape
-    weights = np.conj(_character_values(rep, chi))[:, None] * rep.phase
+    values = _character_row(rep, chi)
+    weights = np.conj(values)[:, None] * rep.phase
     fixed = rep.perm == np.arange(d)
     stabilizer = fixed.sum(axis=0)
     on_stabilizer = np.where(fixed, weights, 0.0).sum(axis=0)  # |H| or 0
     leads = np.flatnonzero(rep.perm.min(axis=0) == np.arange(d))
     leads = leads[np.abs(on_stabilizer[leads]) > stabilizer[leads] / 2]
-    expected = rep.multiplicity(chi)
+    expected = _trace_multiplicity(values, rep.traces)
     if leads.size != expected:
         raise InternalInconsistencyError(
             f"{leads.size} orbit sums carry the character, the trace oracle says {expected}"
@@ -515,6 +518,16 @@ class MultiplicityVector:
         return tuple(k for k, _ in self.entries)
 
 
+def _dense_stack(rep: RepT) -> np.ndarray:
+    """The (|G|, d, d) matrices of a representation in carrier order."""
+    if isinstance(rep, UnitaryRep):
+        return rep.stack
+    n, d = rep.perm.shape
+    stack = np.zeros((n, d, d), dtype=complex)
+    stack[np.arange(n)[:, None], rep.perm, np.arange(d)] = rep.phase
+    return stack
+
+
 def _char_sort_key(chi: Character | SubgroupCharacter):
     if isinstance(chi, SubgroupCharacter):
         return chi.representative.exponents
@@ -524,17 +537,27 @@ def _char_sort_key(chi: Character | SubgroupCharacter):
 def decompose(rep: RepT, *, rel_tol: float = 1e-8) -> MultiplicityVector:
     """Multiplicity of every carrier character, via projector ranks.
 
-    Ranks are read off the singular values of each isotypical projector; an
-    ambiguous rank raises AmbiguousRankError.  Each rank is checked against
-    the trace oracle (1/|G|) sum_g conj(chi(g)) tr U(g), which must be an
-    integer, and the multiplicities to sum to the dimension; a disagreement
-    raises InternalInconsistencyError.
+    The character table of the carrier (one row per character, in dual
+    order) gives every isotypical projector at once, as
+    conj(table) @ stack / |G| with the (|G|, d, d) stack flattened to
+    (|G|, d^2); the batch is exactly the size of the stack, since a finite
+    abelian group has as many characters as elements.  One batched SVD gives
+    all their singular values, and each rank is cut by `numerical_rank`'s
+    rule.  The characters are then decided in dual order: an ambiguous rank
+    raises AmbiguousRankError, and a rank that differs from the trace oracle
+    (1/|G|) sum_g conj(chi(g)) tr U(g), which must be an integer, raises
+    InternalInconsistencyError, as does a total other than the dimension.
     """
     entries = []
+    dual = carrier_dual(rep.carrier)
+    table = character_table(dual, rep.elements)
     traces = rep.traces
-    for chi in carrier_dual(rep.carrier):
-        values = _character_values(rep, chi)
-        mult = numerical_rank(_projector(rep, values), rel_tol=rel_tol)
+    n, d = len(rep.elements), rep.dim
+    projectors = table.conj() @ _dense_stack(rep).reshape(n, d * d)
+    projectors /= n
+    singular = np.linalg.svd(projectors.reshape(n, d, d), compute_uv=False)
+    for chi, values, s in zip(dual, table, singular):
+        mult = _rank_cut(s, rel_tol)
         expected = _trace_multiplicity(values, traces)
         if mult != expected:
             raise InternalInconsistencyError(

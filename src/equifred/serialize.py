@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from functools import lru_cache
 from typing import Any, Mapping
 
 import numpy as np
@@ -96,20 +97,25 @@ def parse_matrix(node: Any, path: str) -> np.ndarray:
     return _walk_matrix(node, path) if m is None else m
 
 
-def _matrix_in_one_call(node: Any) -> np.ndarray | None:
-    """The matrix of a well-formed node, or None for the walk to judge it."""
-    if type(node) is not list or not node or set(map(type, node)) != {list}:
+def _grid_leaves(node: Any) -> list | None:
+    """The leaves, row-major, of a non-empty list of equal-length lists of
+    2-element lists (the shape of a matrix document), or None."""
+    if not isinstance(node, list) or not node or set(map(type, node)) != {list}:
         return None
-    width = len(node[0])
     entries = list(itertools.chain.from_iterable(node))
     if (
-        set(map(len, node)) != {width}
+        set(map(len, node)) != {len(node[0])}
         or set(map(type, entries)) != {list}
         or set(map(len, entries)) != {2}
     ):
         return None
-    leaves = list(itertools.chain.from_iterable(entries))
-    if not set(map(type, leaves)) <= _NUMBER_TYPES:
+    return list(itertools.chain.from_iterable(entries))
+
+
+def _matrix_in_one_call(node: Any) -> np.ndarray | None:
+    """The matrix of a well-formed node, or None for the walk to judge it."""
+    leaves = _grid_leaves(node)
+    if leaves is None or not set(map(type, leaves)) <= _NUMBER_TYPES:
         return None
     try:
         flat = np.fromiter(leaves, dtype=float, count=len(leaves))
@@ -117,7 +123,7 @@ def _matrix_in_one_call(node: Any) -> np.ndarray | None:
         return None
     if not np.isfinite(flat).all():
         return None
-    return flat.view(complex).reshape(len(node), width)
+    return flat.view(complex).reshape(len(node), len(node[0]))
 
 
 def _walk_matrix(node: Any, path: str) -> np.ndarray:
@@ -140,9 +146,18 @@ def _walk_matrix(node: Any, path: str) -> np.ndarray:
     return m
 
 
-def matrix_doc(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+class MatrixDoc(list):
+    """A matrix document: rows of [re, im] float pairs, a plain JSON list.
+
+    Its type tells `canonical_json` to try writing it in one formatting call.
+    """
+
+    __slots__ = ()
+
+
+def matrix_doc(m: np.ndarray) -> MatrixDoc:
+    m = np.ascontiguousarray(m, dtype=complex)
+    return MatrixDoc(m.view(float).reshape(*m.shape, 2).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +397,37 @@ def load_bundle(doc: Any, path: str = "") -> tuple[EquivariantSampleBundle, Symb
 # canonical output
 
 
+@lru_cache(maxsize=64)
+def _matrix_template(rows: int, cols: int, indent: int) -> str:
+    """The layout `_write` gives a rows x cols matrix document at this indent,
+    with a %.17g slot per float."""
+    pad0, pad1, pad2 = ("  " * k for k in (indent, indent + 1, indent + 2))
+    pair = f"[\n{pad2}  %.17g,\n{pad2}  %.17g\n{pad2}]"
+    row = "[\n" + ",\n".join([f"{pad1}  {pair}"] * cols) + f"\n{pad1}]"
+    return "[\n" + ",\n".join([f"{pad0}  {row}"] * rows) + f"\n{pad0}]"
+
+
+def _matrix_text(node: MatrixDoc, indent: int) -> str | None:
+    """What `_write` writes for a matrix document, in one formatting call.
+
+    '%.17g' % x is format(x, '.17g') for every finite float.  None when the
+    node is not a grid of float pairs or holds a nan or an infinity (the only
+    floats whose %.17g contains an "n"), for the recursive writer to take.
+    """
+    leaves = _grid_leaves(node)
+    if leaves is None or set(map(type, leaves)) != {float}:
+        return None
+    text = _matrix_template(len(node), len(node[0]), indent) % tuple(leaves)
+    return None if "n" in text else text
+
+
 def _write(obj: Any, out: list[str], indent: int) -> None:
     pad = "  " * indent
+    if type(obj) is MatrixDoc:
+        text = _matrix_text(obj, indent)
+        if text is not None:
+            out.append(text)
+            return
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):

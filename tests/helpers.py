@@ -1,11 +1,21 @@
 """Shared helpers: group enumeration, trace-based multiplicity oracles and
-loop references for the batched representation and bundle checks."""
+loop references for the batched representation and bundle checks and the
+flat report writer."""
 
 import itertools
+import json
+import math
 
 import numpy as np
 
-from equifred import carrier_dual
+import equifred.reps
+from equifred import (
+    InternalInconsistencyError,
+    MultiplicityVector,
+    SubgroupCharacter,
+    carrier_dual,
+    numerical_rank,
+)
 from equifred.bundles import BundleValidation, Violation
 
 
@@ -209,3 +219,93 @@ def reference_symbol_defect(sym):
             if err > worst:
                 worst, where = err, p
     return worst, where
+
+
+def reference_decompose(rep, *, rel_tol=1e-8):
+    """The per-character loop that the batched `decompose` replaced, as an oracle.
+
+    For each character in dual order: its values one element at a time, the
+    projector accumulated one matrix at a time, its rank by `numerical_rank`,
+    then the trace oracle (`reps._trace_multiplicity`, looked up at call time
+    so a test can patch it for both routes).  Raises what `decompose` raised.
+    """
+    entries = []
+    traces = rep.traces
+    for chi in carrier_dual(rep.carrier):
+        values = np.array([chi.value(g) for g in rep.elements], dtype=complex)
+        acc = np.zeros((rep.dim, rep.dim), dtype=complex)
+        for g, value in zip(rep.elements, values):
+            acc += np.conj(value) * rep.matrix(g)
+        mult = numerical_rank(acc / len(rep.elements), rel_tol=rel_tol)
+        expected = equifred.reps._trace_multiplicity(values, traces)
+        if mult != expected:
+            raise InternalInconsistencyError(
+                f"projector rank {mult} for the character {_exponents(chi)}, "
+                f"the trace oracle says {expected}"
+            )
+        if mult:
+            entries.append((chi, mult))
+    entries.sort(key=lambda pair: _exponents(pair[0]))
+    mv = MultiplicityVector(tuple(entries), rep.dim)
+    if mv.total != rep.dim:
+        raise InternalInconsistencyError(
+            f"multiplicities sum to {mv.total}, dimension is {rep.dim}"
+        )
+    return mv
+
+
+def _exponents(chi):
+    return chi.representative.exponents if isinstance(chi, SubgroupCharacter) else chi.exponents
+
+
+def reference_canonical_json(obj):
+    """The recursive writer that `canonical_json` replaced for matrices, as an
+    oracle: one `_write` call and one isinstance chain per node."""
+    out = []
+    _reference_write(obj, out, 0)
+    return "".join(out) + "\n"
+
+
+def _reference_write(obj, out, indent):
+    pad = "  " * indent
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            out.append('"nan"')
+        elif math.isinf(x):
+            out.append('"inf"' if x > 0 else '"-inf"')
+        else:
+            out.append(format(x, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(obj):
+            out.append(pad + "  ")
+            _reference_write(item, out, indent + 1)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        keys = sorted(obj)
+        if not all(isinstance(k, str) for k in keys):
+            raise TypeError("canonical documents use string keys only")
+        out.append("{\n")
+        for i, k in enumerate(keys):
+            out.append(pad + "  " + json.dumps(k, ensure_ascii=True) + ": ")
+            _reference_write(obj[k], out, indent + 1)
+            out.append(",\n" if i + 1 < len(keys) else "\n")
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -351,7 +351,7 @@ def test_induce_reduces_integer_residues_and_exponents(tmp_path, capsys):
 
 
 def test_decompose_rank_against_trace_oracle_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(equifred.reps, "numerical_rank", lambda a, rel_tol: 1 + (a.trace().real > 0.5))
+    monkeypatch.setattr(equifred.reps, "_rank_cut", lambda s, rel_tol: 1 + (s.sum() > 0.5))
     rc, out, err = run(capsys, "decompose", "--input", REP_Z3)
     assert rc == 3 and out == ""
     assert err == "internal: projector rank 2 for the character (0,), the trace oracle says 1\n"

@@ -16,6 +16,7 @@ from equifred import (
     char_inv,
     char_mul,
     character,
+    character_table,
     characters_of_subgroup,
     coset_transversal,
     dual_characters,
@@ -317,6 +318,32 @@ def test_subgroup_character_value_agrees_with_parent():
             rho = restrict_character(chi, h)
             for x in h.elements:
                 assert rho.value(x) == pytest.approx(chi.value(x), abs=1e-12)
+
+
+# orders where lcm(orders) differs from |G| included: (4, 6), (2, 3, 5), (9, 12)
+TABLE_CASES = [
+    ((1,), [(0,)]),
+    ((4,), [(2,)]),
+    ((4, 6), [(2, 3)]),
+    ((2, 3, 5), [(1, 1, 0)]),
+    ((8, 8), [(2, 0)]),
+    ((16, 4), [(8, 0), (0, 2)]),
+    ((9, 12), [(3, 4)]),
+]
+
+
+@pytest.mark.parametrize("orders, gens", TABLE_CASES, ids=str)
+def test_character_table_has_the_bits_of_value(orders, gens):
+    g = make_group(orders)
+    h = subgroup_from_generators(g, gens)
+    for carrier, dual in ((g, dual_characters(g)), (h, characters_of_subgroup(g, h))):
+        table = character_table(dual, carrier.elements)
+        assert table.shape == (len(dual), carrier.order) and table.dtype == complex
+        want = np.array([[chi.value(x) for x in carrier.elements] for chi in dual])
+        assert np.array_equal(table.view(float), want.view(float))
+        # a single character is its own row
+        assert np.array_equal(character_table(dual[-1:], carrier.elements).view(float),
+                              want[-1:].view(float))
 
 
 def test_subgroup_character_rejects_outside_element():

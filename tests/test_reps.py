@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import equifred.reps
 from equifred import (
     AmbiguousRankError,
     InternalInconsistencyError,
@@ -119,7 +120,7 @@ def test_orbit_sum_basis_checks_the_trace_oracle(monkeypatch):
     rep = MonomialRep(make_group((2,)), np.array([[0, 1], [1, 0]]), np.ones((2, 2)))
     chi = dual_characters(rep.carrier)[0]
     assert isotypical_basis(rep, chi).shape == (2, 1)
-    monkeypatch.setattr(MonomialRep, "multiplicity", lambda self, chi: 2)
+    monkeypatch.setattr(equifred.reps, "_trace_multiplicity", lambda values, traces: 2)
     with pytest.raises(InternalInconsistencyError):
         isotypical_basis(rep, chi)
 

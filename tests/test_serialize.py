@@ -2,12 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equifred.cli
 from equifred import (
     InputDocumentError,
     canonical_json,
@@ -30,7 +32,16 @@ from equifred import (
     symbol_equivariance_defect,
     validate_bundle,
 )
-from equifred.serialize import _matrix_in_one_call, _walk_matrix, parse_complex, parse_matrix
+from equifred.serialize import (
+    _matrix_in_one_call,
+    _matrix_text,
+    _walk_matrix,
+    parse_complex,
+    parse_matrix,
+)
+from helpers import reference_canonical_json
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +443,86 @@ def test_canonical_json_round_trips_values(doc):
         return x
 
     assert normal(parsed) == normal(doc)
+
+
+# ---------------------------------------------------------------------------
+# matrix documents are written in one formatting call; the bytes must be
+# those of the recursive writer in helpers, which canonical_json replaced
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0,
+                  math.nan, math.inf, -math.inf]
+_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
+
+
+@st.composite
+def _matrix_docs(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    flat = draw(st.lists(_floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return matrix_doc(np.array(flat).view(complex).reshape(rows, cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.recursive(
+        st.one_of(_matrix_docs(), st.integers(-5, 5), _floats, st.text(max_size=3), st.none()),
+        lambda children: st.one_of(
+            st.lists(children, max_size=3),
+            st.dictionaries(st.text(max_size=4), children, max_size=3),
+        ),
+        max_leaves=8,
+    )
+)
+def test_matrix_documents_are_written_as_the_recursive_writer_writes_them(doc):
+    assert canonical_json(doc) == reference_canonical_json(doc)
+
+
+def test_matrix_doc_is_a_json_list_of_float_pairs():
+    m = np.array([[1.0 + 2.0j, -0.0], [5e-324, -1e308j], [0.1, 3.0]])
+    doc = matrix_doc(m)
+    plain = [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    assert doc == plain and json.dumps(doc) == json.dumps(plain)
+    assert canonical_json(doc) == canonical_json(plain)
+    assert _matrix_text(doc, 0) is not None  # written in one call
+    for bad in (math.nan, math.inf, -math.inf):
+        assert _matrix_text(matrix_doc(np.full((2, 3), complex(1.0, bad))), 0) is None
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d[0][0].__setitem__(0, 3),  # an int leaf
+        lambda d: d[0][0].__setitem__(1, True),  # a bool leaf
+        lambda d: d[1].append([0.0, 0.0]),  # a ragged row
+        lambda d: d[0].__setitem__(1, [1.0]),  # a short pair
+        lambda d: d.__setitem__(0, "x"),  # not a row
+        lambda d: d[1].clear(),  # an empty row
+    ],
+)
+def test_an_edited_matrix_doc_is_written_by_the_recursive_writer(edit):
+    doc = matrix_doc(np.arange(6, dtype=complex).reshape(2, 3))
+    edit(doc)
+    assert canonical_json({"m": [doc]}) == reference_canonical_json({"m": [doc]})
+
+
+def _reports(monkeypatch, argv):
+    """The report documents the CLI builds for argv (none when it refuses)."""
+    docs = []
+    monkeypatch.setattr(equifred.cli, "_emit", lambda args, doc: docs.append(doc))
+    equifred.cli.main(argv)
+    return docs
+
+
+def test_every_decompose_and_induce_report_has_the_recursive_writers_bytes(monkeypatch, tmp_path):
+    big = tmp_path / "induce_z8xz8.json"
+    big.write_text(json.dumps({"group": {"orders": [8, 8]}, "subgroup_generators": [[2, 0]],
+                               "character_exponents": [1, 3]}))
+    inputs = sorted(DATA.glob("*.json")) + [big]
+    docs = [
+        doc
+        for path in inputs
+        for verb in ("decompose", "induce")
+        for doc in _reports(monkeypatch, [verb, "--input", str(path)])
+    ]
+    assert len(docs) == 3  # rep_z3_regular, induce_z4_sign and the Z8xZ8 induction
+    for doc in docs:
+        assert canonical_json(doc) == reference_canonical_json(doc)
