@@ -4,8 +4,8 @@ An interval problem with Dirichlet or Neumann ends embeds into a periodic
 problem on the doubled circle with a reflection symmetry; the boundary
 condition picks the isotype (odd extensions for Dirichlet, even for
 Neumann).  Mixed ends double twice.  The eigenvalues of -u'' on [0, pi]
-then come out of an ordinary symmetric eigensolve, and converge at second
-order to the classical values.
+then come out of Sturm counts on the compressed operator, a symmetric
+tridiagonal matrix, and converge at second order to the classical values.
 """
 from equifred import (
     analytic_bvp_spectrum,

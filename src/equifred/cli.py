@@ -43,6 +43,7 @@ from .lab import (
 )
 from .reps import (
     AmbiguousRankError,
+    CooMatrix,
     InternalInconsistencyError,
     character_rep,
     decompose,
@@ -202,7 +203,27 @@ def cmd_prim(args) -> int:
     return 0
 
 
+# bvp and sweep hold O(n) arrays: at the peak a grid point cost at most 1.3 KB
+# (a sweep's invariance check; a doubled-circle point of bvp about 0.4 KB), so
+# 2 KB per point bounds a size's memory, which must stay under 1 GiB
+_GRID_BYTES_PER_POINT = 2048
+_GRID_CEILING_BYTES = 1 << 30
+
+
+def _check_sizes(sizes, smallest: int, step: int, points_per_n: int) -> None:
+    """Refuse, before anything is built, a size below the family's smallest
+    grid, off its step, or over the memory ceiling."""
+    for n in sizes:
+        if n < smallest or n % step:
+            rule = f"at least {smallest}" + (f" and a multiple of {step}" if step > 1 else "")
+            raise _CliError(f"--sizes: {n} is not a grid size here (must be {rule})")
+        if n * points_per_n * _GRID_BYTES_PER_POINT > _GRID_CEILING_BYTES:
+            need = n * points_per_n * _GRID_BYTES_PER_POINT / 2**30
+            raise _CliError(f"--sizes: {n} needs about {need:.3g} GiB, over the 1 GiB ceiling")
+
+
 def cmd_bvp(args) -> int:
+    _check_sizes(args.sizes, 4, 1, 4)  # the doubled circle has 2n or 4n points
     tables = []
     for n in args.sizes:
         problem = double_interval_bvp(n, args.bc)
@@ -224,9 +245,13 @@ _SWEEP_FAMILIES = {
     ),
     "degenerate_even": build_fixed_point_degenerate_operator,
     "zero": lambda n: GridOperator(
-        n, np.zeros((n, n), dtype=complex), reflection_circle_rep(n), "zero"
+        n, CooMatrix(n, *np.empty((3, 0), dtype=int)), reflection_circle_rep(n), "zero"
     ),
 }
+# the smallest grid of each family and the step between its sizes: the
+# three-point stencil needs three nodes, and both reflection fixed points are
+# nodes only on an even grid
+_SWEEP_GRIDS = {"reflection_laplacian": (3, 1), "degenerate_even": (2, 2), "zero": (1, 1)}
 
 
 def cmd_sweep(args) -> int:
@@ -235,6 +260,7 @@ def cmd_sweep(args) -> int:
             f"unknown family {args.family!r}; choose from {sorted(_SWEEP_FAMILIES)}"
         )
     family = _SWEEP_FAMILIES[args.family]
+    _check_sizes(args.sizes, *_SWEEP_GRIDS[args.family], 1)
     probe = family(min(args.sizes))
     alpha = _alpha_for(probe.group_rep.carrier, args.alpha)
     sweep = fredholm_proxy_sweep(family, alpha, args.sizes, k=args.k)

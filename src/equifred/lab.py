@@ -9,9 +9,14 @@ a sign twist on every Dirichlet double, and the boundary-value spectrum is the
 spectrum of the doubled operator compressed to the fully invariant subspace.
 
 Every symmetry here permutes grid points up to a sign, so it is stored as a
-`MonomialRep` (index arrays, no dense matrices), and isotypical bases are the
-exact character-weighted orbit sums rather than a Gram-Schmidt of a dense
-projector.  The operators themselves stay dense.
+`MonomialRep` (index arrays), and every operator as COO triplets (the
+Laplacian is three diagonals, a potential one); dense matrices are built only
+on request.  The isotypical basis is the exact character-weighted orbit sums,
+one nonzero per grid point, so an isotypical block is one O(nnz) scatter
+(`reps.monomial_block`).  The blocks of the built-in operators are Hermitian
+tridiagonal in lead-index order, and their eigenvalues and singular values
+come from Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
+with no n^2 array; any other block gets a dense SVD.
 """
 from __future__ import annotations
 
@@ -23,11 +28,11 @@ import numpy as np
 
 from .groups import Character, Group, character
 from .reps import (
+    CooMatrix,
+    InternalInconsistencyError,
     MonomialRep,
-    RepT,
     isotypical_basis,
-    isotypical_projector,
-    pi_alpha_restrict,
+    monomial_block,
     require_intertwining,
 )
 
@@ -48,26 +53,30 @@ def reflection_circle_rep(n: int) -> MonomialRep:
 
 @dataclass(frozen=True, eq=False)
 class GridOperator:
-    """A matrix on circle grid functions together with its symmetry action."""
+    """An operator on circle grid functions, as COO triplets, together with its
+    symmetry action."""
 
     n: int
-    matrix: np.ndarray
-    group_rep: RepT
+    coo: CooMatrix
+    group_rep: MonomialRep
     kind: str
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n matrix, built on request."""
+        return self.coo.dense()
 
 
 def _circle_angles(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _periodic_laplacian(size: int, h: float, shift: float) -> np.ndarray:
+def _periodic_laplacian(size: int, h: float, shift: float) -> CooMatrix:
     """Periodic second difference (2u_j - u_{j+1} - u_{j-1}) / h^2 plus shift * u_j."""
-    lap = np.zeros((size, size), dtype=complex)
     j = np.arange(size)
-    lap[j, j] = 2.0 / h**2 + shift
-    lap[j, (j + 1) % size] += -1.0 / h**2
-    lap[j, (j - 1) % size] += -1.0 / h**2
-    return lap
+    vals = np.repeat([2.0 / h**2 + shift, -1.0 / h**2, -1.0 / h**2], size)
+    cols = np.concatenate([j, (j + 1) % size, (j - 1) % size])
+    return CooMatrix(size, np.tile(j, 3), cols, vals)
 
 
 def _trivial(group: Group) -> Character:
@@ -103,7 +112,7 @@ def build_invariant_circle_operator(
     lap = _periodic_laplacian(n, 2.0 * np.pi / n, 1.0)
 
     if kind == "shifted_laplacian":
-        mat = lap
+        op = lap
     elif kind in ("potential", "composite"):
         if potential is None:
             raise ValueError(f"kind {kind!r} needs a potential")
@@ -113,36 +122,181 @@ def build_invariant_circle_operator(
             samples = np.asarray(potential, dtype=complex)
         if samples.shape != (n,):
             raise ValueError(f"potential samples have shape {samples.shape}, expected ({n},)")
-        mat = np.diag(samples)
+        j = np.arange(n)
+        op = CooMatrix(n, j, j, samples)
         if kind == "composite":
-            mat = mat + lap
+            op = CooMatrix(n, np.r_[j, lap.rows], np.r_[j, lap.cols], np.r_[samples, lap.vals])
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
 
-    require_intertwining(f"operator does not commute with the {action} action", rep, mat, tol=tol)
-    return GridOperator(n, mat, rep, kind)
+    require_intertwining(f"operator does not commute with the {action} action", rep, op, tol=tol)
+    return GridOperator(n, op, rep, kind)
 
 
-def isotypical_block(op: GridOperator, alpha: Character, *, rel_tol: float = 1e-8) -> np.ndarray:
-    """Compress an invariant grid operator to one isotypical block."""
-    return pi_alpha_restrict(op.group_rep, op.matrix, alpha, rel_tol=rel_tol)
+def isotypical_block(op: GridOperator, alpha: Character) -> np.ndarray:
+    """Compress an invariant grid operator to one isotypical block (dense)."""
+    return _checked_block(op, alpha)[1].dense()
+
+
+def _checked_block(op: GridOperator, alpha: Character) -> tuple[np.ndarray, CooMatrix]:
+    """`monomial_block` after the commutation check of `reps.pi_alpha_restrict`."""
+    require_intertwining(
+        "matrix does not commute with the action", op.group_rep, op.coo, tol=1e-8
+    )
+    return monomial_block(op.group_rep, op.coo, alpha)
 
 
 def build_fixed_point_degenerate_operator(n: int) -> GridOperator:
     """Reflection-invariant operator that is singular exactly on the even isotype.
 
     Multiplication by sin^2(theta) on the even (trivial-isotype) part, the
-    identity on the odd (sign-isotype) part.  The multiplier vanishes at both
-    reflection fixed points, so the even blocks degenerate under refinement
-    while the odd blocks stay unit size.
+    identity on the odd (sign-isotype) part: diag(sin^2) (I + R)/2 + (I - R)/2
+    for the reflection R.  The multiplier vanishes at both reflection fixed
+    points, so the even blocks degenerate under refinement while the odd
+    blocks stay unit size.
     """
     if n % 2 != 0:
         raise ValueError("needs an even grid so both reflection fixed points are nodes")
     rep = reflection_circle_rep(n)
-    p_even = isotypical_projector(rep, _trivial(rep.carrier))
-    p_odd = np.eye(n) - p_even
-    mat = (np.sin(_circle_angles(n)) ** 2)[:, None] * p_even + p_odd
-    return GridOperator(n, mat, rep, "fixed_point_degenerate")
+    j, flip = np.arange(n), rep.perm[1]
+    half = np.full(n, 0.5)
+    s = np.sin(_circle_angles(n)) ** 2
+    # (I - R)/2 comes first, so at the two fixed points its halves cancel
+    # exactly before sin^2 is added
+    op = CooMatrix(
+        n, np.tile(j, 4), np.concatenate([j, flip, j, flip]),
+        np.concatenate([half, -half, s / 2, s / 2]),
+    )
+    return GridOperator(n, op, rep, "fixed_point_degenerate")
+
+
+# ---------------------------------------------------------------------------
+# Sturm counts on Hermitian tridiagonal blocks
+
+
+def _hermitian_tridiagonal(leads: np.ndarray, block: CooMatrix):
+    """(diagonal, squared off-diagonal moduli) of a block taken in lead-index
+    order, or None unless it is Hermitian tridiagonal there up to 64 ulps of
+    its largest entry."""
+    k = leads.size
+    rank = np.empty(k, dtype=np.intp)
+    rank[np.argsort(leads)] = np.arange(k)
+    r, c = rank[block.rows], rank[block.cols]
+    if np.abs(r - c).max(initial=0) > 1:
+        return None
+    parts = []
+    for on, at, size in ((r == c, r, k), (c == r + 1, r, k - 1), (r == c + 1, c, k - 1)):
+        part = np.zeros(max(size, 0), dtype=complex)
+        np.add.at(part, at[on], block.vals[on])
+        parts.append(part)
+    diag, upper, lower = parts
+    scale = max(np.abs(diag).max(initial=0.0), np.abs(upper).max(initial=0.0))
+    skew = max(np.abs(diag.imag).max(initial=0.0), np.abs(upper - lower.conj()).max(initial=0.0))
+    if skew > 64 * np.finfo(float).eps * scale:
+        return None
+    off = (upper + lower.conj()) / 2
+    return diag.real, (off.conj() * off).real
+
+
+_STURM_SHIFTS = 256  # shifts per multisection pass
+_STURM_CELLS = 1 << 20  # pivots held at once
+
+
+def _sturm_counts(diag: np.ndarray, off2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below each shift in x of the symmetric tridiagonal
+    with this diagonal and these squared off-diagonals.
+
+    The count is the number of negative pivots q_i = diag_i - x - off2_{i-1} /
+    q_{i-1}, taken by sign bit.  A zero off-diagonal counts as the smallest
+    normal float, so a pivot that is exactly +-0 gives an infinite quotient,
+    the next pivot is -+inf and the one after is finite again: the count of a
+    matrix with that pivot perturbed by a tiny amount (Demmel, Dhillon & Ren,
+    ETNA 3, 1995).  A quotient that overflows acts the same way.  Division by
+    zero and overflow are therefore expected here and raise no warning.
+    """
+    off2 = np.maximum(off2, np.finfo(float).tiny)
+    rows = max(1, _STURM_CELLS // max(x.size, 1))
+    pivots = np.empty((min(rows, diag.size), x.size))
+    quotient = np.empty(x.size)
+    counts = np.zeros(x.size, dtype=np.intp)
+    q = None
+    with np.errstate(divide="ignore", over="ignore"):
+        for start in range(0, diag.size, rows):
+            chunk = pivots[: min(rows, diag.size - start)]
+            np.subtract(diag[start : start + len(chunk), None], x, out=chunk)
+            for i, row in enumerate(chunk):
+                if q is not None:
+                    np.divide(off2[start + i - 1], q, out=quotient)
+                    np.subtract(row, quotient, out=row)
+                q = row
+            counts += np.signbit(chunk).sum(axis=0)
+            q = chunk[-1].copy()
+    return counts
+
+
+def _multisection(count_below, targets: np.ndarray, lo: float, hi: float, floor: float):
+    """Brackets [lo_j, hi_j] of the points where count_below first exceeds
+    targets[j], by multisection: every pass evaluates count_below at about
+    _STURM_SHIFTS shifts spread over the open brackets, which share shifts
+    when they coincide, until each bracket is at most `floor` wide or stops
+    shrinking.  count_below must be nondecreasing, at most targets[j] at lo
+    and above it at hi."""
+    lo = np.full(targets.size, float(lo))
+    hi = np.full(targets.size, float(hi))
+    open_ = np.flatnonzero(hi - lo > floor)
+    while open_.size:
+        brackets, which = np.unique(np.stack([lo[open_], hi[open_]], axis=1), axis=0,
+                                    return_inverse=True)
+        per = max(2, _STURM_SHIFTS // len(brackets))
+        steps = np.arange(1, per + 1) / (per + 1)
+        shifts = brackets[:, :1] + (brackets[:, 1:] - brackets[:, :1]) * steps
+        counts = count_below(shifts.ravel()).reshape(shifts.shape)
+        width = hi[open_] - lo[open_]
+        for j, b in zip(open_, which.ravel()):
+            below = counts[b] <= targets[j]
+            lo[j] = max(lo[j], shifts[b][below].max(initial=-np.inf))
+            hi[j] = min(hi[j], shifts[b][~below].min(initial=np.inf))
+        shrank = hi[open_] - lo[open_] < width
+        open_ = open_[shrank & (hi[open_] - lo[open_] > floor)]
+    return lo, hi
+
+
+def _spectral_radius_bound(diag: np.ndarray, off2: np.ndarray) -> float:
+    """Gershgorin bound on the largest |eigenvalue|."""
+    off = np.sqrt(off2)
+    radius = np.abs(diag)
+    radius[1:] += off
+    radius[:-1] += off
+    return float(radius.max(initial=0.0))
+
+
+def _tridiagonal_lowest(diag: np.ndarray, off2: np.ndarray, count: int) -> np.ndarray:
+    """The `count` lowest eigenvalues, each the midpoint of a Sturm bracket
+    at most eps * |T| wide."""
+    bound = _spectral_radius_bound(diag, off2)
+    if bound == 0.0:
+        return np.zeros(count)
+    lo, hi = _multisection(
+        lambda x: _sturm_counts(diag, off2, x), np.arange(count), -bound, bound,
+        np.finfo(float).eps * bound,
+    )
+    return (lo + hi) / 2
+
+
+def _tridiagonal_kth_singular(diag: np.ndarray, off2: np.ndarray, k: int) -> float:
+    """k-th smallest singular value: the k-th smallest |eigenvalue|, found
+    from the number of eigenvalues in [-x, x), the counts at x less those at -x."""
+    bound = _spectral_radius_bound(diag, off2)
+    if bound == 0.0:
+        return 0.0
+
+    def in_window(x):
+        both = _sturm_counts(diag, off2, np.concatenate([x, -x]))
+        return both[: x.size] - both[x.size :]
+
+    lo, hi = _multisection(in_window, np.array([k - 1]), 0.0, bound,
+                           np.finfo(float).eps * bound)
+    return float((lo[0] + hi[0]) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -184,30 +338,32 @@ def fredholm_proxy_sweep(
     sizes: Sequence[int],
     *,
     k: int = 4,
-    rel_tol: float = 1e-8,
 ) -> RefinementSweep:
     """Track the k-th smallest singular value of the alpha-block under refinement.
 
     The k-th smallest (default 4) discounts a possible finite-dimensional
     kernel.  A block that stays bounded below signals a Fredholm-stable
     family; decay toward zero signals the opposite.  Sizes are processed in
-    increasing order.
+    increasing order, and at least two must differ.  A block that is
+    Hermitian tridiagonal in lead-index order gets the value from Sturm
+    counts, to eps times its norm; any other gets a dense SVD.
     """
     if k < 1:
         raise ValueError("k must be positive")
     sizes = tuple(sorted(int(n) for n in sizes))
-    if len(sizes) < 2:
-        raise ValueError("a sweep needs at least two sizes")
+    if len(set(sizes)) < 2:
+        raise ValueError("a sweep needs at least two distinct sizes")
     values = []
     for n in sizes:
-        op = family(n)
-        block = isotypical_block(op, alpha, rel_tol=rel_tol)
-        if block.shape[0] < k:
-            raise ValueError(
-                f"alpha-block at n={n} has dimension {block.shape[0]} < k={k}"
-            )
-        s = np.linalg.svd(block, compute_uv=False)
-        values.append(float(np.sort(s)[k - 1]))
+        leads, block = _checked_block(family(n), alpha)
+        if block.size < k:
+            raise ValueError(f"alpha-block at n={n} has dimension {block.size} < k={k}")
+        tri = _hermitian_tridiagonal(leads, block)
+        if tri is None:
+            s = np.linalg.svd(block.dense(), compute_uv=False)
+            values.append(float(np.sort(s)[k - 1]))
+        else:
+            values.append(_tridiagonal_kth_singular(*tri, k))
     return RefinementSweep(alpha, k, sizes, tuple(values), _sweep_verdict(values))
 
 
@@ -253,9 +409,14 @@ class DoubledProblem:
     h: float
     group: Group
     rep: MonomialRep
-    operator: np.ndarray
+    coo: CooMatrix
     free_nodes: tuple[int, ...]
     invariant_dim: int
+
+    @property
+    def operator(self) -> np.ndarray:
+        """The dense doubled Laplacian, built on request."""
+        return self.coo.dense()
 
 
 def _identity(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -320,32 +481,24 @@ def invariant_subspace_basis(problem: DoubledProblem) -> np.ndarray:
     return isotypical_basis(problem.rep, _trivial(problem.group))
 
 
-def restriction_to_base(problem: DoubledProblem) -> np.ndarray:
-    """Selection matrix reading off doubled functions at the free base nodes.
-
-    Base node i sits at doubled index i (the first copy of the interval).
-    """
-    rows = np.zeros((len(problem.free_nodes), problem.grid_size), dtype=complex)
-    rows[np.arange(len(problem.free_nodes)), problem.free_nodes] = 1.0
-    return rows
-
-
 def mixed_bvp_spectrum(problem: DoubledProblem, count: int) -> np.ndarray:
     """Lowest eigenvalues of the boundary-value problem, via the doubled circle.
 
     Compresses the doubled second-difference Laplacian to the invariant
-    subspace and diagonalizes; the result approximates the interval spectrum
-    under the requested boundary conditions with second-order accuracy.
+    subspace, where in lead-index order it is real symmetric tridiagonal, and
+    takes the eigenvalues from Sturm counts, each to eps times the norm of
+    that block; the result approximates the interval spectrum under the
+    requested boundary conditions with second-order accuracy.
     """
     if count < 1 or count > problem.invariant_dim:
         raise ValueError(
             f"can return between 1 and {problem.invariant_dim} eigenvalues, got {count}"
         )
-    basis = invariant_subspace_basis(problem)
-    compressed = basis.conj().T @ problem.operator @ basis
-    compressed = (compressed + compressed.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(compressed)
-    return eigs[:count]
+    leads, block = monomial_block(problem.rep, problem.coo, _trivial(problem.group))
+    tri = _hermitian_tridiagonal(leads, block)
+    if tri is None:
+        raise InternalInconsistencyError("the compressed doubled Laplacian is not tridiagonal")
+    return _tridiagonal_lowest(*tri, count)
 
 
 def analytic_bvp_spectrum(bc: Sequence[str], count: int) -> np.ndarray:

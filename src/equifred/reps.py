@@ -65,12 +65,18 @@ def _norms_over(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     SVD per matrix.  A NaN is never below the cut.
     """
     fro = np.linalg.norm(stack, axis=(-2, -1))
-    cand = np.flatnonzero(~(fro <= tol / 2))
+    cand = _over_half(fro, tol)
     if not cand.size:  # the common case, a valid input
         return cand, fro[cand]
     norms = np.linalg.norm(stack[cand], 2, axis=(-2, -1))
     over = norms > tol
     return cand[over], norms[over]
+
+
+def _over_half(fro: np.ndarray, tol: float) -> np.ndarray:
+    """Positions of the Frobenius norms above tol/2 (NaN included): the only
+    matrices whose 2-norm can exceed tol."""
+    return np.flatnonzero(~(fro <= tol / 2))
 
 
 def _trace_multiplicity(values: np.ndarray, traces: np.ndarray) -> int:
@@ -271,6 +277,22 @@ class MonomialRep:
 RepT = UnitaryRep | MonomialRep
 
 
+@dataclass(frozen=True, eq=False)
+class CooMatrix:
+    """A size x size matrix as COO triplets: vals[i] sits at (rows[i], cols[i]),
+    and the values at a repeated position add up, in triplet order."""
+
+    size: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.size, self.size), dtype=complex)
+        np.add.at(out, (self.rows, self.cols), self.vals)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -444,16 +466,19 @@ def _projector(rep: RepT, values: np.ndarray) -> np.ndarray:
     return acc / len(rep.elements)
 
 
-def _orbit_sum_basis(rep: MonomialRep, chi: Character | SubgroupCharacter) -> np.ndarray:
-    """Normalized chi-weighted orbit sums of a monomial representation.
+def _orbit_sums(rep: MonomialRep, chi: Character | SubgroupCharacter):
+    """Normalized chi-weighted orbit sums of a monomial representation, one
+    nonzero per index: (leads, col, coef).
 
     On the stabilizer H of an orbit's least index j the phases at j form a
     character of H.  The orbit carries a chi-isotypical vector exactly when
     chi agrees with that character on H, and the vector is
     sum_g conj(chi(g)) U(g) e_j, whose coefficient at j is real and positive.
-    Columns come smaller orbits first, then by least index: the order in
-    which pivoted Gram-Schmidt picks the projector's columns.  The count is
-    checked against the trace oracle.
+    The orbits partition the indices, so index i has the coefficient coef[i]
+    in column col[i] of the basis, or col[i] = -1 off the isotype.  Columns
+    come smaller orbits first, then by least index (leads[c] is column c's):
+    the order in which pivoted Gram-Schmidt picks the projector's columns.
+    The count is checked against the trace oracle.
     """
     order, d = rep.perm.shape
     values = _character_row(rep, chi)
@@ -469,10 +494,42 @@ def _orbit_sum_basis(rep: MonomialRep, chi: Character | SubgroupCharacter) -> np
             f"{leads.size} orbit sums carry the character, the trace oracle says {expected}"
         )
     leads = leads[np.lexsort((leads, order // stabilizer[leads]))]
-    basis = np.zeros((d, leads.size), dtype=complex)
-    cols = np.broadcast_to(np.arange(leads.size), (order, leads.size))
-    np.add.at(basis, (rep.perm[:, leads], cols), weights[:, leads])
-    return basis / np.linalg.norm(basis, axis=0)
+    col = np.full(d, -1)
+    col[rep.perm[:, leads]] = np.arange(leads.size)
+    coef = np.zeros(d, dtype=complex)
+    np.add.at(coef, rep.perm[:, leads], weights[:, leads])
+    on = col >= 0
+    norms = np.sqrt(np.bincount(col[on], (coef[on].conj() * coef[on]).real, leads.size))
+    coef[on] /= norms[col[on]]
+    return leads, col, coef
+
+
+def _orbit_sum_basis(rep: MonomialRep, chi: Character | SubgroupCharacter) -> np.ndarray:
+    """The orbit sums of `_orbit_sums` as a dense (d, k) basis."""
+    leads, col, coef = _orbit_sums(rep, chi)
+    basis = np.zeros((rep.dim, leads.size), dtype=complex)
+    on = np.flatnonzero(col >= 0)
+    basis[on, col[on]] = coef[on]
+    return basis
+
+
+def monomial_block(
+    rep: MonomialRep, op: CooMatrix, chi: Character | SubgroupCharacter
+) -> tuple[np.ndarray, CooMatrix]:
+    """Compress a sparse operator to the chi-isotypical block of a monomial rep.
+
+    Returns (leads, block): the block B^H A B in the orbit-sum basis B of
+    `isotypical_basis`, as triplets in its column order, and the least index
+    of each column's orbit.  Since B has one nonzero per row, an entry v of A
+    at (i, j) lands at (col[i], col[j]) as conj(coef[i]) v coef[j]; this is
+    O(nnz) work and builds no dense basis.  The operator is taken as given:
+    check it commutes with the action first (`require_intertwining`).
+    """
+    leads, col, coef = _orbit_sums(rep, chi)
+    on = (col[op.rows] >= 0) & (col[op.cols] >= 0)
+    r, c = op.rows[on], op.cols[on]
+    vals = coef[r].conj() * op.vals[on] * coef[c]
+    return leads, CooMatrix(leads.size, col[r], col[c], vals)
 
 
 def isotypical_basis(
@@ -595,7 +652,12 @@ def equivariance_defect(rep: RepT, m: np.ndarray) -> float:
 
 
 def require_intertwining(
-    what: str, target: RepT, f: np.ndarray, source: RepT | None = None, *, tol: float
+    what: str,
+    target: RepT,
+    f: np.ndarray | CooMatrix,
+    source: RepT | None = None,
+    *,
+    tol: float,
 ) -> None:
     """Raise ValueError(f"{what} (defect ...)") when the intertwining defect of f
     exceeds tol * max(1, |f|_2).
@@ -603,10 +665,35 @@ def require_intertwining(
     Each commutator goes through the Frobenius prefilter `_norms_over`, so an
     SVD norm is taken only of a commutator whose Frobenius norm exceeds tol/2,
     and |f|_2 only when the defect exceeds tol.  The decision and the printed
-    defect are those of `intertwining_defect`."""
+    defect are those of `intertwining_defect`.
+
+    A sparse f (a CooMatrix commuting with a MonomialRep target) is
+    prefiltered without densifying: for unitary U, |U A - A U|_F equals
+    |U A U^-1 - A|_F, and U A U^-1 has the entry phase[i] v conj(phase[j]) at
+    (perm[i], perm[j]) for each entry v of A at (i, j).  If no such norm
+    exceeds tol/2 every defect is below tol and f passes; otherwise f is
+    densified and decided as above."""
+    if isinstance(f, CooMatrix):
+        if not _over_half(_sparse_commutator_norms(target, f), tol).size:
+            return
+        f = f.dense()
     over = [x for c in _commutators(target, f, source) for x in _norms_over(c[None], tol)[1]]
     if over and max(over) > tol * max(1.0, float(np.linalg.norm(f, 2))):
         raise ValueError(f"{what} (defect {max(over):.3e})")
+
+
+def _sparse_commutator_norms(rep: MonomialRep, a: CooMatrix) -> np.ndarray:
+    """|U(g) A U(g)^-1 - A|_F for every g, from the triplets of A."""
+    order, d = rep.perm.shape
+    g = np.arange(order)[:, None]
+    moved = (g * d + rep.perm[:, a.rows]) * d + rep.perm[:, a.cols]
+    kept = np.broadcast_to((g * d + a.rows) * d + a.cols, moved.shape)
+    vals = rep.phase[:, a.rows] * a.vals * rep.phase[:, a.cols].conj()
+    vals = np.concatenate([vals, np.broadcast_to(-a.vals, vals.shape)], axis=1).ravel()
+    keys, at = np.unique(np.concatenate([moved, kept], axis=1), return_inverse=True)
+    at = at.ravel()
+    summed = np.bincount(at, vals.real) + 1j * np.bincount(at, vals.imag)
+    return np.sqrt(np.bincount(keys // (d * d), (summed.conj() * summed).real, order))
 
 
 @dataclass(frozen=True, eq=False)

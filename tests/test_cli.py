@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,77 @@ def test_sweep_zero_family_degenerates(capsys):
     assert rc == 2
     assert doc["verdict"] == "degenerating"
     assert all(v <= 1e-12 for v in doc["values"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--family", "reflection_laplacian", "--alpha", "0", "--sizes", "0,64"),
+        ("sweep", "--family", "reflection_laplacian", "--alpha", "0", "--sizes", "1,64"),
+        ("sweep", "--family", "degenerate_even", "--alpha", "0", "--sizes", "64,63"),
+        ("sweep", "--family", "zero", "--alpha", "0", "--sizes", "0,8"),
+        ("bvp", "--bc", "d,n", "--sizes", "16,3"),
+    ],
+    ids=["laplacian-0", "laplacian-1", "degenerate-odd", "zero-0", "bvp-3"],
+)
+def test_grid_sizes_below_the_family_grid_are_refused(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and not out
+    assert err.startswith("input error: --sizes: ")
+    assert "Traceback" not in err
+
+
+def test_sweep_needs_two_distinct_sizes(capsys):
+    rc, out, err = run(
+        capsys, "sweep", "--family", "reflection_laplacian", "--alpha", "0", "--sizes", "64,64"
+    )
+    assert rc == 1 and not out
+    assert "two distinct sizes" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bvp", "--bc", "d,n", "--sizes", "64,1000000000000"),
+        ("sweep", "--family", "reflection_laplacian", "--alpha", "0",
+         "--sizes", "64,1000000000000"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_grid_sizes_over_the_memory_ceiling_are_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and not out
+    assert err.startswith("input error: --sizes: 1000000000000 needs about ")
+    assert "ceiling" in err and "Traceback" not in err
+
+
+def test_grid_verbs_emit_no_warnings():
+    """bvp for every boundary pair and sweep for every family and isotype, at
+    their default sizes, with every warning an error."""
+    jobs = [["bvp", "--bc", bc] for bc in ("d,d", "n,n", "d,n", "n,d")] + [
+        ["sweep", "--family", family, "--alpha", alpha]
+        for family in ("reflection_laplacian", "degenerate_even", "zero")
+        for alpha in ("0", "1")
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from equifred.cli import main\n"
+        "codes = []\n"
+        f"for argv in {jobs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(codes)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.stderr == ""
+    assert proc.stdout.strip() == str([0] * 4 + [0, 0, 2, 0, 2, 2])
 
 
 # ---------------------------------------------------------------------------

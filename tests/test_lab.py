@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from equifred import (
+    CooMatrix,
+    MonomialRep,
     analytic_bvp_spectrum,
     build_fixed_point_degenerate_operator,
     build_invariant_circle_operator,
@@ -20,9 +22,9 @@ from equifred import (
     isotypical_projector,
     make_group,
     mixed_bvp_spectrum,
+    monomial_block,
     numerical_rank,
     reflection_circle_rep,
-    restriction_to_base,
     rotation_circle_rep,
     unitary_rep,
 )
@@ -30,6 +32,12 @@ from equifred import (
 Z2 = make_group((2,))
 TRIV = character(Z2, (0,))
 SIGN = character(Z2, (1,))
+
+
+def _coo(m):
+    """A dense matrix as the triplets of its nonzeros."""
+    rows, cols = np.nonzero(m)
+    return CooMatrix(m.shape[0], rows, cols, m[rows, cols])
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +161,7 @@ def test_block_multiplicative_on_operators():
     pot = build_invariant_circle_operator(
         8, 2, "potential", action="reflection", potential=lambda t: 2.0 + np.cos(t)
     )
-    product = GridOperator(8, lap.matrix @ pot.matrix, lap.group_rep, "composite")
+    product = GridOperator(8, _coo(lap.matrix @ pot.matrix), lap.group_rep, "composite")
     for alpha in (TRIV, SIGN):
         left = isotypical_block(product, alpha)
         right = isotypical_block(lap, alpha) @ isotypical_block(pot, alpha)
@@ -167,7 +175,7 @@ def test_isotypical_block_rejects_non_invariant():
     from equifred import GridOperator
 
     with pytest.raises(ValueError):
-        isotypical_block(GridOperator(8, broken, op.group_rep, "broken"), TRIV)
+        isotypical_block(GridOperator(8, _coo(broken), op.group_rep, "broken"), TRIV)
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +289,18 @@ def test_doubled_operator_commutes():
         assert equivariance_defect(prob.rep, prob.operator) < 1e-10
 
 
-def test_restriction_to_base_is_bijective():
-    for bc in (("d", "d"), ("n", "n"), ("d", "n"), ("n", "d")):
-        prob = double_interval_bvp(12, bc)
-        basis = invariant_subspace_basis(prob)
-        restricted = restriction_to_base(prob) @ basis
-        assert restricted.shape == (len(prob.free_nodes), prob.invariant_dim)
-        assert restricted.shape[0] == restricted.shape[1]
-        assert numerical_rank(restricted) == prob.invariant_dim
+def test_orbit_sum_leads_are_the_free_nodes():
+    for n in (9, 12):
+        for bc in (("d", "d"), ("n", "n"), ("d", "n"), ("n", "d")):
+            prob = double_interval_bvp(n, bc)
+            trivial = character(prob.group, (0,) * len(prob.group.orders))
+            leads, block = monomial_block(prob.rep, prob.coo, trivial)
+            assert tuple(sorted(leads)) == prob.free_nodes, (n, bc)
+            assert block.size == prob.invariant_dim
+            basis = invariant_subspace_basis(prob)
+            assert (np.count_nonzero(basis, axis=1) <= 1).all(), (n, bc)
+            # each column's least nonzero row is its lead
+            assert np.array_equal(np.argmax(basis != 0, axis=0), leads), (n, bc)
 
 
 def test_spectrum_examples_at_n256():
@@ -461,3 +473,144 @@ def test_bvp_n512_within_one_percent():
     exact = analytic_bvp_spectrum(("d", "n"), 5)
     eigs = mixed_bvp_spectrum(double_interval_bvp(512, ("d", "n")), 5)
     assert np.all(np.abs(eigs - exact) / exact < 0.01)
+
+
+# ---------------------------------------------------------------------------
+# sparse compression and Sturm counts against dense routes
+
+
+def test_sweep_values_match_the_dense_svd(monkeypatch):
+    import equifred.lab as lab
+
+    families = {
+        "reflection_laplacian": _laplacian_family,
+        "degenerate_even": build_fixed_point_degenerate_operator,
+    }
+    sturm = []
+    counted = lab._tridiagonal_kth_singular
+    monkeypatch.setattr(lab, "_tridiagonal_kth_singular", lambda *a: sturm.append(1) or counted(*a))
+    for name, family in families.items():
+        for alpha in (TRIV, SIGN):
+            sizes = (64, 128, 256)
+            sweep = fredholm_proxy_sweep(family, alpha, sizes)
+            for n, value in zip(sizes, sweep.values):
+                op = family(n)
+                basis = isotypical_basis(_dense(op.group_rep), alpha)
+                ref = np.sort(np.linalg.svd(basis.conj().T @ op.matrix @ basis, compute_uv=False))[3]
+                assert abs(value - ref) <= 1e-10 * max(1.0, ref), (name, alpha, n)
+    assert len(sturm) == 12  # every block went through the Sturm counts
+
+
+def test_non_hermitian_blocks_get_the_dense_svd():
+    def family(n):
+        return build_invariant_circle_operator(
+            n, 2, "composite", action="reflection",
+            potential=lambda t: 1.0 + 2j * np.cos(t),
+        )
+
+    for alpha in (TRIV, SIGN):
+        sweep = fredholm_proxy_sweep(family, alpha, (16, 32))
+        for n, value in zip(sweep.sizes, sweep.values):
+            s = np.linalg.svd(isotypical_block(family(n), alpha), compute_uv=False)
+            assert value == float(np.sort(s)[3])
+
+
+def test_sweep_needs_two_distinct_sizes():
+    with pytest.raises(ValueError, match="two distinct sizes"):
+        fredholm_proxy_sweep(_laplacian_family, TRIV, (16, 16))
+
+
+def _tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(np.conj(off), -1)
+
+
+def test_sturm_brackets_hold_the_lowest_eigenvalues():
+    import equifred.lab as lab
+
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 7, 40):
+        diag = rng.standard_normal(k)
+        off = rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1)
+        off[::3] = 0.0  # decoupled blocks
+        off2 = np.abs(off) ** 2
+        ref = np.linalg.eigvalsh(_tridiagonal(diag, off))
+        bound = lab._spectral_radius_bound(diag, off2)
+        floor = np.finfo(float).eps * bound
+        lo, hi = lab._multisection(
+            lambda x: lab._sturm_counts(diag, off2, x), np.arange(k), -bound, bound, floor
+        )
+        assert np.all(hi - lo <= 2 * floor)
+        assert np.all(lo - 4 * floor <= ref) and np.all(ref <= hi + 4 * floor)
+        kth = lab._tridiagonal_kth_singular(diag, off2, (k + 1) // 2)
+        assert abs(kth - np.sort(np.abs(ref))[(k - 1) // 2]) <= 8 * floor
+
+
+def test_sturm_counts_pass_exact_zero_pivots_without_warnings():
+    import warnings
+
+    import equifred.lab as lab
+
+    # eigenvalues -sqrt(5), -1, 0, 0, 1, sqrt(5); at the shift 0 the first
+    # pivot is exactly 0, and so are later ones
+    diag = np.zeros(6)
+    off2 = np.array([1.0, 0.0, 4.0, 1.0, 0.0])
+    ref = np.linalg.eigvalsh(_tridiagonal(diag, np.sqrt(off2)))
+    shifts = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = lab._sturm_counts(diag, off2, shifts)
+    # an eigenvalue at a shift may count on either side: the count is that of
+    # a matrix with its zero pivots perturbed by a tiny amount
+    below = [np.count_nonzero(ref < x - 1e-12) for x in shifts]
+    upto = [np.count_nonzero(ref <= x + 1e-12) for x in shifts]
+    assert all(b <= c <= u for b, c, u in zip(below, counts, upto)), (counts, below, upto)
+    assert list(counts[[0, 2, 4, 6]]) == [0, 2, 4, 6]
+
+
+def test_sparse_invariance_gate_decides_like_the_dense_check():
+    from equifred.reps import require_intertwining
+
+    rep = reflection_circle_rep(12)
+    lap = build_invariant_circle_operator(12, 2, "shifted_laplacian", action="reflection").coo
+    cases = [lap]
+    for j, v in ((1, 1e-13), (1, 1e-9), (3, 1.0)):
+        extra = CooMatrix(12, np.array([j]), np.array([j]), np.array([v]))
+        cases.append(CooMatrix(12, *(np.concatenate([getattr(lap, f), getattr(extra, f)])
+                                     for f in ("rows", "cols", "vals"))))
+    # Z_4 acting on C^2 by diag(i^g, i^-g): complex phases, so only diagonal
+    # operators commute
+    twist = MonomialRep(make_group((4,)), np.zeros((4, 2), dtype=int) + [0, 1],
+                        np.array([[1, 1], [1j, -1j], [-1, -1], [-1j, 1j]]))
+    pair = np.array([0, 1])
+    twisted = [CooMatrix(2, pair, pair, np.array([2.0, 3j])),
+               CooMatrix(2, pair, pair[::-1], np.array([1.0, 0.5]))]
+    outcomes = []
+    for r, op in [(rep, op) for op in cases] + [(twist, op) for op in twisted]:
+        decided = []
+        for f in (op, op.dense()):
+            try:
+                require_intertwining("not invariant", r, f, tol=1e-10)
+                decided.append(None)
+            except ValueError as exc:
+                decided.append(str(exc))
+        assert decided[0] == decided[1]
+        outcomes.append(decided[0])
+    assert [x is None for x in outcomes] == [True, True, True, False, True, False]
+    assert outcomes[-1].startswith("not invariant (defect ")
+
+
+def test_isotypical_block_is_the_dense_route_block():
+    from equifred.reps import pi_alpha_restrict
+
+    for label, rep in _lab_reps():
+        if not label.startswith("rotation"):
+            continue
+        n = rep.dim
+        op = build_invariant_circle_operator(
+            n, rep.carrier.orders[0], "composite", potential=np.ones(n)
+        )
+        for chi in dual_characters(rep.carrier):
+            block = isotypical_block(op, chi)
+            ref = pi_alpha_restrict(op.group_rep, op.matrix, chi)
+            assert block.shape == ref.shape, (label, chi)
+            assert np.abs(block - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=1.0)
