@@ -29,6 +29,8 @@ from .groups import (
     trivial_subgroup,
 )
 from .reps import (
+    COMMUTE_TOL,
+    LAW_TOL,
     UnitaryRep,
     _norms_over,
     carrier_dual,
@@ -135,11 +137,11 @@ class EquivariantSampleBundle:
 
     @cached_property
     def _validated(self) -> BundleValidation:
-        return _check_bundle(self, _VALIDATE_TOL)
+        return _check_bundle(self)
 
     @cached_property
     def _x_orbits(self) -> tuple:
-        return _isotype_orbits(self, _REL_TOL)
+        return _isotype_orbits(self)
 
 
 def sample_bundle(
@@ -162,11 +164,7 @@ def sample_bundle(
     )
 
 
-_VALIDATE_TOL = 1e-10
-_REL_TOL = 1e-8  # default rank cut of the fiber decompositions
-
-
-def validate_bundle(b: EquivariantSampleBundle, *, tol: float = _VALIDATE_TOL) -> BundleValidation:
+def validate_bundle(b: EquivariantSampleBundle) -> BundleValidation:
     """Check action, base-label, fiber-dimension, and cocycle axioms.
 
     Collects every violation with a location instead of stopping at the
@@ -180,23 +178,20 @@ def validate_bundle(b: EquivariantSampleBundle, *, tol: float = _VALIDATE_TOL) -
 
     The checks run on an integer action table and on transports stacked by
     shape, all pairs at once (the cocycle one h at a time, so temporaries
-    stay O(|G|·points·d^2)).  Each tolerance decision takes the SVD 2-norm
+    stay O(|G|·points·d^2)).  Unitarity, T(0, p) = I and the cocycle law hold
+    to LAW_TOL in operator norm.  Each tolerance decision takes the SVD 2-norm
     only where the Frobenius norm does not already settle it; the
     violations, their order and their printed defects are exactly those of
     an SVD norm per pair.
 
-    The result at the default tol is computed once per bundle and kept:
-    `require_valid`, `alpha_elliptic_check` and `prim_enumerate` reuse it,
-    so a bundle is validated once however many checks it goes through.
+    The result is computed once per bundle and kept: `require_valid`,
+    `alpha_elliptic_check` and `prim_enumerate` reuse it, so a bundle is
+    validated once however many checks it goes through.
     """
-    return _validation(b, tol)
+    return b._validated
 
 
-def _validation(b: EquivariantSampleBundle, tol: float) -> BundleValidation:
-    return b._validated if tol == _VALIDATE_TOL else _check_bundle(b, tol)
-
-
-def _check_bundle(b: EquivariantSampleBundle, tol: float) -> BundleValidation:
+def _check_bundle(b: EquivariantSampleBundle) -> BundleValidation:
     out: list[Violation] = []
     pts = b.points
     n_pts = len(pts)
@@ -273,13 +268,13 @@ def _check_bundle(b: EquivariantSampleBundle, tol: float) -> BundleValidation:
     T = b._transports
     non_unitary, not_identity = [], []
     for idx, t in zip(T.members, T.stacks):
-        at, err = _norms_over(t.conj().transpose(0, 2, 1) @ t - np.eye(t.shape[2]), tol)
+        at, err = _norms_over(t.conj().transpose(0, 2, 1) @ t - np.eye(t.shape[2]), LAW_TOL)
         non_unitary += zip(idx[at], err)
         at_e = np.flatnonzero(idx // n_pts == e)
         if t.shape[1] != t.shape[2]:
             not_identity += list(idx[at_e])  # a non-square transport is not I
         else:
-            not_identity += list(idx[at_e[_norms_over(t[at_e] - np.eye(t.shape[1]), tol)[0]]])
+            not_identity += list(idx[at_e[_norms_over(t[at_e] - np.eye(t.shape[1]), LAW_TOL)[0]]])
     for i, err in sorted(non_unitary):
         g, p = divmod(int(i), n_pts)
         out.append(
@@ -307,7 +302,7 @@ def _check_bundle(b: EquivariantSampleBundle, tol: float) -> BundleValidation:
                 what = f"cocycle shapes {(lhs.shape[1], rhs.shape[2])} and {want.shape[1:]} differ"
                 hits = [(j, what) for j in sel]
             else:
-                at, err = _norms_over(lhs @ rhs - want, tol)
+                at, err = _norms_over(lhs @ rhs - want, LAW_TOL)
                 hits = [(j, f"cocycle defect {x:.3e}") for j, x in zip(sel[at], err)]
             found += [(j // n_pts, h, j % n_pts, gh[j // n_pts], what) for j, what in hits]
     for g, h, p, gh, what in sorted(found):
@@ -318,8 +313,8 @@ def _check_bundle(b: EquivariantSampleBundle, tol: float) -> BundleValidation:
     return BundleValidation(tuple(out))
 
 
-def require_valid(b: EquivariantSampleBundle, *, tol: float = _VALIDATE_TOL) -> None:
-    v = _validation(b, tol)
+def require_valid(b: EquivariantSampleBundle) -> None:
+    v = b._validated
     if not v.ok:
         lines = "; ".join(f"{x.location}: {x.detail}" for x in v.violations[:5])
         raise ValueError(f"bundle fails validation: {lines}")
@@ -389,22 +384,19 @@ class XPoint:
     rho: SubgroupCharacter
 
 
-def build_X(b: EquivariantSampleBundle, *, rel_tol: float = _REL_TOL) -> tuple:
+def build_X(b: EquivariantSampleBundle) -> tuple:
     """All (point, isotype) pairs with positive multiplicity, grouped into orbits.
 
     Each orbit is a tuple of XPoints sorted by point id; orbits are listed by
     (least point id, isotype).  The isotype content is computed at every point
     and must agree along each orbit, otherwise the bundle data is inconsistent.
-    At the default rel_tol the result is computed once per bundle and kept.
+    The result is computed once per bundle and kept.
     """
-    return b._x_orbits if rel_tol == _REL_TOL else _isotype_orbits(b, rel_tol)
+    return b._x_orbits
 
 
-def _isotype_orbits(b: EquivariantSampleBundle, rel_tol: float) -> tuple:
-    present: dict[str, tuple[SubgroupCharacter, ...]] = {}
-    for p in b.points:
-        mv = decompose(fiber_rep(b, p), rel_tol=rel_tol)
-        present[p] = mv.characters()
+def _isotype_orbits(b: EquivariantSampleBundle) -> tuple:
+    present = {p: decompose(fiber_rep(b, p)).characters() for p in b.points}
     out = []
     for orb in orbits(b):
         head = present[orb[0]]
@@ -508,19 +500,19 @@ def symbol_equivariance_defect(sym: SymbolField) -> float:
 def propagate_symbol(
     bundle: EquivariantSampleBundle,
     seed_values: Mapping[str, np.ndarray],
-    *,
-    tol: float = 1e-10,
 ) -> SymbolField:
     """Extend stabilizer-invariant values on orbit representatives equivariantly.
 
     seed_values must contain one matrix per orbit (keyed by any point in it);
-    each seed must commute with the stabilizer action at its point.
+    each seed must commute with the stabilizer action at its point, to
+    LAW_TOL relative to max(1, |seed|).
     """
     values: dict[str, np.ndarray] = {}
     for p0, raw in seed_values.items():
         raw = np.asarray(raw, dtype=complex)
         require_intertwining(
-            f"seed at {p0!r} is not stabilizer-invariant", fiber_rep(bundle, p0), raw, tol=tol
+            f"seed at {p0!r} is not stabilizer-invariant", fiber_rep(bundle, p0), raw,
+            tol=LAW_TOL,
         )
         for g in bundle.group.elements:
             q = bundle.act(g, p0)
@@ -534,13 +526,13 @@ def propagate_symbol(
     return symbol_field(bundle, values)
 
 
-def gamma_symbol_eval(sym: SymbolField, xp: XPoint, *, rel_tol: float = 1e-8) -> np.ndarray:
+def gamma_symbol_eval(sym: SymbolField, xp: XPoint) -> np.ndarray:
     """The symbol block on one isotype: compress sigma(point) to the rho-subspace."""
     b = sym.bundle
     rep = fiber_rep(b, xp.point)
     if xp.rho.subgroup != rep.carrier:
         raise ValueError("isotype does not belong to the stabilizer at this point")
-    basis = isotypical_basis(rep, xp.rho, rel_tol=rel_tol)
+    basis = isotypical_basis(rep, xp.rho)
     if basis.shape[1] == 0:
         raise ValueError(
             f"isotype {xp.rho.representative.exponents} is absent from the fiber at {xp.point!r}"
@@ -586,31 +578,30 @@ def alpha_elliptic_check(
     alpha: Character,
     *,
     tol: float = 1e-8,
-    equiv_tol: float = 1e-8,
-    gamma0: Subgroup | None = None,
 ) -> EllipticityReport:
     """Decide alpha-ellipticity of a symbol field.
 
     The verdict is True when every block over the alpha-associated isotype set
     has smallest singular value >= tol * max(1, block norm), judged at one
-    representative per orbit.  Every XPoint still gets an entry, and the
+    representative per orbit.  The alpha-associated set is taken over the
+    minimal isotropy.  Every XPoint still gets an entry, and the
     spread of the singular values along each orbit is certified; a spread
     beyond 1e-9 (relative) only produces a warning since the verdict at the
     representative stands.  An empty associated set yields a vacuous True with
     a warning.  A symbol whose equivariance defect exceeds
-    equiv_tol * max(1, max_p |sigma(p)|) raises InputDocumentError at
+    COMMUTE_TOL * max(1, max_p |sigma(p)|) raises InputDocumentError at
     /symbol/<p> for the point p where the defect is largest.
     """
     b = sym.bundle
     require_valid(b)
     norms = [np.linalg.norm(s, 2, axis=(-2, -1)) for s in sym._stacked.stacks]
     scale = max([1.0] + [float(x) for n in norms for x in n])
-    if any(_norms_over(d, equiv_tol * scale)[0].size for _, d in _symbol_defects(sym)):
+    if any(_norms_over(d, COMMUTE_TOL * scale)[0].size for _, d in _symbol_defects(sym)):
         defect, where = _worst_symbol_defect(sym)
         raise InputDocumentError(
             f"/symbol/{where}", f"symbol is not equivariant (defect {defect:.3e})"
         )
-    g0 = gamma0 if gamma0 is not None else minimal_isotropy(b)
+    g0 = minimal_isotropy(b)
     x_alpha = build_X_alpha(build_X(b), alpha, g0)
 
     warnings: list[str] = []
@@ -659,7 +650,7 @@ class PrimRecord:
     isotypes: tuple[SubgroupCharacter, ...]
 
 
-def prim_enumerate(b: EquivariantSampleBundle, *, rel_tol: float = 1e-8) -> tuple:
+def prim_enumerate(b: EquivariantSampleBundle) -> tuple:
     """Orbit list of X with its fibration over point orbits.
 
     Each record holds a point orbit and the isotypes of its fiber action; the
@@ -667,7 +658,7 @@ def prim_enumerate(b: EquivariantSampleBundle, *, rel_tol: float = 1e-8) -> tupl
     exactly how many X-orbits sit over that point orbit.
     """
     require_valid(b)
-    x_orbits = build_X(b, rel_tol=rel_tol)
+    x_orbits = build_X(b)
     by_orbit: dict[tuple[str, ...], list[SubgroupCharacter]] = {}
     for orb in x_orbits:
         key = tuple(xp.point for xp in orb)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -133,6 +134,8 @@ def _checked_bundle(args):
 def cmd_check(args) -> int:
     if args.tol <= 0:
         raise _CliError("--tol must be positive")
+    if not math.isfinite(args.tol):
+        raise _CliError(f"--tol must be finite, got {args.tol}")
     bundle, symbol = _checked_bundle(args)
     if symbol is None:
         raise InputDocumentError("/symbol", "missing (check needs a symbol field)")

@@ -28,6 +28,8 @@ import numpy as np
 
 from .groups import Character, Group, character
 from .reps import (
+    COMMUTE_TOL,
+    LAW_TOL,
     CooMatrix,
     InternalInconsistencyError,
     MonomialRep,
@@ -39,6 +41,10 @@ from .reps import (
 
 def rotation_circle_rep(n: int, m: int) -> MonomialRep:
     """Z_m acting on n circle points by rotation (shift by n/m)."""
+    if n < 1:
+        raise ValueError(f"grid size n must be positive, got {n}")
+    if m < 1:
+        raise ValueError(f"rotation order m must be positive, got {m}")
     if n % m != 0:
         raise ValueError(f"rotation order {m} must divide the grid size {n}")
     perm = (np.arange(n) + (n // m) * np.arange(m)[:, None]) % n
@@ -47,6 +53,8 @@ def rotation_circle_rep(n: int, m: int) -> MonomialRep:
 
 def reflection_circle_rep(n: int) -> MonomialRep:
     """Z_2 acting on n circle points by the angle flip j -> -j."""
+    if n < 1:
+        raise ValueError(f"grid size n must be positive, got {n}")
     perm = np.stack([np.arange(n), -np.arange(n) % n])
     return MonomialRep(Group((2,)), perm, np.ones((2, n)))
 
@@ -90,7 +98,6 @@ def build_invariant_circle_operator(
     *,
     action: str = "rotation",
     potential: Callable[[np.ndarray], np.ndarray] | Sequence[float] | None = None,
-    tol: float = 1e-10,
 ) -> GridOperator:
     """Assemble an invariant operator on the n-point circle.
 
@@ -98,7 +105,7 @@ def build_invariant_circle_operator(
     "potential" (multiplication by a sampled potential), or "composite" (their
     sum).  The action is the order-m rotation or, with action="reflection",
     the angle flip (m must then be 2).  Non-invariant potentials are rejected:
-    the operator must commute with the action to `tol` relative to its norm.
+    the operator must commute with the action to LAW_TOL relative to its norm.
     """
     if action == "rotation":
         rep = rotation_circle_rep(n, m)
@@ -129,7 +136,9 @@ def build_invariant_circle_operator(
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
 
-    require_intertwining(f"operator does not commute with the {action} action", rep, op, tol=tol)
+    require_intertwining(
+        f"operator does not commute with the {action} action", rep, op, tol=LAW_TOL
+    )
     return GridOperator(n, op, rep, kind)
 
 
@@ -141,7 +150,7 @@ def isotypical_block(op: GridOperator, alpha: Character) -> np.ndarray:
 def _checked_block(op: GridOperator, alpha: Character) -> tuple[np.ndarray, CooMatrix]:
     """`monomial_block` after the commutation check of `reps.pi_alpha_restrict`."""
     require_intertwining(
-        "matrix does not commute with the action", op.group_rep, op.coo, tol=1e-8
+        "matrix does not commute with the action", op.group_rep, op.coo, tol=COMMUTE_TOL
     )
     return monomial_block(op.group_rep, op.coo, alpha)
 
@@ -155,6 +164,8 @@ def build_fixed_point_degenerate_operator(n: int) -> GridOperator:
     points, so the even blocks degenerate under refinement while the odd
     blocks stay unit size.
     """
+    if n < 2:
+        raise ValueError(f"grid size n must be at least 2, got {n}")
     if n % 2 != 0:
         raise ValueError("needs an even grid so both reflection fixed points are nodes")
     rep = reflection_circle_rep(n)

@@ -34,9 +34,16 @@ from .groups import (
     coset_transversal,
     dual_characters,
     full_subgroup,
+    trivial_subgroup,
 )
 
 CarrierT = Group | Subgroup
+
+# The package's fixed tolerances, one value per decision; `bundles` and `lab`
+# import them.
+RANK_TOL = 1e-8  # the rank cut of `numerical_rank`, with its x10 refuse band
+LAW_TOL = 1e-10  # the structure and law checks of what a constructor is given
+COMMUTE_TOL = 1e-8  # the commutation gate of a compression or a symbol, times max(1, norm)
 
 
 class AmbiguousRankError(ArithmeticError):
@@ -123,7 +130,6 @@ def unitary_rep(
     matrices: Mapping[ElementT, np.ndarray],
     *,
     validate: bool = True,
-    tol: float = 1e-10,
 ) -> UnitaryRep:
     """Build a UnitaryRep, checking unitarity and the homomorphism law.
 
@@ -137,7 +143,7 @@ def unitary_rep(
     validate : bool
         When True (default) the identity is checked to be I, every matrix
         unitary, and every product relation U(g) U(h) = U(g + h) to hold, all
-        to `tol` in operator norm.  The first failure is raised, in that
+        to tol = LAW_TOL in operator norm.  The first failure is raised, in that
         order: the identity, the first non-unitary g, the first failing
         (g, h) in carrier order.  Builders that produce exact matrices may
         skip this.
@@ -153,8 +159,8 @@ def unitary_rep(
         |U(g) U(h) - U(g + h)|_2 <= c^(L+1) d0 + (1 + c) e sum_{j<L} c^j
                                  <= c^(L+1) (d0 + 2 L e).
 
-    So when d0 and e are at most tol / (2 (1 + 2L) c^(L+1)), which for the
-    default tol is about tol / (4 sum_i n_i) or more, every pair is within
+    So when d0 and e are at most tol / (2 (1 + 2L) c^(L+1)), which for
+    tol = LAW_TOL is about tol / (4 sum_i n_i) or more, every pair is within
     tol/2, far enough from tol that rounding cannot flip a decision, and the
     law is accepted.  Otherwise, and always on a Subgroup carrier, every pair
     is checked, one row g at a time, and the first failing (g, h) is
@@ -175,13 +181,14 @@ def unitary_rep(
     stack.setflags(write=False)
     rep = UnitaryRep(carrier, dim, stack)
     if validate:
-        _require_representation(rep, tol)
+        _require_representation(rep)
     return rep
 
 
-def _require_representation(rep: UnitaryRep, tol: float) -> None:
+def _require_representation(rep: UnitaryRep) -> None:
     """The checks of `unitary_rep(validate=True)`; temporaries are one element's
     matrices, or one row's in the all-pairs fallback."""
+    tol = LAW_TOL
     carrier, elems, stack = rep.carrier, rep.elements, rep.stack
     eye = np.eye(rep.dim)
     index = {g: i for i, g in enumerate(elems)}
@@ -210,9 +217,6 @@ def _require_representation(rep: UnitaryRep, tol: float) -> None:
             raise ValueError(f"homomorphism law fails at ({g}, {elems[at[0]]}) beyond {tol}")
 
 
-_PHASE_TOL = 1e-10
-
-
 class MonomialRep:
     """Representation in which every element permutes the basis up to unit phases.
 
@@ -234,18 +238,18 @@ class MonomialRep:
             )
         if (np.sort(perm, axis=1) != np.arange(perm.shape[1])).any():
             raise ValueError("every row of perm must be a permutation of range(d)")
-        if np.abs(np.abs(phase) - 1.0).max(initial=0.0) > _PHASE_TOL:
-            raise ValueError(f"phases are not unit modulus to {_PHASE_TOL}")
+        if np.abs(np.abs(phase) - 1.0).max(initial=0.0) > LAW_TOL:
+            raise ValueError(f"phases are not unit modulus to {LAW_TOL}")
         index = {g: i for i, g in enumerate(elems)}
         for i, g in enumerate(elems):
             prod = [index[carrier.op(g, h)] for h in elems]
             # U(g) U(h) e_j = phase[h, j] phase[g, perm[h, j]] e_{perm[g, perm[h, j]]}
             bad = ~(perm[i, perm] == perm[prod]).all(axis=1)
             defect = np.abs(phase * phase[i, perm] - phase[prod])
-            bad |= defect.max(axis=1, initial=0.0) > _PHASE_TOL
+            bad |= defect.max(axis=1, initial=0.0) > LAW_TOL
             if bad.any():
                 h = elems[int(np.argmax(bad))]
-                raise ValueError(f"homomorphism law fails at ({g}, {h}) beyond {_PHASE_TOL}")
+                raise ValueError(f"homomorphism law fails at ({g}, {h}) beyond {LAW_TOL}")
         perm.setflags(write=False)
         phase.setflags(write=False)
         self.carrier, self.perm, self.phase, self._row = carrier, perm, phase, index
@@ -316,18 +320,10 @@ def diagonal_rep(carrier: CarrierT, chars: Sequence[Character | SubgroupCharacte
     return unitary_rep(carrier, mats, validate=False)
 
 
-def regular_rep(carrier: CarrierT) -> UnitaryRep:
-    """Permutation representation of the carrier on itself by translation."""
-    elems = carrier.elements
-    index = {g: i for i, g in enumerate(elems)}
-    n = len(elems)
-    mats = {}
-    for g in elems:
-        m = np.zeros((n, n), dtype=complex)
-        for h in elems:
-            m[index[carrier.op(g, h)], index[h]] = 1.0
-        mats[g] = m
-    return unitary_rep(carrier, mats, validate=False)
+def regular_rep(group: Group) -> UnitaryRep:
+    """Permutation representation of the group on itself by translation: the
+    induction of the trivial character of the trivial subgroup."""
+    return induce(character_rep(carrier_dual(trivial_subgroup(group))[0]), group)
 
 
 def direct_sum(*reps: UnitaryRep) -> UnitaryRep:
@@ -380,11 +376,11 @@ def random_rep(carrier: CarrierT, dim: int, rng: np.random.Generator) -> Unitary
 # rank decisions and the reproducible range basis
 
 
-def _rank_cut(s: np.ndarray, rel_tol: float) -> int:
+def _rank_cut(s: np.ndarray) -> int:
     """The rank cut of `numerical_rank`, on descending singular values."""
     if not s.size:
         return 0
-    thresh = rel_tol * max(1.0, float(s[0]))
+    thresh = RANK_TOL * max(1.0, float(s[0]))
     near = s[(s >= thresh / 10) & (s <= thresh * 10)]
     if near.size:
         raise AmbiguousRankError(
@@ -393,24 +389,25 @@ def _rank_cut(s: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(s > thresh))
 
 
-def numerical_rank(a: np.ndarray, *, rel_tol: float = 1e-8) -> int:
+def numerical_rank(a: np.ndarray) -> int:
     """Rank by singular values, refusing to decide ambiguous cases.
 
-    Values below rel_tol * max(1, s_max) count as zero.  A singular value
+    Values below RANK_TOL * max(1, s_max) count as zero.  A singular value
     within a factor 10 of that threshold (either side) raises
     AmbiguousRankError instead of silently choosing.  An empty matrix has rank 0.
     """
-    return _rank_cut(np.linalg.svd(a, compute_uv=False), rel_tol)
+    return _rank_cut(np.linalg.svd(a, compute_uv=False))
 
 
-def deterministic_range_basis(a: np.ndarray, rank: int, *, rel_tol: float = 1e-8) -> np.ndarray:
+def deterministic_range_basis(a: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal basis of the column range, reproducible across runs.
 
     Pivoted modified Gram-Schmidt over the columns of `a`: at each step the
     lowest-index column whose residual norm is within a relative 1e-12 of the
     largest is taken, normalized, re-orthogonalized once, and removed from the
     rest.  The tie band keeps the pivot independent of rounding, so serialized
-    output built on this basis is byte-stable.
+    output built on this basis is byte-stable.  A residual norm at most
+    RANK_TOL before `rank` columns are taken raises AmbiguousRankError.
 
     Returns an (n, rank) array.
     """
@@ -420,7 +417,7 @@ def deterministic_range_basis(a: np.ndarray, rank: int, *, rel_tol: float = 1e-8
     for step in range(rank):
         norms = np.linalg.norm(work, axis=0)
         j = int(np.argmax(norms >= norms.max() * (1.0 - 1e-12)))
-        if norms[j] <= rel_tol:
+        if norms[j] <= RANK_TOL:
             raise AmbiguousRankError(
                 f"range collapsed after {step} columns, expected rank {rank}"
             )
@@ -532,9 +529,7 @@ def monomial_block(
     return leads, CooMatrix(leads.size, col[r], col[c], vals)
 
 
-def isotypical_basis(
-    rep: RepT, chi: Character | SubgroupCharacter, *, rel_tol: float = 1e-8
-) -> np.ndarray:
+def isotypical_basis(rep: RepT, chi: Character | SubgroupCharacter) -> np.ndarray:
     """Reproducible orthonormal basis of the chi-isotypical subspace.
 
     A MonomialRep gets its exact orbit sums; a dense UnitaryRep gets the
@@ -543,8 +538,7 @@ def isotypical_basis(
     if isinstance(rep, MonomialRep):
         return _orbit_sum_basis(rep, chi)
     p = isotypical_projector(rep, chi)
-    rank = numerical_rank(p, rel_tol=rel_tol)
-    return deterministic_range_basis(p, rank, rel_tol=rel_tol)
+    return deterministic_range_basis(p, numerical_rank(p))
 
 
 @dataclass(frozen=True)
@@ -591,7 +585,7 @@ def _char_sort_key(chi: Character | SubgroupCharacter):
     return chi.exponents
 
 
-def decompose(rep: RepT, *, rel_tol: float = 1e-8) -> MultiplicityVector:
+def decompose(rep: RepT) -> MultiplicityVector:
     """Multiplicity of every carrier character, via projector ranks.
 
     The character table of the carrier (one row per character, in dual
@@ -614,7 +608,7 @@ def decompose(rep: RepT, *, rel_tol: float = 1e-8) -> MultiplicityVector:
     projectors /= n
     singular = np.linalg.svd(projectors.reshape(n, d, d), compute_uv=False)
     for chi, values, s in zip(dual, table, singular):
-        mult = _rank_cut(s, rel_tol)
+        mult = _rank_cut(s)
         expected = _trace_multiplicity(values, traces)
         if mult != expected:
             raise InternalInconsistencyError(
@@ -633,22 +627,17 @@ def decompose(rep: RepT, *, rel_tol: float = 1e-8) -> MultiplicityVector:
 
 
 def _commutators(target: RepT, f: np.ndarray, source: RepT | None):
-    """T(g) f - f S(g) for every g of T's carrier (S = source, or T)."""
+    """T(g) f - f S(g) for every g of T's carrier (S = source, or T).
+
+    Only the elements of T's carrier are visited; S may act on a larger one."""
     source = target if source is None else source
     for g in target.elements:
         yield target.matrix(g) @ f - f @ source.matrix(g)
 
 
-def intertwining_defect(target: RepT, f: np.ndarray, source: RepT | None = None) -> float:
-    """max_g |T(g) f - f S(g)|_2 over the carrier of T = target (S = source, or T).
-
-    Only the elements of T's carrier are visited; S may act on a larger one."""
-    return max(float(np.linalg.norm(c, 2)) for c in _commutators(target, f, source))
-
-
 def equivariance_defect(rep: RepT, m: np.ndarray) -> float:
-    """Largest commutator norm between m and the representation matrices."""
-    return intertwining_defect(rep, m)
+    """Largest commutator norm max_g |U(g) m - m U(g)|_2 over the carrier."""
+    return max(float(np.linalg.norm(c, 2)) for c in _commutators(rep, m, None))
 
 
 def require_intertwining(
@@ -665,7 +654,7 @@ def require_intertwining(
     Each commutator goes through the Frobenius prefilter `_norms_over`, so an
     SVD norm is taken only of a commutator whose Frobenius norm exceeds tol/2,
     and |f|_2 only when the defect exceeds tol.  The decision and the printed
-    defect are those of `intertwining_defect`.
+    defect are those of one SVD norm per commutator, max_g |T(g) f - f S(g)|_2.
 
     A sparse f (a CooMatrix commuting with a MonomialRep target) is
     prefiltered without densifying: for unitary U, |U A - A U|_F equals
@@ -704,14 +693,13 @@ class EquivariantEndomorphism:
     matrix: np.ndarray
 
 
-def equivariant_endomorphism(
-    rep: RepT, matrix: np.ndarray, *, tol: float = 1e-10
-) -> EquivariantEndomorphism:
-    """Wrap a matrix after checking it commutes with the representation."""
+def equivariant_endomorphism(rep: RepT, matrix: np.ndarray) -> EquivariantEndomorphism:
+    """Wrap a matrix after checking it commutes with the representation to
+    LAW_TOL relative to max(1, |matrix|)."""
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (rep.dim, rep.dim):
         raise ValueError(f"matrix shape {m.shape} does not match dim {rep.dim}")
-    require_intertwining("matrix does not commute with the action", rep, m, tol=tol)
+    require_intertwining("matrix does not commute with the action", rep, m, tol=LAW_TOL)
     return EquivariantEndomorphism(rep, m)
 
 
@@ -719,15 +707,12 @@ def pi_alpha_restrict(
     rep: RepT | EquivariantEndomorphism,
     m: np.ndarray | Character | SubgroupCharacter,
     chi: Character | SubgroupCharacter | None = None,
-    *,
-    commute_tol: float = 1e-8,
-    rel_tol: float = 1e-8,
 ) -> np.ndarray:
     """Compress an equivariant matrix to the chi-isotypical block.
 
     Accepts either (rep, matrix, character) or (EquivariantEndomorphism,
     character).  The matrix must commute with the representation; the defect
-    is measured relative to max(1, |m|) and rejected beyond `commute_tol`.
+    is measured relative to max(1, |m|) and rejected beyond COMMUTE_TOL.
     The block is expressed in the reproducible isotypical basis, so repeated
     runs give identical entries.
     """
@@ -738,8 +723,8 @@ def pi_alpha_restrict(
     if chi is None:
         raise TypeError("missing the character argument")
     m = np.asarray(m, dtype=complex)
-    require_intertwining("matrix does not commute with the action", rep, m, tol=commute_tol)
-    basis = isotypical_basis(rep, chi, rel_tol=rel_tol)
+    require_intertwining("matrix does not commute with the action", rep, m, tol=COMMUTE_TOL)
+    basis = isotypical_basis(rep, chi)
     return basis.conj().T @ m @ basis
 
 
@@ -777,13 +762,14 @@ def induce(rep: UnitaryRep, gamma: Group) -> UnitaryRep:
     return unitary_rep(gamma, mats, validate=False)
 
 
-def frobenius_invariant_map(rep: UnitaryRep, gamma: Group, xi: np.ndarray, *, tol: float = 1e-10):
+def frobenius_invariant_map(rep: UnitaryRep, gamma: Group, xi: np.ndarray):
     """Average a subgroup-invariant vector (or algebra element) into the induction.
 
     For a vector this returns the block vector with xi repeated over every
     coset; for a square matrix it returns the block-diagonal operator with xi
     in every coset block.  Both are exactly the group average of coset
-    translates, and the operator form is multiplicative.
+    translates, and the operator form is multiplicative.  xi must be invariant
+    to LAW_TOL relative to max(1, |xi|).
     """
     index = gamma.order // _as_subgroup(rep.carrier, gamma).order
     xi = np.asarray(xi, dtype=complex)
@@ -792,11 +778,11 @@ def frobenius_invariant_map(rep: UnitaryRep, gamma: Group, xi: np.ndarray, *, to
             raise ValueError(f"vector has length {xi.shape}, representation dim {rep.dim}")
         # a vector is a map from the trivial character, which comes first
         trivial = character_rep(carrier_dual(rep.carrier)[0])
-        require_intertwining("vector is not invariant", rep, xi[:, None], trivial, tol=tol)
+        require_intertwining("vector is not invariant", rep, xi[:, None], trivial, tol=LAW_TOL)
         return np.tile(xi, index)
     if xi.shape != (rep.dim, rep.dim):
         raise ValueError(f"matrix shape {xi.shape} does not match dim {rep.dim}")
-    require_intertwining("matrix is not invariant", rep, xi, tol=tol)
+    require_intertwining("matrix is not invariant", rep, xi, tol=LAW_TOL)
     return np.kron(np.eye(index), xi)
 
 
@@ -804,15 +790,13 @@ def frobenius_hom_map(
     f: np.ndarray,
     source: UnitaryRep,
     target: UnitaryRep,
-    *,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Turn a subgroup-equivariant map source -> target into a full-group map
     source -> induced(target).
 
     `source` is a representation of the full group, `target` one of the
     subgroup; `f` maps the source space to the target space and must intertwine
-    the subgroup actions.  The result averages f against the subgroup and
+    the subgroup actions to LAW_TOL relative to max(1, |f|).  The result averages f against the subgroup and
     composes with the transversal translates, blocked per coset in the same
     indexing that `induce` uses.
     """
@@ -826,7 +810,7 @@ def frobenius_hom_map(
             f"map has shape {f.shape}, expected {(target.dim, source.dim)}"
         )
     require_intertwining(
-        "map does not intertwine the subgroup actions", target, f, source, tol=tol
+        "map does not intertwine the subgroup actions", target, f, source, tol=LAW_TOL
     )
     averaged = sum(
         target.matrix(h) @ f @ source.matrix(gamma.inv(h)) for h in sub.elements
@@ -840,17 +824,15 @@ def frobenius_hom_map(
 # commutants and the induced-endomorphism split
 
 
-def null_space_basis(a: np.ndarray, *, rel_tol: float = 1e-8) -> np.ndarray:
+def null_space_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis with the same rank cut as numerical_rank."""
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(a)
-    return vh[_rank_cut(s, rel_tol):].conj().T
+    return vh[_rank_cut(s):].conj().T
 
 
-def intertwiner_basis(
-    source: UnitaryRep, target: UnitaryRep, *, rel_tol: float = 1e-8
-) -> list[np.ndarray]:
+def intertwiner_basis(source: UnitaryRep, target: UnitaryRep) -> list[np.ndarray]:
     """Basis of maps f with f source(g) = target(g) f, by a direct linear solve.
 
     This is the independent route to homomorphism-space dimensions: it stacks
@@ -867,24 +849,23 @@ def intertwiner_basis(
         # row-major vec: vec(A f B) = (A kron B^T) vec(f)
         rows.append(np.kron(eye_t, source.matrix(g).T) - np.kron(target.matrix(g), eye_s))
     stacked = np.vstack(rows)
-    null = null_space_basis(stacked, rel_tol=rel_tol)
+    null = null_space_basis(stacked)
     return [null[:, i].reshape(dt, ds) for i in range(null.shape[1])]
 
 
-def commutant_factors(rep: UnitaryRep, *, rel_tol: float = 1e-8) -> tuple:
+def commutant_factors(rep: UnitaryRep) -> tuple:
     """The isotypes present in a representation with their multiplicities.
 
     For an abelian carrier the commutant is a direct sum of full matrix
     algebras, one k_j x k_j block per isotype present with multiplicity k_j;
     this returns the (character, k_j) list sorted by character.
     """
-    mv = decompose(rep, rel_tol=rel_tol)
-    return tuple(mv.entries)
+    return tuple(decompose(rep).entries)
 
 
-def commutant_dimension(rep: UnitaryRep, *, rel_tol: float = 1e-8) -> int:
+def commutant_dimension(rep: UnitaryRep) -> int:
     """Dimension of the commutant by solving the commutation system directly."""
-    return len(intertwiner_basis(rep, rep, rel_tol=rel_tol))
+    return len(intertwiner_basis(rep, rep))
 
 
 @dataclass(frozen=True)
@@ -902,8 +883,6 @@ def ker_im_pi_alpha(
     gamma: Group,
     beta: UnitaryRep,
     alpha: Character,
-    *,
-    rel_tol: float = 1e-8,
 ) -> KerImSplit:
     """Split the commutant factors of beta by the alpha-compression on the induction.
 
@@ -915,7 +894,7 @@ def ker_im_pi_alpha(
     """
     if beta.carrier != sub:
         raise ValueError("beta must be a representation of the given subgroup")
-    factors = commutant_factors(beta, rel_tol=rel_tol)
+    factors = commutant_factors(beta)
     predicted_im = tuple(
         j for j, (rho, _) in enumerate(factors) if associated(alpha, rho, sub)
     )
@@ -924,21 +903,21 @@ def ker_im_pi_alpha(
     )
 
     ind = induce(beta, gamma)
-    basis_a = isotypical_basis(ind, alpha, rel_tol=rel_tol)
+    basis_a = isotypical_basis(ind, alpha)
     index = gamma.order // sub.order
     eye_cosets = np.eye(index)
 
     observed_im = []
     observed_ker = []
     for j, (rho, k) in enumerate(factors):
-        bj = isotypical_basis(beta, rho, rel_tol=rel_tol)
+        bj = isotypical_basis(beta, rho)
         compressed = []
         for a, b in itertools.product(range(k), repeat=2):
             t = np.outer(bj[:, a], bj[:, b].conj())
             big = np.kron(eye_cosets, t)
             block = basis_a.conj().T @ big @ basis_a
             compressed.append(block.reshape(-1))
-        rank = numerical_rank(np.array(compressed), rel_tol=rel_tol)
+        rank = numerical_rank(np.array(compressed))
         if rank == k * k:
             observed_im.append(j)
         elif rank == 0:

@@ -221,7 +221,7 @@ def reference_symbol_defect(sym):
     return worst, where
 
 
-def reference_decompose(rep, *, rel_tol=1e-8):
+def reference_decompose(rep):
     """The per-character loop that the batched `decompose` replaced, as an oracle.
 
     For each character in dual order: its values one element at a time, the
@@ -236,7 +236,7 @@ def reference_decompose(rep, *, rel_tol=1e-8):
         acc = np.zeros((rep.dim, rep.dim), dtype=complex)
         for g, value in zip(rep.elements, values):
             acc += np.conj(value) * rep.matrix(g)
-        mult = numerical_rank(acc / len(rep.elements), rel_tol=rel_tol)
+        mult = numerical_rank(acc / len(rep.elements))
         expected = equifred.reps._trace_multiplicity(values, traces)
         if mult != expected:
             raise InternalInconsistencyError(

@@ -170,7 +170,7 @@ def test_criterion_03_induction_adjunction(capsys):
                 nonvacuous += 1
                 images = [frobenius_hom_map(f, big, small) for f in down]
                 stacked = np.array([im.reshape(-1) for im in images])
-                rank = numerical_rank(stacked, rel_tol=1e-8)
+                rank = numerical_rank(stacked)
                 if rank != len(down):
                     failures.append(
                         f"case {case}: basis of {len(down)} maps to rank {rank} set"
@@ -252,7 +252,7 @@ def test_criterion_04_factor_split_oracle(capsys):
                 (basis_a.conj().T @ np.kron(eye, t) @ basis_a).reshape(-1)
                 for t in comm
             ]
-            observed = numerical_rank(np.array(rows), rel_tol=1e-8)
+            observed = numerical_rank(np.array(rows))
             if observed != predicted:
                 failures.append(
                     f"{group.orders}, beta={mults}, alpha={alpha.exponents}: "

@@ -160,11 +160,12 @@ def test_default_tolerance_validation_is_kept_per_bundle(monkeypatch):
 
     calls = []
     real = bundles._check_bundle
-    monkeypatch.setattr(bundles, "_check_bundle", lambda b, tol: calls.append(tol) or real(b, tol))
+    monkeypatch.setattr(bundles, "_check_bundle", lambda b: calls.append(b) or real(b))
     b = random_bundle(make_group((2, 2)), np.random.default_rng(3), n_orbits=2)
     first = validate_bundle(b)
     assert validate_bundle(b) is first
     bundles.require_valid(b)
-    assert calls == [1e-10]
-    validate_bundle(b, tol=1e-6)  # another tolerance is checked afresh
-    assert calls == [1e-10, 1e-6]
+    assert calls == [b]
+    with pytest.raises(TypeError):  # the tolerance is fixed, not a keyword
+        validate_bundle(b, tol=1e-6)
+    assert calls == [b]

@@ -423,7 +423,7 @@ def test_induce_reduces_integer_residues_and_exponents(tmp_path, capsys):
 
 
 def test_decompose_rank_against_trace_oracle_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(equifred.reps, "_rank_cut", lambda s, rel_tol: 1 + (s.sum() > 0.5))
+    monkeypatch.setattr(equifred.reps, "_rank_cut", lambda s: 1 + (s.sum() > 0.5))
     rc, out, err = run(capsys, "decompose", "--input", REP_Z3)
     assert rc == 3 and out == ""
     assert err == "internal: projector rank 2 for the character (0,), the trace oracle says 1\n"
@@ -444,6 +444,17 @@ def test_tol_must_be_positive(capsys):
     rc, out, err = run(capsys, "check", "--input", FREE, "--alpha", "0", "--tol", "-1")
     assert rc == 1 and not out
     assert "--tol" in err
+
+
+@pytest.mark.parametrize("bundle", [FREE, FIXED, TWO_FIBER], ids=lambda p: Path(p).stem)
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_tol_must_be_finite(capsys, bundle, tol):
+    # a NaN margin compares false everywhere and once turned an elliptic
+    # symbol into "not-elliptic" with "tol": "nan" in the report
+    rc, out, err = run(capsys, "check", "--input", bundle, "--alpha", "1", f"--tol={tol}")
+    assert rc == 1 and not out
+    assert err.startswith("input error: --tol must be ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -578,16 +589,16 @@ def test_each_bundle_job_validates_once(capsys, monkeypatch, argv):
         entries.append(kw)
         return entry(b, **kw)
 
-    def counted_check(b, tol):
-        checks.append(tol)
-        return check(b, tol)
+    def counted_check(b):
+        checks.append(b)
+        return check(b)
 
     monkeypatch.setattr(equifred.cli, "validate_bundle", counted_entry)
     monkeypatch.setattr(equifred.bundles, "validate_bundle", counted_entry)
     monkeypatch.setattr(equifred.bundles, "_check_bundle", counted_check)
     rc, _, err = run(capsys, *argv)
     assert rc in (0, 2) and not err
-    assert len(entries) == 1 and checks == [1e-10]
+    assert len(entries) == 1 and len(checks) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -614,3 +614,23 @@ def test_isotypical_block_is_the_dense_route_block():
             ref = pi_alpha_restrict(op.group_rep, op.matrix, chi)
             assert block.shape == ref.shape, (label, chi)
             assert np.abs(block - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=1.0)
+
+
+@pytest.mark.parametrize(
+    "build, argument",
+    [
+        (lambda: build_invariant_circle_operator(0, 1, "shifted_laplacian"), "grid size n "),
+        (lambda: build_invariant_circle_operator(0, 2, "shifted_laplacian", action="reflection"),
+         "grid size n "),
+        (lambda: rotation_circle_rep(4, 0), "rotation order m "),
+        (lambda: rotation_circle_rep(4, -2), "rotation order m "),
+        (lambda: rotation_circle_rep(0, 1), "grid size n "),
+        (lambda: reflection_circle_rep(0), "grid size n "),
+        (lambda: build_fixed_point_degenerate_operator(-2), "grid size n "),
+        (lambda: build_fixed_point_degenerate_operator(0), "grid size n "),
+    ],
+)
+def test_grid_builders_refuse_bad_sizes_by_name(build, argument):
+    with np.errstate(all="raise"):  # refused before any arithmetic
+        with pytest.raises(ValueError, match=argument):
+            build()

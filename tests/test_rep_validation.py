@@ -144,7 +144,7 @@ def test_matrices_are_views_into_one_read_only_stack():
 def test_decompose_checks_each_rank_against_the_trace_oracle(monkeypatch):
     rep = regular_rep(make_group((3,)))
     assert decompose(rep).total == 3
-    monkeypatch.setattr(equifred.reps, "_rank_cut", lambda s, rel_tol: 2)
+    monkeypatch.setattr(equifred.reps, "_rank_cut", lambda s: 2)
     with pytest.raises(InternalInconsistencyError, match="projector rank 2 .* trace oracle says 1"):
         decompose(rep)
 
