@@ -32,6 +32,8 @@ from .reps import (
     COMMUTE_TOL,
     LAW_TOL,
     UnitaryRep,
+    _from_stack,
+    _group_average,
     _norms_over,
     carrier_dual,
     decompose,
@@ -39,7 +41,6 @@ from .reps import (
     isotypical_projector,
     random_rep,
     require_intertwining,
-    unitary_rep,
 )
 
 
@@ -369,7 +370,7 @@ def minimal_isotropy(b: EquivariantSampleBundle) -> Subgroup:
 def fiber_rep(b: EquivariantSampleBundle, p: str) -> UnitaryRep:
     """The stabilizer representation on the fiber at p, from the transport."""
     h = isotropy(b, p)
-    return unitary_rep(h, {g: b.transport_matrix(g, p) for g in h.elements}, validate=False)
+    return _from_stack(h, np.array([b.transport_matrix(g, p) for g in h.elements]))
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +541,15 @@ def gamma_symbol_eval(sym: SymbolField, xp: XPoint) -> np.ndarray:
     return basis.conj().T @ sym.value(xp.point) @ basis
 
 
+def _require_margin(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def pointwise_invertible(sym: SymbolField, *, tol: float = 1e-8) -> bool:
-    """Plain invertibility of the symbol at every point, same margin rule as blocks."""
+    """Plain invertibility of the symbol at every point, same margin rule
+    (and ValueError for the same tol) as `alpha_elliptic_check`."""
+    _require_margin(tol)
     for p in sym.bundle.points:
         s = np.linalg.svd(sym.value(p), compute_uv=False)
         if s[-1] < tol * max(1.0, float(s[0])):
@@ -590,8 +598,10 @@ def alpha_elliptic_check(
     representative stands.  An empty associated set yields a vacuous True with
     a warning.  A symbol whose equivariance defect exceeds
     COMMUTE_TOL * max(1, max_p |sigma(p)|) raises InputDocumentError at
-    /symbol/<p> for the point p where the defect is largest.
+    /symbol/<p> for the point p where the defect is largest.  A tol that is
+    not finite and positive raises ValueError.
     """
+    _require_margin(tol)
     b = sym.bundle
     require_valid(b)
     norms = [np.linalg.norm(s, 2, axis=(-2, -1)) for s in sym._stacked.stacks]
@@ -741,10 +751,7 @@ def random_symbol(
         rep = fiber_rep(bundle, p0)
         d = rep.dim
         raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        sym0 = sum(
-            rep.matrix(h) @ raw @ rep.matrix(h).conj().T for h in rep.elements
-        ) / len(rep.elements)
-        sym0 = sym0 + shift * np.eye(d)
+        sym0 = _group_average(rep, raw, rep) + shift * np.eye(d)
         if kill_isotype and first:
             mv = decompose(rep)
             chars = mv.characters()

@@ -141,7 +141,8 @@ def full_subgroup(group: Group) -> Subgroup:
 
 
 def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
-    """Every subgroup, found by closing generator sets breadth-first.
+    """Every subgroup, found by adjoining one element g at a time to a found
+    H: the cosets H + k g for k = 0, 1, ... until k g lands in H.
 
     Intended for small groups (the lattice is walked exhaustively).  Output is
     sorted by (order, element list) so it is deterministic.
@@ -153,7 +154,11 @@ def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
         for g in group.elements:
             if sub.contains(g):
                 continue
-            bigger = subgroup_from_generators(group, sub.elements + (g,))
+            members, step = set(sub.elements), g
+            while not sub.contains(step):
+                members.update(group.op(h, step) for h in sub.elements)
+                step = group.op(step, g)
+            bigger = Subgroup(group, tuple(sorted(members)))
             if bigger.elements not in seen:
                 seen.add(bigger.elements)
                 frontier.append(bigger)

@@ -125,28 +125,13 @@ class UnitaryRep:
         return np.trace(self.stack, axis1=1, axis2=2)
 
 
-def unitary_rep(
-    carrier: CarrierT,
-    matrices: Mapping[ElementT, np.ndarray],
-    *,
-    validate: bool = True,
-) -> UnitaryRep:
-    """Build a UnitaryRep, checking unitarity and the homomorphism law.
+def unitary_rep(carrier: CarrierT, matrices: Mapping[ElementT, np.ndarray]) -> UnitaryRep:
+    """Build a UnitaryRep from one matrix per carrier element, checking them.
 
-    Parameters
-    ----------
-    carrier : Group or Subgroup
-        The acting group.
-    matrices : mapping element -> (d, d) array
-        One unitary matrix per element of the carrier.  They are copied into
-        one read-only (|carrier|, d, d) stack.
-    validate : bool
-        When True (default) the identity is checked to be I, every matrix
-        unitary, and every product relation U(g) U(h) = U(g + h) to hold, all
-        to tol = LAW_TOL in operator norm.  The first failure is raised, in that
-        order: the identity, the first non-unitary g, the first failing
-        (g, h) in carrier order.  Builders that produce exact matrices may
-        skip this.
+    The matrices are copied into one read-only (|carrier|, d, d) stack.
+    U(identity) must be I, every U(g) unitary and U(g) U(h) = U(g + h), all to
+    tol = LAW_TOL in operator norm; the first failure is raised, in that
+    order, the pairs (g, h) in carrier order.
 
     Notes
     -----
@@ -178,15 +163,21 @@ def unitary_rep(
         if m.shape != (dim, dim):
             raise ValueError(f"matrix for {g} has shape {m.shape}, expected {(dim, dim)}")
         stack[i] = m
-    stack.setflags(write=False)
-    rep = UnitaryRep(carrier, dim, stack)
-    if validate:
-        _require_representation(rep)
+    rep = _from_stack(carrier, stack)
+    _require_representation(rep)
     return rep
 
 
+def _from_stack(carrier: CarrierT, stack: np.ndarray) -> UnitaryRep:
+    """The builders' constructor: a UnitaryRep on a fresh (|carrier|, d, d)
+    stack in carrier order, made read-only and not checked."""
+    stack = np.asarray(stack, dtype=complex)
+    stack.setflags(write=False)
+    return UnitaryRep(carrier, stack.shape[1], stack)
+
+
 def _require_representation(rep: UnitaryRep) -> None:
-    """The checks of `unitary_rep(validate=True)`; temporaries are one element's
+    """The checks of `unitary_rep`; temporaries are one element's
     matrices, or one row's in the all-pairs fallback."""
     tol = LAW_TOL
     carrier, elems, stack = rep.carrier, rep.elements, rep.stack
@@ -307,17 +298,16 @@ def character_rep(chi: Character | SubgroupCharacter) -> UnitaryRep:
         carrier: CarrierT = chi.subgroup
     else:
         carrier = chi.group
-    mats = {g: np.array([[chi.value(g)]]) for g in carrier.elements}
-    return unitary_rep(carrier, mats, validate=False)
+    return _from_stack(carrier, character_table([chi], carrier.elements).reshape(-1, 1, 1))
 
 
 def diagonal_rep(carrier: CarrierT, chars: Sequence[Character | SubgroupCharacter]) -> UnitaryRep:
     """Direct sum of one-dimensional representations, as diagonal matrices."""
-    mats = {
-        g: np.diag([chi.value(g) for chi in chars]).astype(complex)
-        for g in carrier.elements
-    }
-    return unitary_rep(carrier, mats, validate=False)
+    k = len(chars)
+    stack = np.zeros((len(carrier.elements), k, k), dtype=complex)
+    if k:  # the table needs a character to find its group
+        stack[:, np.arange(k), np.arange(k)] = character_table(chars, carrier.elements).T
+    return _from_stack(carrier, stack)
 
 
 def regular_rep(group: Group) -> UnitaryRep:
@@ -331,30 +321,26 @@ def direct_sum(*reps: UnitaryRep) -> UnitaryRep:
     carrier = reps[0].carrier
     if any(r.carrier != carrier for r in reps):
         raise ValueError("direct sum requires a common carrier")
-    mats = {}
-    for g in carrier.elements:
-        blocks = [r.matrix(g) for r in reps]
-        total = sum(r.dim for r in reps)
-        m = np.zeros((total, total), dtype=complex)
-        at = 0
-        for b in blocks:
-            m[at : at + b.shape[0], at : at + b.shape[0]] = b
-            at += b.shape[0]
-        mats[g] = m
-    return unitary_rep(carrier, mats, validate=False)
+    total = sum(r.dim for r in reps)
+    stack = np.zeros((len(carrier.elements), total, total), dtype=complex)
+    at = 0
+    for r in reps:
+        stack[:, at : at + r.dim, at : at + r.dim] = r.stack
+        at += r.dim
+    return _from_stack(carrier, stack)
 
 
 def conjugate_rep(rep: UnitaryRep, u: np.ndarray) -> UnitaryRep:
     """Conjugate every matrix by a fixed unitary u."""
-    mats = {g: u @ rep.matrix(g) @ u.conj().T for g in rep.elements}
-    return unitary_rep(rep.carrier, mats, validate=False)
+    return _from_stack(rep.carrier, u @ rep.stack @ u.conj().T)
 
 
 def restrict_rep(rep: UnitaryRep, sub: Subgroup) -> UnitaryRep:
     """Restriction of a group representation to a subgroup carrier."""
     if not isinstance(rep.carrier, Group) or sub.parent != rep.carrier:
         raise ValueError("can only restrict a full-group representation to its subgroup")
-    return unitary_rep(sub, {h: rep.matrix(h) for h in sub.elements}, validate=False)
+    row = {g: i for i, g in enumerate(rep.elements)}
+    return _from_stack(sub, rep.stack[[row[h] for h in sub.elements]])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -452,15 +438,25 @@ def isotypical_projector(rep: RepT, chi: Character | SubgroupCharacter) -> np.nd
     The character coefficient enters conjugated, so the projector averages the
     action against chi and is idempotent and Hermitian for unitary input.
     """
-    return _projector(rep, _character_row(rep, chi))
+    return _projectors(rep, _character_row(rep, chi)[None])[0]
 
 
-def _projector(rep: RepT, values: np.ndarray) -> np.ndarray:
-    """The isotypical projector of the character with these values in carrier order."""
-    acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for g, value in zip(rep.elements, values):
-        acc += np.conj(value) * rep.matrix(g)
-    return acc / len(rep.elements)
+def _projectors(rep: RepT, table: np.ndarray) -> np.ndarray:
+    """The projectors sum_g conj(chi(g)) U(g) / |G|, one per row chi of a
+    (k, |G|) block of character values in carrier order, as (k, d, d).
+
+    A dense stack takes one matrix product.  A MonomialRep takes one g-major
+    scatter of the weighted phases, so each entry adds its terms in carrier
+    order, as a loop over the elements would, and no dense stack is built."""
+    n, d = len(rep.elements), rep.dim
+    if isinstance(rep, MonomialRep):
+        out = np.zeros((len(table), d, d), dtype=complex)
+        at = (np.arange(len(table))[:, None, None], rep.perm, np.arange(d))
+        np.add.at(out, at, table.conj()[:, :, None] * rep.phase)
+    else:
+        out = (table.conj() @ rep.stack.reshape(n, d * d)).reshape(len(table), d, d)
+    out /= n
+    return out
 
 
 def _orbit_sums(rep: MonomialRep, chi: Character | SubgroupCharacter):
@@ -569,16 +565,6 @@ class MultiplicityVector:
         return tuple(k for k, _ in self.entries)
 
 
-def _dense_stack(rep: RepT) -> np.ndarray:
-    """The (|G|, d, d) matrices of a representation in carrier order."""
-    if isinstance(rep, UnitaryRep):
-        return rep.stack
-    n, d = rep.perm.shape
-    stack = np.zeros((n, d, d), dtype=complex)
-    stack[np.arange(n)[:, None], rep.perm, np.arange(d)] = rep.phase
-    return stack
-
-
 def _char_sort_key(chi: Character | SubgroupCharacter):
     if isinstance(chi, SubgroupCharacter):
         return chi.representative.exponents
@@ -589,10 +575,9 @@ def decompose(rep: RepT) -> MultiplicityVector:
     """Multiplicity of every carrier character, via projector ranks.
 
     The character table of the carrier (one row per character, in dual
-    order) gives every isotypical projector at once, as
-    conj(table) @ stack / |G| with the (|G|, d, d) stack flattened to
-    (|G|, d^2); the batch is exactly the size of the stack, since a finite
-    abelian group has as many characters as elements.  One batched SVD gives
+    order) gives every isotypical projector at once through `_projectors`;
+    the batch is exactly the size of the stack, since a finite abelian group
+    has as many characters as elements.  One batched SVD gives
     all their singular values, and each rank is cut by `numerical_rank`'s
     rule.  The characters are then decided in dual order: an ambiguous rank
     raises AmbiguousRankError, and a rank that differs from the trace oracle
@@ -603,10 +588,7 @@ def decompose(rep: RepT) -> MultiplicityVector:
     dual = carrier_dual(rep.carrier)
     table = character_table(dual, rep.elements)
     traces = rep.traces
-    n, d = len(rep.elements), rep.dim
-    projectors = table.conj() @ _dense_stack(rep).reshape(n, d * d)
-    projectors /= n
-    singular = np.linalg.svd(projectors.reshape(n, d, d), compute_uv=False)
+    singular = np.linalg.svd(_projectors(rep, table), compute_uv=False)
     for chi, values, s in zip(dual, table, singular):
         mult = _rank_cut(s)
         expected = _trace_multiplicity(values, traces)
@@ -624,6 +606,15 @@ def decompose(rep: RepT) -> MultiplicityVector:
             f"multiplicities sum to {mv.total}, dimension is {rep.dim}"
         )
     return mv
+
+
+def _group_average(target: RepT, x: np.ndarray, source: RepT) -> np.ndarray:
+    """The two-sided average sum_h T(h) x S(h)^* / |H| over the elements h of
+    T's carrier, summed one matrix at a time in carrier order; S = source may
+    act on a larger carrier."""
+    return sum(
+        target.matrix(h) @ x @ source.matrix(h).conj().T for h in target.elements
+    ) / len(target.elements)
 
 
 def _commutators(target: RepT, f: np.ndarray, source: RepT | None):
@@ -751,15 +742,14 @@ def induce(rep: UnitaryRep, gamma: Group) -> UnitaryRep:
     representation; the dimension is the index times dim(rep).
     """
     reps_, locate = coset_table(gamma, _as_subgroup(rep.carrier, gamma))
-    r, d = len(reps_), rep.dim
-    mats = {}
-    for g in gamma.elements:
-        m = np.zeros((r * d, r * d), dtype=complex)
-        for i, x in enumerate(reps_):
-            j, h = locate[gamma.op(g, x)]
-            m[j * d : (j + 1) * d, i * d : (i + 1) * d] = rep.matrix(h)
-        mats[g] = m
-    return unitary_rep(gamma, mats, validate=False)
+    n, r, d = gamma.order, len(reps_), rep.dim
+    row = {h: i for i, h in enumerate(rep.elements)}
+    # g x_i = x_j h: block (j, i) of U(g) is rep(h)
+    at = [locate[gamma.op(g, x)] for g in gamma.elements for x in reps_]
+    j, h = np.moveaxis(np.array([(c, row[e]) for c, e in at]).reshape(n, r, 2), 2, 0)
+    stack = np.zeros((n, r, d, r, d), dtype=complex)
+    stack[np.arange(n)[:, None], j, :, np.arange(r), :] = rep.stack[h]
+    return _from_stack(gamma, stack.reshape(n, r * d, r * d))
 
 
 def frobenius_invariant_map(rep: UnitaryRep, gamma: Group, xi: np.ndarray):
@@ -812,9 +802,7 @@ def frobenius_hom_map(
     require_intertwining(
         "map does not intertwine the subgroup actions", target, f, source, tol=LAW_TOL
     )
-    averaged = sum(
-        target.matrix(h) @ f @ source.matrix(gamma.inv(h)) for h in sub.elements
-    ) / sub.order
+    averaged = _group_average(target, f, source)
     reps_ = coset_transversal(gamma, sub)
     blocks = [averaged @ source.matrix(gamma.inv(x)) for x in reps_]
     return np.vstack(blocks)
@@ -842,14 +830,10 @@ def intertwiner_basis(source: UnitaryRep, target: UnitaryRep) -> list[np.ndarray
     if source.carrier.elements != target.carrier.elements:
         raise ValueError("intertwiners need a common carrier element set")
     ds, dt = source.dim, target.dim
-    rows = []
-    eye_s = np.eye(ds)
-    eye_t = np.eye(dt)
-    for g in source.elements:
-        # row-major vec: vec(A f B) = (A kron B^T) vec(f)
-        rows.append(np.kron(eye_t, source.matrix(g).T) - np.kron(target.matrix(g), eye_s))
-    stacked = np.vstack(rows)
-    null = null_space_basis(stacked)
+    eye_s, eye_t = np.eye(ds), np.eye(dt)
+    # row-major vec: vec(A f B) = (A kron B^T) vec(f)
+    rows = [np.kron(eye_t, s.T) - np.kron(t, eye_s) for s, t in zip(source.stack, target.stack)]
+    null = null_space_basis(np.vstack(rows))
     return [null[:, i].reshape(dt, ds) for i in range(null.shape[1])]
 
 

@@ -182,29 +182,29 @@ def group_doc(group: Group) -> dict:
     return {"orders": list(group.orders)}
 
 
-def load_rep(doc: Any, path: str = "") -> UnitaryRep:
-    node = _as_dict(doc, path or "/")
-    group = load_group(_need(node, "group", path), f"{path}/group")
-    dim = _as_int(_need(node, "dim", path), f"{path}/dim")
-    mats_doc = _as_dict(_need(node, "matrices", path), f"{path}/matrices")
+def load_rep(doc: Any) -> UnitaryRep:
+    node = _as_dict(doc, "/")
+    group = load_group(_need(node, "group", ""), "/group")
+    dim = _as_int(_need(node, "dim", ""), "/dim")
+    mats_doc = _as_dict(_need(node, "matrices", ""), "/matrices")
     mats: dict[ElementT, np.ndarray] = {}
     for key, mnode in mats_doc.items():
-        g = parse_element_key(key, group, f"{path}/matrices/{key}")
-        m = parse_matrix(mnode, f"{path}/matrices/{key}")
+        g = parse_element_key(key, group, f"/matrices/{key}")
+        m = parse_matrix(mnode, f"/matrices/{key}")
         if m.shape != (dim, dim):
             raise InputDocumentError(
-                f"{path}/matrices/{key}", f"shape {m.shape}, declared dim {dim}"
+                f"/matrices/{key}", f"shape {m.shape}, declared dim {dim}"
             )
         mats[g] = m
     missing = [g for g in group.elements if g not in mats]
     if missing:
         raise InputDocumentError(
-            f"{path}/matrices", f"missing matrix for element {element_key(missing[0])!r}"
+            "/matrices", f"missing matrix for element {element_key(missing[0])!r}"
         )
     try:
         return unitary_rep(group, mats)
     except ValueError as exc:
-        raise InputDocumentError(f"{path}/matrices", str(exc))
+        raise InputDocumentError("/matrices", str(exc))
 
 
 def rep_doc(rep: UnitaryRep) -> dict:
@@ -217,26 +217,26 @@ def rep_doc(rep: UnitaryRep) -> dict:
     }
 
 
-def load_induction(doc: Any, path: str = "") -> tuple[Group, Subgroup, SubgroupCharacter]:
+def load_induction(doc: Any) -> tuple[Group, Subgroup, SubgroupCharacter]:
     """Parse an induce document: a group, subgroup generators and the exponents
     of a full-group character, which is restricted to the generated subgroup.
     Residues and exponents must be integers; they are reduced modulo the orders."""
-    node = _as_dict(doc, path or "/")
-    group = load_group(_need(node, "group", path), f"{path}/group")
-    gens_node = _need(node, "subgroup_generators", path)
+    node = _as_dict(doc, "/")
+    group = load_group(_need(node, "group", ""), "/group")
+    gens_node = _need(node, "subgroup_generators", "")
     if not isinstance(gens_node, list):
-        raise InputDocumentError(f"{path}/subgroup_generators", "expected an array of elements")
+        raise InputDocumentError("/subgroup_generators", "expected an array of elements")
     gens = []
     for i, g in enumerate(gens_node):
-        at = f"{path}/subgroup_generators/{i}"
+        at = f"/subgroup_generators/{i}"
         if not isinstance(g, list) or len(g) != group.rank:
             raise InputDocumentError(at, f"expected {group.rank} residues")
         gens.append([_as_int(x, f"{at}/{j}") for j, x in enumerate(g)])
-    exps = _need(node, "character_exponents", path)
+    exps = _need(node, "character_exponents", "")
     if not isinstance(exps, list) or len(exps) != group.rank:
-        raise InputDocumentError(f"{path}/character_exponents", f"expected {group.rank} exponents")
+        raise InputDocumentError("/character_exponents", f"expected {group.rank} exponents")
     chi = character(
-        group, [_as_int(x, f"{path}/character_exponents/{j}") for j, x in enumerate(exps)]
+        group, [_as_int(x, f"/character_exponents/{j}") for j, x in enumerate(exps)]
     )
     sub = subgroup_from_generators(group, gens)
     return group, sub, SubgroupCharacter(sub, chi)
@@ -261,7 +261,7 @@ def multiplicity_doc(mv: MultiplicityVector) -> dict:
 # bundles and symbols
 
 
-def load_bundle(doc: Any, path: str = "") -> tuple[EquivariantSampleBundle, SymbolField | None]:
+def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
     """Parse a bundle document, with its symbol when present.
 
     A document with "fiber_dim_out"/"transport_out" describes a morphism
@@ -270,74 +270,74 @@ def load_bundle(doc: Any, path: str = "") -> tuple[EquivariantSampleBundle, Symb
     off-diagonally (its adjoint in the upper corner), so a rectangular symbol
     is elliptic exactly when the folded square one is.
     """
-    node = _as_dict(doc, path or "/")
-    group = load_group(_need(node, "group", path), f"{path}/group")
+    node = _as_dict(doc, "/")
+    group = load_group(_need(node, "group", ""), "/group")
 
-    pts_node = _as_list(_need(node, "points", path), f"{path}/points")
+    pts_node = _as_list(_need(node, "points", ""), "/points")
     points: list[str] = []
     for i, p in enumerate(pts_node):
         if not isinstance(p, str):
-            raise InputDocumentError(f"{path}/points/{i}", "point ids are strings")
+            raise InputDocumentError(f"/points/{i}", "point ids are strings")
         if p in points:
-            raise InputDocumentError(f"{path}/points/{i}", f"duplicate point id {p!r}")
+            raise InputDocumentError(f"/points/{i}", f"duplicate point id {p!r}")
         points.append(p)
 
-    base_node = _as_dict(_need(node, "base", path), f"{path}/base")
+    base_node = _as_dict(_need(node, "base", ""), "/base")
     base: dict[str, str] = {}
     for p in points:
         if p not in base_node:
-            raise InputDocumentError(f"{path}/base/{p}", "missing")
+            raise InputDocumentError(f"/base/{p}", "missing")
         if not isinstance(base_node[p], str):
-            raise InputDocumentError(f"{path}/base/{p}", "labels are strings")
+            raise InputDocumentError(f"/base/{p}", "labels are strings")
         base[p] = base_node[p]
 
     def load_point_ints(field: str) -> dict[str, int]:
-        fd_node = _as_dict(_need(node, field, path), f"{path}/{field}")
+        fd_node = _as_dict(_need(node, field, ""), f"/{field}")
         out = {}
         for p in points:
             if p not in fd_node:
-                raise InputDocumentError(f"{path}/{field}/{p}", "missing")
-            v = _as_int(fd_node[p], f"{path}/{field}/{p}")
+                raise InputDocumentError(f"/{field}/{p}", "missing")
+            v = _as_int(fd_node[p], f"/{field}/{p}")
             if v < 1:
-                raise InputDocumentError(f"{path}/{field}/{p}", "dimensions are positive")
+                raise InputDocumentError(f"/{field}/{p}", "dimensions are positive")
             out[p] = v
         return out
 
-    action_node = _as_dict(_need(node, "action", path), f"{path}/action")
+    action_node = _as_dict(_need(node, "action", ""), "/action")
     action: dict[tuple[ElementT, str], str] = {}
     for g in group.elements:
         key = element_key(g)
         if key not in action_node:
-            raise InputDocumentError(f"{path}/action/{key}", "missing")
-        table = _as_dict(action_node[key], f"{path}/action/{key}")
+            raise InputDocumentError(f"/action/{key}", "missing")
+        table = _as_dict(action_node[key], f"/action/{key}")
         for p in points:
             if p not in table:
-                raise InputDocumentError(f"{path}/action/{key}/{p}", "missing")
+                raise InputDocumentError(f"/action/{key}/{p}", "missing")
             q = table[p]
             if not isinstance(q, str) or q not in base:
                 raise InputDocumentError(
-                    f"{path}/action/{key}/{p}", f"image {q!r} is not a point"
+                    f"/action/{key}/{p}", f"image {q!r} is not a point"
                 )
             action[(g, p)] = q
     for key in action_node:
-        parse_element_key(key, group, f"{path}/action/{key}")
+        parse_element_key(key, group, f"/action/{key}")
 
     def load_transport(field: str, dims_from: dict[str, int], dims_to: dict[str, int]):
-        t_node = _as_dict(_need(node, field, path), f"{path}/{field}")
+        t_node = _as_dict(_need(node, field, ""), f"/{field}")
         out: dict[tuple[ElementT, str], np.ndarray] = {}
         for g in group.elements:
             key = element_key(g)
             if key not in t_node:
-                raise InputDocumentError(f"{path}/{field}/{key}", "missing")
-            table = _as_dict(t_node[key], f"{path}/{field}/{key}")
+                raise InputDocumentError(f"/{field}/{key}", "missing")
+            table = _as_dict(t_node[key], f"/{field}/{key}")
             for p in points:
                 if p not in table:
-                    raise InputDocumentError(f"{path}/{field}/{key}/{p}", "missing")
-                m = parse_matrix(table[p], f"{path}/{field}/{key}/{p}")
+                    raise InputDocumentError(f"/{field}/{key}/{p}", "missing")
+                m = parse_matrix(table[p], f"/{field}/{key}/{p}")
                 want = (dims_to[action[(g, p)]], dims_from[p])
                 if m.shape != want:
                     raise InputDocumentError(
-                        f"{path}/{field}/{key}/{p}", f"shape {m.shape}, expected {want}"
+                        f"/{field}/{key}/{p}", f"shape {m.shape}, expected {want}"
                     )
                 out[(g, p)] = m
         return out
@@ -366,17 +366,17 @@ def load_bundle(doc: Any, path: str = "") -> tuple[EquivariantSampleBundle, Symb
 
     if "symbol" not in node:
         return bundle, None
-    sym_node = _as_dict(node["symbol"], f"{path}/symbol")
+    sym_node = _as_dict(node["symbol"], "/symbol")
     values: dict[str, np.ndarray] = {}
     for p in points:
         if p not in sym_node:
-            raise InputDocumentError(f"{path}/symbol/{p}", "missing")
-        m = parse_matrix(sym_node[p], f"{path}/symbol/{p}")
+            raise InputDocumentError(f"/symbol/{p}", "missing")
+        m = parse_matrix(sym_node[p], f"/symbol/{p}")
         if two_bundle:
             want = (fiber_out[p], fiber_dim[p])
             if m.shape != want:
                 raise InputDocumentError(
-                    f"{path}/symbol/{p}", f"shape {m.shape}, expected {want}"
+                    f"/symbol/{p}", f"shape {m.shape}, expected {want}"
                 )
             d = fiber_dim[p] + fiber_out[p]
             folded = np.zeros((d, d), dtype=complex)
@@ -387,7 +387,7 @@ def load_bundle(doc: Any, path: str = "") -> tuple[EquivariantSampleBundle, Symb
             want = (fiber_dim[p], fiber_dim[p])
             if m.shape != want:
                 raise InputDocumentError(
-                    f"{path}/symbol/{p}", f"shape {m.shape}, expected {want}"
+                    f"/symbol/{p}", f"shape {m.shape}, expected {want}"
                 )
             values[p] = m
     return bundle, symbol_field(bundle, values)

@@ -1,6 +1,7 @@
 """Shared helpers: group enumeration, trace-based multiplicity oracles and
-loop references for the batched representation and bundle checks and the
-flat report writer."""
+loop references for the batched representation and bundle checks, the stack
+builders, projectors and group averages, the subgroup lattice and the flat
+report writer."""
 
 import itertools
 import json
@@ -12,11 +13,16 @@ import equifred.reps
 from equifred import (
     InternalInconsistencyError,
     MultiplicityVector,
+    Subgroup,
     SubgroupCharacter,
     carrier_dual,
+    full_subgroup,
     numerical_rank,
+    subgroup_from_generators,
+    trivial_subgroup,
 )
 from equifred.bundles import BundleValidation, Violation
+from equifred.groups import coset_table
 
 
 def _partitions(n):
@@ -309,3 +315,62 @@ def _reference_write(obj, out, indent):
         out.append(pad + "}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_projector(rep, chi):
+    """The per-element loop that `reps._projectors` replaced: the projector of
+    chi accumulated one matrix at a time in carrier order, then divided by |G|."""
+    acc = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for g in rep.elements:
+        acc += np.conj(chi.value(g)) * rep.matrix(g)
+    return acc / len(rep.elements)
+
+
+def reference_induce(rep, gamma):
+    """The double loop that the one-gather `induce` replaced, as a (|G|, n, n)
+    stack in carrier order: block (j, i) of U(g) is rep(h) where g x_i = x_j h."""
+    sub = rep.carrier if isinstance(rep.carrier, Subgroup) else full_subgroup(gamma)
+    reps_, locate = coset_table(gamma, sub)
+    r, d = len(reps_), rep.dim
+    out = np.zeros((gamma.order, r * d, r * d), dtype=complex)
+    for k, g in enumerate(gamma.elements):
+        for i, x in enumerate(reps_):
+            j, h = locate[gamma.op(g, x)]
+            out[k, j * d : (j + 1) * d, i * d : (i + 1) * d] = rep.matrix(h)
+    return out
+
+
+def reference_symbol_average(rep, raw):
+    """The average `random_symbol` wrote out: sum_h U(h) raw U(h)^* / |H|, one
+    matrix at a time in carrier order."""
+    return sum(rep.matrix(h) @ raw @ rep.matrix(h).conj().T for h in rep.elements) / len(
+        rep.elements
+    )
+
+
+def reference_frobenius_average(f, source, target):
+    """The average `frobenius_hom_map` wrote out, with S(-h) for S(h)^*:
+    sum_h T(h) f S(-h) / |H| over the subgroup carrier of T."""
+    gamma = source.carrier
+    return sum(
+        target.matrix(h) @ f @ source.matrix(gamma.inv(h)) for h in target.elements
+    ) / len(target.elements)
+
+
+def reference_all_subgroups(group):
+    """The closure that `groups.all_subgroups` replaced: each H + g closed by
+    `subgroup_from_generators` over every element of H and g."""
+    seen = {trivial_subgroup(group).elements}
+    frontier = [trivial_subgroup(group)]
+    while frontier:
+        sub = frontier.pop()
+        for g in group.elements:
+            if sub.contains(g):
+                continue
+            bigger = subgroup_from_generators(group, sub.elements + (g,))
+            if bigger.elements not in seen:
+                seen.add(bigger.elements)
+                frontier.append(bigger)
+    subs = [Subgroup(group, els) for els in seen]
+    subs.sort(key=lambda s: (s.order, s.elements))
+    return tuple(subs)

@@ -31,7 +31,6 @@ from equifred import (
     regular_rep,
     restrict_rep,
     subgroup_from_generators,
-    unitary_rep,
 )
 from equifred.lab import reflection_circle_rep
 from helpers import reference_decompose
@@ -118,7 +117,7 @@ def test_an_ambiguous_rank_names_the_same_first_character():
     # the trivial projector diag(1, 1e-8) has a singular value on the cut
     g = make_group((2,))
     mats = {(0,): np.eye(2), (1,): np.diag([1.0, -1.0 + 2e-8])}
-    _, err = _same_as_reference(unitary_rep(g, mats, validate=False))
+    _, err = _same_as_reference(equifred.reps._from_stack(g, [mats[x] for x in g.elements]))
     assert err == (
         AmbiguousRankError, "singular value 1.000e-08 within a factor 10 of cut 1.000e-08"
     )
@@ -130,7 +129,7 @@ def test_a_later_ambiguous_rank_is_reported_after_earlier_characters_pass():
     g = make_group((3,))
     chi0, chi1, chi2 = dual_characters(g)
     mats = {x: np.array([[chi1.value(x) + 1e-8 * chi2.value(x)]]) for x in g.elements}
-    rep = unitary_rep(g, mats, validate=False)
+    rep = equifred.reps._from_stack(g, [mats[x] for x in g.elements])
     assert equifred.reps._trace_multiplicity(
         np.array([chi1.value(x) for x in g.elements]), rep.traces
     ) == 1
@@ -159,7 +158,7 @@ def test_a_trace_oracle_disagreement_names_the_same_character(monkeypatch):
 def test_a_non_integral_trace_oracle_is_refused_by_both_routes():
     g = make_group((2,))
     mats = {(0,): np.eye(2), (1,): np.diag([1.0, np.exp(0.3j)])}
-    _, err = _same_as_reference(unitary_rep(g, mats, validate=False))
+    _, err = _same_as_reference(equifred.reps._from_stack(g, [mats[x] for x in g.elements]))
     assert err[0] is InternalInconsistencyError and "non-integral" in err[1]
 
 

@@ -568,3 +568,19 @@ def test_decompose_of_fiber_reps_consistent_along_orbit():
     for orb in orbits(b):
         tables = [decompose(fiber_rep(b, p)).entries for p in orb]
         assert all(t == tables[0] for t in tables)
+
+
+MARGIN_BUNDLE = random_bundle(make_group((2, 2)), np.random.default_rng(5), n_orbits=2)
+MARGIN_SYMBOL = random_symbol(MARGIN_BUNDLE, np.random.default_rng(6), shift=3.0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+@pytest.mark.parametrize("check", [
+    lambda tol: alpha_elliptic_check(
+        MARGIN_SYMBOL, dual_characters(MARGIN_BUNDLE.group)[0], tol=tol),
+    lambda tol: pointwise_invertible(MARGIN_SYMBOL, tol=tol),
+], ids=["alpha_elliptic_check", "pointwise_invertible"])
+def test_a_margin_that_is_not_finite_and_positive_is_refused(check, tol):
+    check(1e-8)  # the symbol is fine at the default margin
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        check(tol)

@@ -266,22 +266,37 @@ def test_grid_sizes_over_the_memory_ceiling_are_refused_at_once(capsys, argv):
     assert "ceiling" in err and "Traceback" not in err
 
 
-def test_grid_verbs_emit_no_warnings():
-    """bvp for every boundary pair and sweep for every family and isotype, at
-    their default sizes, with every warning an error."""
+def test_every_verb_emits_no_warnings():
+    """bvp for every boundary pair and sweep for every family and isotype at
+    their default sizes, check and prim on the bundle fixtures, decompose and
+    induce on theirs, with every warning an error.  Only the corrupted
+    bundle writes to stderr, and only its input-error lines."""
     jobs = [["bvp", "--bc", bc] for bc in ("d,d", "n,n", "d,n", "n,d")] + [
         ["sweep", "--family", family, "--alpha", alpha]
         for family in ("reflection_laplacian", "degenerate_even", "zero")
         for alpha in ("0", "1")
     ]
+    bundles = ("bundle_bad_transport", "bundle_fixed_points", "bundle_free_orbit",
+               "bundle_two_fiber")
+    for name in bundles:
+        doc = str(DATA / f"{name}.json")
+        jobs += [["check", "--input", doc, "--alpha", "0"],
+                 ["check", "--input", doc, "--alpha", "1"], ["prim", "--input", doc]]
+    jobs += [["decompose", "--input", str(DATA / "rep_z3_regular.json")],
+             ["induce", "--input", str(DATA / "induce_z4_sign.json")]]
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from equifred.cli import main\n"
-        "codes = []\n"
+        "runs = []\n"
         f"for argv in {jobs!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        codes.append(main(argv))\n"
-        "print(codes)\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except SystemExit as exc:  # a bundle that fails validation\n"
+        "            code = exc.code\n"
+        "    runs.append((code, err.getvalue()))\n"
+        "print(json.dumps(runs))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -290,7 +305,13 @@ def test_grid_verbs_emit_no_warnings():
         [sys.executable, "-W", "error", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.stderr == ""
-    assert proc.stdout.strip() == str([0] * 4 + [0, 0, 2, 0, 2, 2])
+    codes, errs = zip(*json.loads(proc.stdout))
+    # per bundle: check --alpha 0, check --alpha 1, prim
+    assert list(codes) == [0] * 4 + [0, 0, 2, 0, 2, 2] + [1, 1, 1] + [2, 0, 0] + [0] * 6 + [0, 0]
+    bad, rest = errs[10:13], errs[:10] + errs[13:]
+    assert all(e and all(line.startswith("input error at /transport/") for line in e.splitlines())
+               for e in bad)
+    assert not any(rest)
 
 
 # ---------------------------------------------------------------------------

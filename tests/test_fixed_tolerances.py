@@ -7,6 +7,8 @@ of `alpha_elliptic_check` and `pointwise_invertible` (the CLI's `check --tol`)
 and the explicit threshold of the internal `reps.require_intertwining`.
 """
 import inspect
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,11 @@ SYM = random_symbol(BUNDLE, np.random.default_rng(6), shift=3.0)
 XP = build_X(BUNDLE)[0][0]
 SEEDS = {p: SYM.value(p) for p in {orb[0] for orb in equifred.orbits(BUNDLE)}}
 
+
+def _fixture(name):
+    return json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+
+
 # (function name, removed keyword, the call without it)
 REMOVED = [
     ("numerical_rank", "rel_tol", lambda **kw: numerical_rank(EYE, **kw)),
@@ -85,6 +92,12 @@ REMOVED = [
     ("alpha_elliptic_check", "equiv_tol", lambda **kw: alpha_elliptic_check(SYM, CHI, **kw)),
     ("alpha_elliptic_check", "gamma0",
      lambda **kw: alpha_elliptic_check(SYM, CHI, **kw)),
+    ("unitary_rep", "validate", lambda **kw: unitary_rep(G, REP.matrices, **kw)),
+    ("load_rep", "path", lambda **kw: serialize.load_rep(serialize.rep_doc(REP), **kw)),
+    ("load_bundle", "path",
+     lambda **kw: serialize.load_bundle(_fixture("bundle_free_orbit"), **kw)),
+    ("load_induction", "path",
+     lambda **kw: serialize.load_induction(_fixture("induce_z4_sign"), **kw)),
 ]
 
 

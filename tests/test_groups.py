@@ -28,7 +28,7 @@ from equifred import (
 )
 from equifred.groups import SubgroupCharacter
 
-from helpers import abelian_orders
+from helpers import abelian_orders, reference_all_subgroups
 
 
 # ---------------------------------------------------------------------------
@@ -428,3 +428,13 @@ def test_lcm_phase_reduction_is_exact():
         value = chi.value(x)
         phase = (5 * x[0] * (lcm // 6) + 3 * x[1] * (lcm // 4)) % lcm
         assert value == pytest.approx(np.exp(2j * np.pi * phase / lcm))
+
+
+@pytest.mark.parametrize("orders", [(2, 2, 2, 2), (4, 4), (6, 6)])
+def test_all_subgroups_matches_the_generator_closure(orders):
+    g = make_group(orders)
+    assert all_subgroups(g) == reference_all_subgroups(g)
+
+
+def test_z8_x_z8_has_37_subgroups():
+    assert len(all_subgroups(make_group((8, 8)))) == 37

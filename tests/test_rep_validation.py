@@ -155,4 +155,4 @@ def test_decompose_refuses_a_non_integral_trace_oracle():
     g = make_group((2,))
     mats = {(0,): np.eye(2), (1,): np.diag([1.0, np.exp(0.3j)])}
     with pytest.raises(InternalInconsistencyError, match="non-integral multiplicity"):
-        decompose(unitary_rep(g, mats, validate=False))
+        decompose(equifred.reps._from_stack(g, [mats[x] for x in g.elements]))
