@@ -22,6 +22,7 @@ from equifred import (
     random_symbol,
     sample_bundle,
     symbol_field,
+    trivial_subgroup,
     validate_bundle,
 )
 
@@ -69,7 +70,7 @@ for exps in ((0,), (1,)):
 # With a free orbit the minimal isotropy is trivial and every alpha sees the
 # whole of X, so all the verdicts collapse to pointwise invertibility.
 rng = np.random.default_rng(21)
-free = random_bundle(G, rng, n_orbits=2, max_fiber_dim=2, ensure_free_orbit=True)
+free = random_bundle(G, rng, n_orbits=2, max_fiber_dim=2, min_isotropy=trivial_subgroup(G))
 fsym = random_symbol(free, rng, shift=1.5)
 inv = pointwise_invertible(fsym)
 verdicts = {exps: alpha_elliptic_check(fsym, character(G, exps)).verdict

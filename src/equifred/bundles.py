@@ -26,7 +26,6 @@ from .groups import (
     associated,
     coset_table,
     full_subgroup,
-    trivial_subgroup,
 )
 from .reps import (
     COMMUTE_TOL,
@@ -296,8 +295,10 @@ def _check_bundle(b: EquivariantSampleBundle) -> BundleValidation:
         right = np.tile(h * n_pts + at_p, group.order)
         whole = (gh[:, None] * n_pts + at_p[None, :]).ravel()
         run = (T.cls[left] * n_cls + T.cls[right]) * n_cls + T.cls[whole]
-        for r in np.unique(run):
-            sel = np.flatnonzero(run == r)
+        # return_inverse keeps np.unique off its hash path, which imports numpy.ma
+        runs, which = np.unique(run, return_inverse=True)
+        for r in range(runs.size):
+            sel = np.flatnonzero(which == r)
             lhs, rhs, want = T.take(left[sel]), T.take(right[sel]), T.take(whole[sel])
             if (lhs.shape[1], rhs.shape[2]) != want.shape[1:]:
                 what = f"cocycle shapes {(lhs.shape[1], rhs.shape[2])} and {want.shape[1:]} differ"
@@ -691,18 +692,15 @@ def random_bundle(
     n_orbits: int | None = None,
     max_fiber_dim: int = 3,
     min_isotropy: Subgroup | None = None,
-    ensure_free_orbit: bool = False,
 ) -> EquivariantSampleBundle:
     """Random valid bundle whose stabilizers all contain a chosen minimal one.
 
     The first orbit realizes the minimal isotropy exactly, so minimal_isotropy
-    is well-defined on the result.  With ensure_free_orbit the minimal
-    isotropy is forced trivial and the first orbit is free.
+    is well-defined on the result.  With min_isotropy=trivial_subgroup(group)
+    the first orbit is free; without min_isotropy the minimal one is drawn.
     """
     subs = all_subgroups(group)
-    if ensure_free_orbit:
-        g0 = trivial_subgroup(group)
-    elif min_isotropy is not None:
+    if min_isotropy is not None:
         g0 = min_isotropy
     else:
         g0 = subs[int(rng.integers(len(subs)))]

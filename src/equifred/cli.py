@@ -31,7 +31,7 @@ from .bundles import (
     prim_enumerate,
     validate_bundle,
 )
-from .groups import character
+from .groups import Group, character
 from .lab import (
     analytic_bvp_spectrum,
     build_fixed_point_degenerate_operator,
@@ -225,7 +225,13 @@ def _check_sizes(sizes, smallest: int, step: int, points_per_n: int) -> None:
             raise _CliError(f"--sizes: {n} needs about {need:.3g} GiB, over the 1 GiB ceiling")
 
 
+def _check_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise _CliError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_bvp(args) -> int:
+    _check_positive("--count", args.count)
     _check_sizes(args.sizes, 4, 1, 4)  # the doubled circle has 2n or 4n points
     tables = []
     for n in args.sizes:
@@ -255,6 +261,8 @@ _SWEEP_FAMILIES = {
 # three-point stencil needs three nodes, and both reflection fixed points are
 # nodes only on an even grid
 _SWEEP_GRIDS = {"reflection_laplacian": (3, 1), "degenerate_even": (2, 2), "zero": (1, 1)}
+# every family acts through reflection_circle_rep
+_SWEEP_GROUP = Group((2,))
 
 
 def cmd_sweep(args) -> int:
@@ -262,11 +270,10 @@ def cmd_sweep(args) -> int:
         raise _CliError(
             f"unknown family {args.family!r}; choose from {sorted(_SWEEP_FAMILIES)}"
         )
-    family = _SWEEP_FAMILIES[args.family]
+    _check_positive("--k", args.k)
     _check_sizes(args.sizes, *_SWEEP_GRIDS[args.family], 1)
-    probe = family(min(args.sizes))
-    alpha = _alpha_for(probe.group_rep.carrier, args.alpha)
-    sweep = fredholm_proxy_sweep(family, alpha, args.sizes, k=args.k)
+    alpha = _alpha_for(_SWEEP_GROUP, args.alpha)
+    sweep = fredholm_proxy_sweep(_SWEEP_FAMILIES[args.family], alpha, args.sizes, k=args.k)
     doc = {
         "family": args.family,
         "alpha": character_doc(sweep.alpha),

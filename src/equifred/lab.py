@@ -28,7 +28,6 @@ import numpy as np
 
 from .groups import Character, Group, character
 from .reps import (
-    COMMUTE_TOL,
     LAW_TOL,
     CooMatrix,
     InternalInconsistencyError,
@@ -62,12 +61,17 @@ def reflection_circle_rep(n: int) -> MonomialRep:
 @dataclass(frozen=True, eq=False)
 class GridOperator:
     """An operator on circle grid functions, as COO triplets, together with its
-    symmetry action."""
+    symmetry action.  It must commute with that action: the defect is checked
+    once, here, to LAW_TOL relative to max(1, |operator|)."""
 
     n: int
     coo: CooMatrix
     group_rep: MonomialRep
     kind: str
+
+    def __post_init__(self):
+        require_intertwining(f"{self.kind} operator does not commute with its action",
+                             self.group_rep, self.coo, tol=LAW_TOL)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -104,8 +108,8 @@ def build_invariant_circle_operator(
     kind is one of "shifted_laplacian" (second-difference Laplacian plus one),
     "potential" (multiplication by a sampled potential), or "composite" (their
     sum).  The action is the order-m rotation or, with action="reflection",
-    the angle flip (m must then be 2).  Non-invariant potentials are rejected:
-    the operator must commute with the action to LAW_TOL relative to its norm.
+    the angle flip (m must then be 2).  Non-invariant potentials are rejected
+    by `GridOperator`.
     """
     if action == "rotation":
         rep = rotation_circle_rep(n, m)
@@ -135,24 +139,12 @@ def build_invariant_circle_operator(
             op = CooMatrix(n, np.r_[j, lap.rows], np.r_[j, lap.cols], np.r_[samples, lap.vals])
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-
-    require_intertwining(
-        f"operator does not commute with the {action} action", rep, op, tol=LAW_TOL
-    )
     return GridOperator(n, op, rep, kind)
 
 
 def isotypical_block(op: GridOperator, alpha: Character) -> np.ndarray:
     """Compress an invariant grid operator to one isotypical block (dense)."""
-    return _checked_block(op, alpha)[1].dense()
-
-
-def _checked_block(op: GridOperator, alpha: Character) -> tuple[np.ndarray, CooMatrix]:
-    """`monomial_block` after the commutation check of `reps.pi_alpha_restrict`."""
-    require_intertwining(
-        "matrix does not commute with the action", op.group_rep, op.coo, tol=COMMUTE_TOL
-    )
-    return monomial_block(op.group_rep, op.coo, alpha)
+    return monomial_block(op.group_rep, op.coo, alpha)[1].dense()
 
 
 def build_fixed_point_degenerate_operator(n: int) -> GridOperator:
@@ -281,33 +273,22 @@ def _spectral_radius_bound(diag: np.ndarray, off2: np.ndarray) -> float:
     return float(radius.max(initial=0.0))
 
 
-def _tridiagonal_lowest(diag: np.ndarray, off2: np.ndarray, count: int) -> np.ndarray:
-    """The `count` lowest eigenvalues, each the midpoint of a Sturm bracket
-    at most eps * |T| wide."""
+def _tridiagonal_eigenvalues(diag: np.ndarray, off2: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The eigenvalues of ranks `index` (0 the lowest), each the midpoint of a
+    Sturm bracket at most eps * |T| wide (of width 0 when T = 0)."""
     bound = _spectral_radius_bound(diag, off2)
-    if bound == 0.0:
-        return np.zeros(count)
     lo, hi = _multisection(
-        lambda x: _sturm_counts(diag, off2, x), np.arange(count), -bound, bound,
-        np.finfo(float).eps * bound,
+        lambda x: _sturm_counts(diag, off2, x), index, -bound, bound, np.finfo(float).eps * bound
     )
     return (lo + hi) / 2
 
 
-def _tridiagonal_kth_singular(diag: np.ndarray, off2: np.ndarray, k: int) -> float:
-    """k-th smallest singular value: the k-th smallest |eigenvalue|, found
-    from the number of eigenvalues in [-x, x), the counts at x less those at -x."""
-    bound = _spectral_radius_bound(diag, off2)
-    if bound == 0.0:
-        return 0.0
-
-    def in_window(x):
-        both = _sturm_counts(diag, off2, np.concatenate([x, -x]))
-        return both[: x.size] - both[x.size :]
-
-    lo, hi = _multisection(in_window, np.array([k - 1]), 0.0, bound,
-                           np.finfo(float).eps * bound)
-    return float((lo[0] + hi[0]) / 2)
+def _kth_smallest_modulus(diag: np.ndarray, off2: np.ndarray, k: int) -> float:
+    """k-th smallest |eigenvalue| (singular value), one of the k eigenvalues on
+    either side of 0: one Sturm count at 0 gives their ranks."""
+    below = int(_sturm_counts(diag, off2, np.zeros(1))[0])
+    ranks = np.arange(max(below - k, 0), min(below + k, diag.size))
+    return float(np.sort(np.abs(_tridiagonal_eigenvalues(diag, off2, ranks)))[k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +347,8 @@ def fredholm_proxy_sweep(
         raise ValueError("a sweep needs at least two distinct sizes")
     values = []
     for n in sizes:
-        leads, block = _checked_block(family(n), alpha)
+        op = family(n)
+        leads, block = monomial_block(op.group_rep, op.coo, alpha)
         if block.size < k:
             raise ValueError(f"alpha-block at n={n} has dimension {block.size} < k={k}")
         tri = _hermitian_tridiagonal(leads, block)
@@ -374,7 +356,7 @@ def fredholm_proxy_sweep(
             s = np.linalg.svd(block.dense(), compute_uv=False)
             values.append(float(np.sort(s)[k - 1]))
         else:
-            values.append(_tridiagonal_kth_singular(*tri, k))
+            values.append(_kth_smallest_modulus(*tri, k))
     return RefinementSweep(alpha, k, sizes, tuple(values), _sweep_verdict(values))
 
 
@@ -509,7 +491,7 @@ def mixed_bvp_spectrum(problem: DoubledProblem, count: int) -> np.ndarray:
     tri = _hermitian_tridiagonal(leads, block)
     if tri is None:
         raise InternalInconsistencyError("the compressed doubled Laplacian is not tridiagonal")
-    return _tridiagonal_lowest(*tri, count)
+    return _tridiagonal_eigenvalues(*tri, np.arange(count))
 
 
 def analytic_bvp_spectrum(bc: Sequence[str], count: int) -> np.ndarray:

@@ -45,6 +45,34 @@ def parse_element_key(key: str, group: Group, path: str) -> ElementT:
     return residues
 
 
+def _element_table(node: Any, group: Group, path: str) -> Mapping:
+    """node as an object with an entry for each element of group, keyed as
+    `element_key` writes it, and no other key (refused as by `_point_table`)."""
+    node = _as_dict(node, path)
+    for g in group.elements:
+        if element_key(g) not in node:
+            raise InputDocumentError(f"{path}/{element_key(g)}", "missing")
+    for key in node:
+        again = element_key(parse_element_key(key, group, f"{path}/{key}"))
+        if again != key:
+            raise InputDocumentError(f"{path}/{key}", f"element key {key!r} repeats {again!r}")
+    return node
+
+
+def _point_table(node: Any, points: Mapping, path: str) -> Mapping:
+    """node as an object with an entry for each point and no other key: the
+    first missing point, or else the first key that is not a point, is
+    refused at its pointer."""
+    node = _as_dict(node, path)
+    for p in points:
+        if p not in node:
+            raise InputDocumentError(f"{path}/{p}", "missing")
+    for key in node:
+        if key not in points:
+            raise InputDocumentError(f"{path}/{key}", f"{key!r} is not a point")
+    return node
+
+
 def _need(doc: Mapping, field: str, path: str) -> Any:
     if field not in doc:
         raise InputDocumentError(f"{path}/{field}", "missing")
@@ -274,65 +302,49 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
     group = load_group(_need(node, "group", ""), "/group")
 
     pts_node = _as_list(_need(node, "points", ""), "/points")
-    points: list[str] = []
+    points: dict[str, None] = {}  # in document order
     for i, p in enumerate(pts_node):
         if not isinstance(p, str):
             raise InputDocumentError(f"/points/{i}", "point ids are strings")
         if p in points:
             raise InputDocumentError(f"/points/{i}", f"duplicate point id {p!r}")
-        points.append(p)
+        points[p] = None
 
-    base_node = _as_dict(_need(node, "base", ""), "/base")
-    base: dict[str, str] = {}
+    base = _point_table(_need(node, "base", ""), points, "/base")
     for p in points:
-        if p not in base_node:
-            raise InputDocumentError(f"/base/{p}", "missing")
-        if not isinstance(base_node[p], str):
+        if not isinstance(base[p], str):
             raise InputDocumentError(f"/base/{p}", "labels are strings")
-        base[p] = base_node[p]
 
     def load_point_ints(field: str) -> dict[str, int]:
-        fd_node = _as_dict(_need(node, field, ""), f"/{field}")
+        fd_node = _point_table(_need(node, field, ""), points, f"/{field}")
         out = {}
         for p in points:
-            if p not in fd_node:
-                raise InputDocumentError(f"/{field}/{p}", "missing")
             v = _as_int(fd_node[p], f"/{field}/{p}")
             if v < 1:
                 raise InputDocumentError(f"/{field}/{p}", "dimensions are positive")
             out[p] = v
         return out
 
-    action_node = _as_dict(_need(node, "action", ""), "/action")
+    action_node = _element_table(_need(node, "action", ""), group, "/action")
     action: dict[tuple[ElementT, str], str] = {}
     for g in group.elements:
         key = element_key(g)
-        if key not in action_node:
-            raise InputDocumentError(f"/action/{key}", "missing")
-        table = _as_dict(action_node[key], f"/action/{key}")
+        table = _point_table(action_node[key], points, f"/action/{key}")
         for p in points:
-            if p not in table:
-                raise InputDocumentError(f"/action/{key}/{p}", "missing")
             q = table[p]
-            if not isinstance(q, str) or q not in base:
+            if not isinstance(q, str) or q not in points:
                 raise InputDocumentError(
                     f"/action/{key}/{p}", f"image {q!r} is not a point"
                 )
             action[(g, p)] = q
-    for key in action_node:
-        parse_element_key(key, group, f"/action/{key}")
 
     def load_transport(field: str, dims_from: dict[str, int], dims_to: dict[str, int]):
-        t_node = _as_dict(_need(node, field, ""), f"/{field}")
+        t_node = _element_table(_need(node, field, ""), group, f"/{field}")
         out: dict[tuple[ElementT, str], np.ndarray] = {}
         for g in group.elements:
             key = element_key(g)
-            if key not in t_node:
-                raise InputDocumentError(f"/{field}/{key}", "missing")
-            table = _as_dict(t_node[key], f"/{field}/{key}")
+            table = _point_table(t_node[key], points, f"/{field}/{key}")
             for p in points:
-                if p not in table:
-                    raise InputDocumentError(f"/{field}/{key}/{p}", "missing")
                 m = parse_matrix(table[p], f"/{field}/{key}/{p}")
                 want = (dims_to[action[(g, p)]], dims_from[p])
                 if m.shape != want:
@@ -366,11 +378,9 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
 
     if "symbol" not in node:
         return bundle, None
-    sym_node = _as_dict(node["symbol"], "/symbol")
+    sym_node = _point_table(node["symbol"], points, "/symbol")
     values: dict[str, np.ndarray] = {}
     for p in points:
-        if p not in sym_node:
-            raise InputDocumentError(f"/symbol/{p}", "missing")
         m = parse_matrix(sym_node[p], f"/symbol/{p}")
         if two_bundle:
             want = (fiber_out[p], fiber_dim[p])

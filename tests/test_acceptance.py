@@ -50,6 +50,7 @@ from equifred import (
     random_symbol,
     restrict_character,
     restrict_rep,
+    trivial_subgroup,
 )
 from equifred.cli import main as cli_main
 from helpers import abelian_orders
@@ -371,7 +372,7 @@ def test_criterion_08_free_action_collapse(capsys):
             group = make_group(classes[int(rng.integers(0, len(classes)))])
             bundle = random_bundle(
                 group, rng, n_orbits=int(rng.integers(1, 3)),
-                max_fiber_dim=3, ensure_free_orbit=True,
+                max_fiber_dim=3, min_isotropy=trivial_subgroup(group),
             )
             if minimal_isotropy(bundle).order != 1:
                 failures.append(f"case {case}: free orbit requested but isotropy is larger")

@@ -547,7 +547,8 @@ def test_random_bundle_is_valid_and_honors_isotropy():
 
 def test_random_bundle_free_orbit():
     rng = np.random.default_rng(55)
-    b = random_bundle(make_group((2, 2)), rng, ensure_free_orbit=True)
+    group = make_group((2, 2))
+    b = random_bundle(group, rng, min_isotropy=trivial_subgroup(group))
     assert minimal_isotropy(b).order == 1
 
 

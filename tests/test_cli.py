@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import equifred.bundles
 import equifred.cli
+import equifred.lab
 import equifred.reps
 from equifred import InternalInconsistencyError
 from equifred.cli import main
@@ -522,6 +523,91 @@ def test_unknown_sweep_family(capsys):
     rc, out, err = run(capsys, "sweep", "--family", "mystery", "--alpha", "0")
     assert rc == 1 and not out
     assert "mystery" in err
+
+
+def _with(doc, pointer, value):
+    """doc with value set at pointer, whose last key is new."""
+    *parents, last = pointer.strip("/").split("/")
+    node = doc
+    for part in parents:
+        node = node[part]
+    assert last not in node
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "fixture, pointer, detail",
+    [
+        (FIXED, "/action/9", "element key '9' is not reduced modulo (2,)"),
+        (FIXED, "/action/x", "element key 'x' is not a residue tuple"),
+        (FIXED, "/action/01", "element key '01' repeats '1'"),
+        (FIXED, "/transport/9", "element key '9' is not reduced modulo (2,)"),
+        (FIXED, "/transport/x", "element key 'x' is not a residue tuple"),
+        (TWO_FIBER, "/transport_out/9", "element key '9' is not reduced modulo (2,)"),
+        (TWO_FIBER, "/transport_out/x", "element key 'x' is not a residue tuple"),
+        (TWO_FIBER, "/transport_out/01", "element key '01' repeats '1'"),
+        (FIXED, "/base/z", "'z' is not a point"),
+        (FIXED, "/fiber_dim/z", "'z' is not a point"),
+        (TWO_FIBER, "/fiber_dim_out/z", "'z' is not a point"),
+        (FIXED, "/symbol/z", "'z' is not a point"),
+        (FIXED, "/action/1/z", "'z' is not a point"),
+        (FIXED, "/transport/1/z", "'z' is not a point"),
+        (TWO_FIBER, "/transport_out/0/z", "'z' is not a point"),
+    ],
+)
+@pytest.mark.parametrize("verb", [("check", "--alpha", "0"), ("prim",)], ids=lambda v: v[0])
+def test_unknown_bundle_keys_are_refused_at_their_pointer(tmp_path, capsys, fixture, pointer,
+                                                          detail, verb):
+    doc = _with(json.loads(Path(fixture).read_text()), pointer, "p0")
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, verb[0], "--input", str(path), *verb[1:])
+    assert rc == 1 and not out
+    assert err == f"input error at {pointer}: {detail}\n"
+
+
+def test_check_and_prim_do_not_load_numpy_ma():
+    script = (
+        "import contextlib, io, sys\n"
+        "from equifred.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['check', '--input', {FIXED!r}, '--alpha', '1']),\n"
+        f"             main(['prim', '--input', {FIXED!r}])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.stdout == "[0, 0] False\n", proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("bvp", "--bc", "d,n", "--count", "0"), "--count"),
+        (("bvp", "--bc", "d,n", "--count", "-2"), "--count"),
+        (("sweep", "--family", "zero", "--alpha", "0", "--k", "0"), "--k"),
+        (("sweep", "--family", "reflection_laplacian", "--alpha", "0", "--k", "-1"), "--k"),
+    ],
+)
+def test_counts_below_one_are_refused_before_anything_is_built(capsys, monkeypatch, argv, flag):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("built a grid")
+
+    for name in ("double_interval_bvp", "reflection_circle_rep"):
+        monkeypatch.setattr(equifred.cli, name, refuse)
+    monkeypatch.setattr(equifred.lab, "require_intertwining", refuse)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and not out
+    assert err == f"input error: {flag} must be at least 1, got {argv[-1]}\n"
+
+
+def test_sweep_families_act_through_the_sweep_group():
+    for name, family in equifred.cli._SWEEP_FAMILIES.items():
+        assert family(8).group_rep.carrier == equifred.cli._SWEEP_GROUP, name
 
 
 def test_bad_boundary_condition_name(capsys):

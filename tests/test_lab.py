@@ -5,6 +5,7 @@ import pytest
 
 from equifred import (
     CooMatrix,
+    GridOperator,
     MonomialRep,
     analytic_bvp_spectrum,
     build_fixed_point_degenerate_operator,
@@ -176,6 +177,25 @@ def test_isotypical_block_rejects_non_invariant():
 
     with pytest.raises(ValueError):
         isotypical_block(GridOperator(8, _coo(broken), op.group_rep, "broken"), TRIV)
+
+
+def test_a_grid_operator_is_checked_once_at_law_tol_when_it_is_made(monkeypatch):
+    import equifred.lab as lab
+    from equifred.reps import COMMUTE_TOL, LAW_TOL, require_intertwining
+
+    op = build_invariant_circle_operator(12, 2, "shifted_laplacian", action="reflection")
+    broken = op.matrix.copy()
+    broken[1, 1] += 1e-9 * np.linalg.norm(broken, 2)  # defect 1e-9 times the norm
+    assert LAW_TOL < 1e-9 < COMMUTE_TOL
+    require_intertwining("", op.group_rep, _coo(broken), tol=COMMUTE_TOL)  # a compression gate
+    with pytest.raises(ValueError, match="broken operator does not commute with its action"):
+        GridOperator(12, _coo(broken), op.group_rep, "broken")
+
+    calls = []
+    monkeypatch.setattr(lab, "require_intertwining",
+                        lambda *a, **kw: calls.append(1) or require_intertwining(*a, **kw))
+    fredholm_proxy_sweep(_laplacian_family, TRIV, (64, 128, 256))
+    assert len(calls) == 3  # once per size, when the family builds the operator
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +507,8 @@ def test_sweep_values_match_the_dense_svd(monkeypatch):
         "degenerate_even": build_fixed_point_degenerate_operator,
     }
     sturm = []
-    counted = lab._tridiagonal_kth_singular
-    monkeypatch.setattr(lab, "_tridiagonal_kth_singular", lambda *a: sturm.append(1) or counted(*a))
+    counted = lab._tridiagonal_eigenvalues
+    monkeypatch.setattr(lab, "_tridiagonal_eigenvalues", lambda *a: sturm.append(1) or counted(*a))
     for name, family in families.items():
         for alpha in (TRIV, SIGN):
             sizes = (64, 128, 256)
@@ -541,8 +561,28 @@ def test_sturm_brackets_hold_the_lowest_eigenvalues():
         )
         assert np.all(hi - lo <= 2 * floor)
         assert np.all(lo - 4 * floor <= ref) and np.all(ref <= hi + 4 * floor)
-        kth = lab._tridiagonal_kth_singular(diag, off2, (k + 1) // 2)
+        kth = lab._kth_smallest_modulus(diag, off2, (k + 1) // 2)
         assert abs(kth - np.sort(np.abs(ref))[(k - 1) // 2]) <= 8 * floor
+
+
+def test_kth_smallest_modulus_matches_the_dense_eigenvalues():
+    import equifred.lab as lab
+
+    rng = np.random.default_rng(11)
+    cases = [
+        (np.zeros(6), np.array([1.0, 0.0, 4.0, 1.0, 0.0])),  # 0 twice, +-1, +-sqrt(5)
+        (np.array([1.0, 0.0, -2.0]), np.array([0.0, 0.0])),  # an exact 0 between signs
+        (np.zeros(4), np.zeros(3)),
+    ]
+    for size in (1, 2, 9, 30):
+        off = rng.standard_normal(size - 1) + 1j * rng.standard_normal(size - 1)
+        off[::4] = 0.0  # decoupled blocks
+        cases.append((rng.standard_normal(size), np.abs(off) ** 2))
+    for diag, off2 in cases:
+        ref = np.sort(np.abs(np.linalg.eigvalsh(_tridiagonal(diag, np.sqrt(off2)))))
+        floor = np.finfo(float).eps * lab._spectral_radius_bound(diag, off2)
+        for k in range(1, diag.size + 1):
+            assert abs(lab._kth_smallest_modulus(diag, off2, k) - ref[k - 1]) <= 8 * floor
 
 
 def test_sturm_counts_pass_exact_zero_pivots_without_warnings():
