@@ -34,7 +34,6 @@ from .reps import (
     _from_stack,
     _group_average,
     _norms_over,
-    carrier_dual,
     decompose,
     isotypical_basis,
     isotypical_projector,
@@ -326,46 +325,58 @@ def require_valid(b: EquivariantSampleBundle) -> None:
 # orbits, isotropy, fibers
 
 
-def orbit_of(b: EquivariantSampleBundle, p: str) -> tuple[str, ...]:
-    return tuple(sorted({b.act(g, p) for g in b.group.elements}))
+def _complete(table: np.ndarray) -> np.ndarray:
+    """The action table, or some of its columns, refused if an entry is missing
+    or not a point (`validate_bundle` locates it)."""
+    if (table < 0).any():
+        raise ValueError("the action has a missing entry or an image that is not a point")
+    return table
+
+
+def _elements(b: EquivariantSampleBundle, at: np.ndarray) -> tuple:
+    return tuple(b.group.elements[g] for g in at)
 
 
 def orbits(b: EquivariantSampleBundle) -> tuple[tuple[str, ...], ...]:
-    """Point orbits, each sorted, listed by their least member."""
-    done: set[str] = set()
-    out = []
-    for p in b.points:
-        if p in done:
-            continue
-        orb = orbit_of(b, p)
-        done.update(orb)
-        out.append(orb)
-    return tuple(out)
+    """Point orbits, each sorted, listed by their least member.
+
+    Read off the action table: the orbit of p is the column A[:, p], so its
+    least member is the column minimum (points are held sorted).
+    """
+    least = _complete(b._action_table).min(axis=0)
+    return tuple(
+        tuple(b.points[i] for i in np.flatnonzero(least == lead))
+        for lead in np.flatnonzero(least == np.arange(len(b.points)))
+    )
 
 
 def isotropy(b: EquivariantSampleBundle, p: str) -> Subgroup:
-    """Stabilizer subgroup of a point."""
-    if p not in b.base:
+    """Stabilizer subgroup of a point: the g with A[g, p] = p."""
+    if p not in b.points:
         raise ValueError(f"{p!r} is not a point of the bundle")
-    fixed = tuple(sorted(g for g in b.group.elements if b.act(g, p) == p))
-    return Subgroup(b.group, fixed)
+    i = b.points.index(p)
+    fixed = np.flatnonzero(_complete(b._action_table[:, i]) == i)
+    return Subgroup(b.group, _elements(b, fixed))
 
 
 def minimal_isotropy(b: EquivariantSampleBundle) -> Subgroup:
     """The smallest stabilizer; it must embed in every other stabilizer.
 
-    On an empty bundle the infimum over no stabilizers is the full group.
+    Every stabilizer is read from one comparison of the action table; the
+    first point with the fewest fixing elements gives the candidate.  On an
+    empty bundle the infimum over no stabilizers is the full group.
     """
-    stabs = {isotropy(b, p) for p in b.points}
-    if not stabs:
+    if not b.points:
         return full_subgroup(b.group)
-    least = min(stabs, key=lambda s: (s.order, s.elements))
-    for s in stabs:
-        if not least.is_subgroup_of(s):
-            raise ModelInconsistencyError(
-                f"stabilizer {least.elements} is not contained in {s.elements}"
-            )
-    return least
+    fixes = _complete(b._action_table) == np.arange(len(b.points))  # g fixes p
+    least = np.flatnonzero(fixes[:, np.argmin(fixes.sum(axis=0))])
+    outside = np.flatnonzero(~fixes[least].all(axis=0))
+    if outside.size:
+        raise ModelInconsistencyError(
+            f"stabilizer {_elements(b, least)} is not contained in "
+            f"{_elements(b, np.flatnonzero(fixes[:, outside[0]]))}"
+        )
+    return Subgroup(b.group, _elements(b, least))
 
 
 def fiber_rep(b: EquivariantSampleBundle, p: str) -> UnitaryRep:
@@ -492,11 +503,6 @@ def _worst_symbol_defect(sym: SymbolField) -> tuple[float, str | None]:
     if not errs.size or not errs[i] > 0.0:
         return 0.0, None
     return float(errs[i]), b.points[i % len(b.points)]
-
-
-def symbol_equivariance_defect(sym: SymbolField) -> float:
-    """Largest deviation from transport-conjugation equivariance, in 2-norm."""
-    return _worst_symbol_defect(sym)[0]
 
 
 def propagate_symbol(

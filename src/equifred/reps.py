@@ -2,9 +2,10 @@
 
 Provides character projectors, multiplicity extraction by numerical rank,
 compression to isotypical blocks in a reproducible basis, induction from a
-subgroup realized on a fixed coset transversal, the two averaging maps between
-invariants/homomorphism spaces, and the kernel/image split of the isotypical
-compression on induced endomorphism algebras.
+subgroup realized on a fixed coset transversal, the Frobenius reciprocity map
+`frobenius_hom_map` from subgroup intertwiners to maps into the induction, and
+the kernel/image split of the isotypical compression on induced endomorphism
+algebras.
 
 A representation is either dense (`UnitaryRep`, one matrix per element) or
 monomial (`MonomialRep`, one permutation with unit phases per element).  The
@@ -316,20 +317,6 @@ def regular_rep(group: Group) -> UnitaryRep:
     return induce(character_rep(carrier_dual(trivial_subgroup(group))[0]), group)
 
 
-def direct_sum(*reps: UnitaryRep) -> UnitaryRep:
-    """Block-diagonal direct sum of representations of the same carrier."""
-    carrier = reps[0].carrier
-    if any(r.carrier != carrier for r in reps):
-        raise ValueError("direct sum requires a common carrier")
-    total = sum(r.dim for r in reps)
-    stack = np.zeros((len(carrier.elements), total, total), dtype=complex)
-    at = 0
-    for r in reps:
-        stack[:, at : at + r.dim, at : at + r.dim] = r.stack
-        at += r.dim
-    return _from_stack(carrier, stack)
-
-
 def conjugate_rep(rep: UnitaryRep, u: np.ndarray) -> UnitaryRep:
     """Conjugate every matrix by a fixed unitary u."""
     return _from_stack(rep.carrier, u @ rep.stack @ u.conj().T)
@@ -617,20 +604,6 @@ def _group_average(target: RepT, x: np.ndarray, source: RepT) -> np.ndarray:
     ) / len(target.elements)
 
 
-def _commutators(target: RepT, f: np.ndarray, source: RepT | None):
-    """T(g) f - f S(g) for every g of T's carrier (S = source, or T).
-
-    Only the elements of T's carrier are visited; S may act on a larger one."""
-    source = target if source is None else source
-    for g in target.elements:
-        yield target.matrix(g) @ f - f @ source.matrix(g)
-
-
-def equivariance_defect(rep: RepT, m: np.ndarray) -> float:
-    """Largest commutator norm max_g |U(g) m - m U(g)|_2 over the carrier."""
-    return max(float(np.linalg.norm(c, 2)) for c in _commutators(rep, m, None))
-
-
 def require_intertwining(
     what: str,
     target: RepT,
@@ -657,7 +630,12 @@ def require_intertwining(
         if not _over_half(_sparse_commutator_norms(target, f), tol).size:
             return
         f = f.dense()
-    over = [x for c in _commutators(target, f, source) for x in _norms_over(c[None], tol)[1]]
+    source = target if source is None else source
+    # only the elements of T's carrier are visited; S may act on a larger one
+    over = [
+        x for g in target.elements
+        for x in _norms_over((target.matrix(g) @ f - f @ source.matrix(g))[None], tol)[1]
+    ]
     if over and max(over) > tol * max(1.0, float(np.linalg.norm(f, 2))):
         raise ValueError(f"{what} (defect {max(over):.3e})")
 
@@ -752,30 +730,6 @@ def induce(rep: UnitaryRep, gamma: Group) -> UnitaryRep:
     return _from_stack(gamma, stack.reshape(n, r * d, r * d))
 
 
-def frobenius_invariant_map(rep: UnitaryRep, gamma: Group, xi: np.ndarray):
-    """Average a subgroup-invariant vector (or algebra element) into the induction.
-
-    For a vector this returns the block vector with xi repeated over every
-    coset; for a square matrix it returns the block-diagonal operator with xi
-    in every coset block.  Both are exactly the group average of coset
-    translates, and the operator form is multiplicative.  xi must be invariant
-    to LAW_TOL relative to max(1, |xi|).
-    """
-    index = gamma.order // _as_subgroup(rep.carrier, gamma).order
-    xi = np.asarray(xi, dtype=complex)
-    if xi.ndim == 1:
-        if xi.shape != (rep.dim,):
-            raise ValueError(f"vector has length {xi.shape}, representation dim {rep.dim}")
-        # a vector is a map from the trivial character, which comes first
-        trivial = character_rep(carrier_dual(rep.carrier)[0])
-        require_intertwining("vector is not invariant", rep, xi[:, None], trivial, tol=LAW_TOL)
-        return np.tile(xi, index)
-    if xi.shape != (rep.dim, rep.dim):
-        raise ValueError(f"matrix shape {xi.shape} does not match dim {rep.dim}")
-    require_intertwining("matrix is not invariant", rep, xi, tol=LAW_TOL)
-    return np.kron(np.eye(index), xi)
-
-
 def frobenius_hom_map(
     f: np.ndarray,
     source: UnitaryRep,
@@ -845,11 +799,6 @@ def commutant_factors(rep: UnitaryRep) -> tuple:
     this returns the (character, k_j) list sorted by character.
     """
     return tuple(decompose(rep).entries)
-
-
-def commutant_dimension(rep: UnitaryRep) -> int:
-    """Dimension of the commutant by solving the commutation system directly."""
-    return len(intertwiner_basis(rep, rep))
 
 
 @dataclass(frozen=True)

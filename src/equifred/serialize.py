@@ -214,21 +214,14 @@ def load_rep(doc: Any) -> UnitaryRep:
     node = _as_dict(doc, "/")
     group = load_group(_need(node, "group", ""), "/group")
     dim = _as_int(_need(node, "dim", ""), "/dim")
-    mats_doc = _as_dict(_need(node, "matrices", ""), "/matrices")
+    mats_doc = _element_table(_need(node, "matrices", ""), group, "/matrices")
     mats: dict[ElementT, np.ndarray] = {}
-    for key, mnode in mats_doc.items():
-        g = parse_element_key(key, group, f"/matrices/{key}")
-        m = parse_matrix(mnode, f"/matrices/{key}")
+    for g in group.elements:
+        key = element_key(g)
+        m = parse_matrix(mats_doc[key], f"/matrices/{key}")
         if m.shape != (dim, dim):
-            raise InputDocumentError(
-                f"/matrices/{key}", f"shape {m.shape}, declared dim {dim}"
-            )
+            raise InputDocumentError(f"/matrices/{key}", f"shape {m.shape}, declared dim {dim}")
         mats[g] = m
-    missing = [g for g in group.elements if g not in mats]
-    if missing:
-        raise InputDocumentError(
-            "/matrices", f"missing matrix for element {element_key(missing[0])!r}"
-        )
     try:
         return unitary_rep(group, mats)
     except ValueError as exc:

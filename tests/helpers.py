@@ -1,7 +1,7 @@
 """Shared helpers: group enumeration, trace-based multiplicity oracles and
-loop references for the batched representation and bundle checks, the stack
-builders, projectors and group averages, the subgroup lattice and the flat
-report writer."""
+loop references for the batched representation and bundle checks, the orbit
+and stabilizer walks, the stack builders, projectors and group averages, the
+subgroup lattice and the flat report writer."""
 
 import itertools
 import json
@@ -12,6 +12,7 @@ import numpy as np
 import equifred.reps
 from equifred import (
     InternalInconsistencyError,
+    ModelInconsistencyError,
     MultiplicityVector,
     Subgroup,
     SubgroupCharacter,
@@ -213,9 +214,46 @@ def reference_validate_bundle(b, *, tol=1e-10):
     return BundleValidation(tuple(out))
 
 
+def reference_orbits(b):
+    """The `act` walks that the action-table `orbits` replaced: the orbit of
+    each point not yet seen, sorted, in point order."""
+    done, out = set(), []
+    for p in b.points:
+        if p not in done:
+            orb = tuple(sorted({b.act(g, p) for g in b.group.elements}))
+            done.update(orb)
+            out.append(orb)
+    return tuple(out)
+
+
+def reference_isotropy(b, p):
+    """The stabilizer of p by one `act` call per element (ValueError off the bundle)."""
+    if p not in b.base:
+        raise ValueError(f"{p!r} is not a point of the bundle")
+    return Subgroup(b.group, tuple(sorted(g for g in b.group.elements if b.act(g, p) == p)))
+
+
+def reference_minimal_isotropy(b):
+    """The least of the walked stabilizers by (order, elements), which must lie
+    in every other one; the full group on an empty bundle."""
+    stabs = {reference_isotropy(b, p) for p in b.points}
+    if not stabs:
+        return full_subgroup(b.group)
+    least = min(stabs, key=lambda s: (s.order, s.elements))
+    if not all(least.is_subgroup_of(s) for s in stabs):
+        raise ModelInconsistencyError(f"stabilizer {least.elements} is not minimal")
+    return least
+
+
+def equivariance_defect(rep, m):
+    """Largest commutator norm max_g |U(g) m - m U(g)|_2 over the carrier."""
+    return max(float(np.linalg.norm(rep.matrix(g) @ m - m @ rep.matrix(g), 2))
+               for g in rep.elements)
+
+
 def reference_symbol_defect(sym):
     """Pair-by-pair largest |sigma(g p) - T(g, p) sigma(p) T(g, p)^*|_2 and the
-    first point attaining it (the loop `symbol_equivariance_defect` replaced)."""
+    first point attaining it (the loop that `bundles._worst_symbol_defect` replaced)."""
     b = sym.bundle
     worst, where = 0.0, None
     for g in b.group.elements:

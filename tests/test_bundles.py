@@ -1,5 +1,8 @@
 """Sample bundles, isotype sets, symbol fields, and ellipticity verdicts."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,10 +33,18 @@ from equifred import (
     restrict_character,
     sample_bundle,
     subgroup_from_generators,
-    symbol_equivariance_defect,
     symbol_field,
     trivial_subgroup,
     validate_bundle,
+)
+from equifred.bundles import EquivariantSampleBundle
+from equifred.serialize import load_bundle
+
+from helpers import (
+    reference_isotropy,
+    reference_minimal_isotropy,
+    reference_orbits,
+    reference_symbol_defect,
 )
 
 
@@ -220,8 +231,69 @@ def test_minimal_isotropy_incomparable_stabilizers():
             transport[(x, p)] = one
     b = sample_bundle(g, points, base, action, {p: 1 for p in points}, transport)
     assert validate_bundle(b).ok
-    with pytest.raises(ModelInconsistencyError):
+    # a0, the first point with a smallest stabilizer, against c0, the first outside it
+    with pytest.raises(
+        ModelInconsistencyError,
+        match=r"^stabilizer \(\(0, 0\), \(1, 0\)\) is not contained in \(\(0, 0\), \(0, 1\)\)$",
+    ):
         minimal_isotropy(b)
+
+
+def _action_table_cases():
+    """The bundle fixtures, the empty bundle, and random bundles with and
+    without a free orbit (the others with stabilizers containing an order-2
+    subgroup)."""
+    data = Path(__file__).parent / "data"
+    cases = {f.stem: load_bundle(json.loads(f.read_text()))[0]
+             for f in sorted(data.glob("bundle_*.json"))}
+    cases["empty"] = sample_bundle(make_group((2,)), [], {}, {}, {}, {})
+    for seed, orders in enumerate([(2, 2), (4, 4), (8, 8), (2, 4)]):
+        group = make_group(orders)
+        rng = np.random.default_rng(40 + seed)
+        name = "x".join(map(str, orders))
+        cases[f"{name}-free"] = random_bundle(
+            group, rng, n_orbits=3, min_isotropy=trivial_subgroup(group))
+        cases[f"{name}-fixed"] = random_bundle(
+            group, rng, n_orbits=3,
+            min_isotropy=subgroup_from_generators(group, [(orders[0] // 2, 0)]))
+    return cases
+
+
+TABLE_CASES = _action_table_cases()
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_orbits_and_stabilizers_match_the_act_walks(name):
+    b = TABLE_CASES[name]
+    assert orbits(b) == reference_orbits(b)
+    assert [isotropy(b, p) for p in b.points] == [reference_isotropy(b, p) for p in b.points]
+    assert minimal_isotropy(b) == reference_minimal_isotropy(b)
+    if "-" in name:  # a random bundle, with a free orbit or without one
+        assert (minimal_isotropy(b).order == 1) == name.endswith("-free")
+
+
+def test_orbits_and_stabilizers_make_no_act_call(monkeypatch):
+    b = random_bundle(make_group((4, 4)), np.random.default_rng(9), n_orbits=3)
+    want = (reference_orbits(b), [reference_isotropy(b, p) for p in b.points],
+            reference_minimal_isotropy(b))
+
+    def refuse(*_):
+        raise AssertionError("act was called")
+
+    monkeypatch.setattr(EquivariantSampleBundle, "act", refuse)
+    assert (orbits(b), [isotropy(b, p) for p in b.points], minimal_isotropy(b)) == want
+
+
+@pytest.mark.parametrize("image", [None, "zz"], ids=["missing", "not-a-point"])
+def test_an_incomplete_action_is_refused_by_the_table_readers(image):
+    b = free_z2_bundle()
+    if image is None:
+        del b.action[((1,), "q0")]
+    else:
+        b.action[((1,), "q0")] = image
+    for read in (orbits, minimal_isotropy, lambda b: isotropy(b, "q0")):
+        with pytest.raises(ValueError, match="missing entry or an image that is not a point"):
+            read(b)
 
 
 def test_fiber_rep_reads_transport():
@@ -348,7 +420,7 @@ def test_symbol_field_shape_checks():
 def test_propagate_symbol_equivariant():
     b = quotient_z4_bundle()
     sym = propagate_symbol(b, {"r0": np.array([[2.0]])})
-    assert symbol_equivariance_defect(sym) < 1e-12
+    assert reference_symbol_defect(sym)[0] < 1e-12
     assert np.allclose(sym.value("r1"), [[2.0]])
 
 
@@ -557,7 +629,7 @@ def test_random_symbol_equivariant_and_killable():
     g = make_group((2,))
     b = random_bundle(g, rng, n_orbits=2, min_isotropy=full_subgroup(g))
     sym = random_symbol(b, rng, shift=1.5)
-    assert symbol_equivariance_defect(sym) < 1e-10
+    assert reference_symbol_defect(sym)[0] < 1e-10
     assert pointwise_invertible(sym)
     dead = random_symbol(b, rng, shift=1.5, kill_isotype=True)
     assert not pointwise_invertible(dead)

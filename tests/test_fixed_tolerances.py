@@ -5,7 +5,9 @@ still passes one is refused with TypeError rather than silently ignored, and
 the only tolerances a caller can still choose are the invertibility margins
 of `alpha_elliptic_check` and `pointwise_invertible` (the CLI's `check --tol`)
 and the explicit threshold of the internal `reps.require_intertwining`.
+A last guard keeps the public names to those with a caller outside the tests.
 """
+import ast
 import inspect
 import json
 from pathlib import Path
@@ -19,14 +21,12 @@ from equifred import (
     alpha_elliptic_check,
     build_invariant_circle_operator,
     build_X,
-    commutant_dimension,
     commutant_factors,
     decompose,
     deterministic_range_basis,
     dual_characters,
     equivariant_endomorphism,
     frobenius_hom_map,
-    frobenius_invariant_map,
     gamma_symbol_eval,
     intertwiner_basis,
     isotypical_basis,
@@ -72,7 +72,6 @@ REMOVED = [
     ("null_space_basis", "rel_tol", lambda **kw: null_space_basis(EYE, **kw)),
     ("intertwiner_basis", "rel_tol", lambda **kw: intertwiner_basis(REP, REP, **kw)),
     ("commutant_factors", "rel_tol", lambda **kw: commutant_factors(REP, **kw)),
-    ("commutant_dimension", "rel_tol", lambda **kw: commutant_dimension(REP, **kw)),
     ("ker_im_pi_alpha", "rel_tol", lambda **kw: ker_im_pi_alpha(SUB, G, BETA, CHI, **kw)),
     ("pi_alpha_restrict", "rel_tol", lambda **kw: pi_alpha_restrict(REP, EYE, CHI, **kw)),
     ("pi_alpha_restrict", "commute_tol", lambda **kw: pi_alpha_restrict(REP, EYE, CHI, **kw)),
@@ -84,8 +83,6 @@ REMOVED = [
     ("require_valid", "tol", lambda **kw: require_valid(BUNDLE, **kw)),
     ("propagate_symbol", "tol", lambda **kw: propagate_symbol(BUNDLE, SEEDS, **kw)),
     ("equivariant_endomorphism", "tol", lambda **kw: equivariant_endomorphism(REP, EYE, **kw)),
-    ("frobenius_invariant_map", "tol",
-     lambda **kw: frobenius_invariant_map(BETA, G, np.eye(BETA.dim), **kw)),
     ("frobenius_hom_map", "tol", lambda **kw: frobenius_hom_map(np.eye(4), REP, BETA, **kw)),
     ("build_invariant_circle_operator", "tol",
      lambda **kw: build_invariant_circle_operator(8, 2, "shifted_laplacian", **kw)),
@@ -113,7 +110,31 @@ def test_a_removed_keyword_is_refused(name, keyword, call):
 
 def test_intertwining_defect_is_gone():
     assert not hasattr(reps, "intertwining_defect")
-    assert reps.equivariance_defect(REP, EYE) == 0.0
+
+
+def _names_used(path):
+    tree = ast.parse(path.read_text())
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "equifred"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse((package / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    callers = [f for f in package.glob("*.py") if f.name != "__init__.py"]
+    callers += [*(root / "demos").glob("*.py"), *(root / "benchmarks").glob("*.py")]
+    used = set().union(*map(_names_used, callers))
+    # the benchmark tracer wraps package functions by name
+    tracer = ast.parse((root / "benchmarks" / "tracing.py").read_text())
+    used |= {n.value for n in ast.walk(tracer)
+             if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    assert sorted(exported - used) == []
 
 
 def _tolerance_parameters(namespace):

@@ -15,7 +15,6 @@ from equifred import (
     deterministic_range_basis,
     double_interval_bvp,
     dual_characters,
-    equivariance_defect,
     fredholm_proxy_sweep,
     invariant_subspace_basis,
     isotypical_basis,
@@ -29,6 +28,8 @@ from equifred import (
     rotation_circle_rep,
     unitary_rep,
 )
+
+from helpers import equivariance_defect
 
 Z2 = make_group((2,))
 TRIV = character(Z2, (0,))

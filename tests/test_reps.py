@@ -14,18 +14,14 @@ from equifred import (
     character,
     character_rep,
     characters_of_subgroup,
-    commutant_dimension,
     commutant_factors,
     conjugate_rep,
     decompose,
     deterministic_range_basis,
     diagonal_rep,
-    direct_sum,
     dual_characters,
-    equivariance_defect,
     equivariant_endomorphism,
     frobenius_hom_map,
-    frobenius_invariant_map,
     full_subgroup,
     haar_unitary,
     induce,
@@ -145,7 +141,7 @@ def test_regular_rep_is_permutation():
 def test_direct_sum_blocks():
     g = make_group((2,))
     chi0, chi1 = dual_characters(g)
-    rep = direct_sum(character_rep(chi0), character_rep(chi1))
+    rep = diagonal_rep(g, [chi0, chi1])
     assert rep.dim == 2
     assert np.allclose(rep.matrix((1,)), np.diag([1.0, -1.0]))
 
@@ -267,7 +263,7 @@ def test_decompose_regular_all_ones():
 def test_decompose_repeated_character():
     g = make_group((3,))
     chi = dual_characters(g)[1]
-    rep = direct_sum(character_rep(chi), character_rep(chi))
+    rep = diagonal_rep(g, [chi, chi])
     mv = decompose(rep)
     assert mv[chi] == 2
     assert mv.total == 2
@@ -476,69 +472,6 @@ def test_induced_multiplicity_law_z6():
 # Frobenius maps
 
 
-def test_frobenius_invariant_zero_to_zero():
-    g, h = _z4_with_z2()
-    rho0 = characters_of_subgroup(g, h)[0]
-    v = character_rep(rho0)
-    out = frobenius_invariant_map(v, g, np.zeros(1))
-    assert np.allclose(out, 0.0)
-    assert out.shape == (2,)
-
-
-def test_frobenius_invariant_full_group_identity():
-    g = make_group((4,))
-    rep = random_rep(g, 3, np.random.default_rng(4))
-    xi = np.zeros(3, dtype=complex)
-    # averaging a random vector over the group produces an invariant one
-    raw = np.random.default_rng(6).standard_normal(3)
-    for x in g.elements:
-        xi += rep.matrix(x) @ raw
-    xi /= g.order
-    out = frobenius_invariant_map(rep, g, xi)
-    assert np.allclose(out, xi, atol=1e-12)
-
-
-def test_frobenius_invariant_trivial_subgroup_tiles():
-    g = make_group((2,))
-    h = trivial_subgroup(g)
-    v = character_rep(characters_of_subgroup(g, h)[0])
-    out = frobenius_invariant_map(v, g, np.array([1.0]))
-    assert np.allclose(out, np.array([1.0, 1.0]))
-
-
-def test_frobenius_invariant_rejects_non_invariant():
-    g = make_group((2,))
-    v = regular_rep(g)
-    # regular rep of the full carrier: (1, -1) is in the sign component
-    with pytest.raises(ValueError):
-        frobenius_invariant_map(v, g, np.array([1.0, -1.0]))
-
-
-def test_frobenius_invariant_image_is_invariant():
-    g = make_group((2, 2))
-    h = subgroup_from_generators(g, [(1, 0)])
-    v = diagonal_rep(h, [characters_of_subgroup(g, h)[0]] * 2)
-    xi = np.array([0.3, -1.2])
-    ind = induce(v, g)
-    out = frobenius_invariant_map(v, g, xi)
-    for x in g.elements:
-        assert np.allclose(ind.matrix(x) @ out, out, atol=1e-12)
-
-
-def test_frobenius_invariant_operator_form_multiplicative():
-    g, h = _z4_with_z2()
-    rho0, rho1 = characters_of_subgroup(g, h)
-    v = diagonal_rep(h, [rho0, rho1])
-    a = np.diag([2.0, 3.0]).astype(complex)
-    b = np.diag([-1.0, 5.0]).astype(complex)
-    fa = frobenius_invariant_map(v, g, a)
-    fb = frobenius_invariant_map(v, g, b)
-    fab = frobenius_invariant_map(v, g, a @ b)
-    assert np.allclose(fa @ fb, fab, atol=1e-12)
-    ind = induce(v, g)
-    assert equivariance_defect(ind, fa) < 1e-12
-
-
 def test_frobenius_hom_zero_and_full_group():
     g = make_group((4,))
     source = random_rep(g, 3, np.random.default_rng(8))
@@ -607,7 +540,7 @@ def test_commutant_three_copies():
     rep = diagonal_rep(g, [chi, chi, chi])
     factors = commutant_factors(rep)
     assert factors == ((chi, 3),)
-    assert commutant_dimension(rep) == 9
+    assert len(intertwiner_basis(rep, rep)) == 9
 
 
 def test_commutant_regular_z2():
@@ -615,7 +548,7 @@ def test_commutant_regular_z2():
     rep = regular_rep(g)
     factors = commutant_factors(rep)
     assert [(c.exponents, k) for c, k in factors] == [((0,), 1), ((1,), 1)]
-    assert commutant_dimension(rep) == 2
+    assert len(intertwiner_basis(rep, rep)) == 2
 
 
 def test_commutant_trivial_group():
@@ -624,7 +557,7 @@ def test_commutant_trivial_group():
     factors = commutant_factors(rep)
     assert len(factors) == 1
     assert factors[0][1] == 4
-    assert commutant_dimension(rep) == 16
+    assert len(intertwiner_basis(rep, rep)) == 16
 
 
 def test_commutant_dimension_matches_factor_squares():
@@ -633,7 +566,7 @@ def test_commutant_dimension_matches_factor_squares():
         g = make_group(orders)
         rep = random_rep(g, int(rng.integers(2, 6)), rng)
         factors = commutant_factors(rep)
-        assert commutant_dimension(rep) == sum(k * k for _, k in factors)
+        assert len(intertwiner_basis(rep, rep)) == sum(k * k for _, k in factors)
 
 
 def test_intertwiner_basis_members_intertwine():

@@ -29,7 +29,6 @@ from equifred import (
     pointwise_invertible,
     regular_rep,
     rep_doc,
-    symbol_equivariance_defect,
     validate_bundle,
 )
 from equifred.serialize import (
@@ -39,7 +38,7 @@ from equifred.serialize import (
     parse_complex,
     parse_matrix,
 )
-from helpers import reference_canonical_json
+from helpers import reference_canonical_json, reference_symbol_defect
 
 DATA = Path(__file__).parent / "data"
 
@@ -208,8 +207,16 @@ def test_load_rep_missing_element():
     del doc["matrices"]["2"]
     with pytest.raises(InputDocumentError) as err:
         load_rep(doc)
-    assert err.value.path == "/matrices"
-    assert "2" in str(err.value)
+    assert err.value.path == "/matrices/2"
+    assert str(err.value) == "/matrices/2: missing"
+
+
+def test_load_rep_refuses_a_second_spelling_of_an_element():
+    doc = rep_doc(regular_rep(make_group((3,))))
+    doc["matrices"]["01"] = doc["matrices"]["0"]
+    with pytest.raises(InputDocumentError) as err:
+        load_rep(doc)
+    assert str(err.value) == "/matrices/01: element key '01' repeats '1'"
 
 
 def test_load_rep_rejects_non_unitary():
@@ -348,7 +355,7 @@ def test_load_two_fiber_bundle_folds():
     assert folded[0, 1] == 2.0  # and its adjoint above
     assert folded[0, 0] == 0.0 and folded[1, 1] == 0.0
     assert sym.value("r1")[1, 0] == 2.0j
-    assert symbol_equivariance_defect(sym) < 1e-12
+    assert reference_symbol_defect(sym)[0] < 1e-12
     assert pointwise_invertible(sym)
 
 
