@@ -14,7 +14,6 @@ from equifred import (
     decompose,
     diagonal_rep,
     dual_characters,
-    equivariant_endomorphism,
     ker_im_pi_alpha,
     make_group,
     pi_alpha_restrict,
@@ -30,13 +29,12 @@ rng = np.random.default_rng(11)
 # Group-averaging any matrix produces an invariant one.
 raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
 m = sum(rep.matrix(g) @ raw @ rep.matrix(G.inv(g)) for g in G.elements) / G.order
-op = equivariant_endomorphism(rep, m)  # validates the commutation relation
 print("regular representation of Z_4, randomly averaged invariant operator")
 
 print("\nisotypical blocks:")
 blocks = {}
 for chi in dual_characters(G):
-    block = pi_alpha_restrict(op, chi)
+    block = pi_alpha_restrict(rep, m, chi)  # checks that m commutes with the action
     blocks[chi.exponents] = block
     vals = np.round(np.linalg.eigvals(block), 4) if block.size else []
     print(f"  chi_{chi.exponents}: block {block.shape}, eigenvalues {vals}")

@@ -33,7 +33,11 @@ from .reps import (
     UnitaryRep,
     _from_stack,
     _group_average,
+    _law_failures,
+    _non_unitary,
     _norms_over,
+    _off_identity,
+    _ShapeStacks,
     decompose,
     isotypical_basis,
     isotypical_projector,
@@ -68,27 +72,6 @@ class BundleValidation:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-class _ShapeStacks:
-    """A list of matrices held as one stack per matrix shape.
-
-    Matrix i is stacks[cls[i]][pos[i]]; members[k] lists, in increasing
-    order, the indices that stacks[k] holds.
-    """
-
-    def __init__(self, mats: list[np.ndarray]):
-        kinds: dict[tuple[int, ...], int] = {}
-        self.cls = np.array([kinds.setdefault(m.shape, len(kinds)) for m in mats], dtype=np.intp)
-        self.members = [np.flatnonzero(self.cls == k) for k in range(len(kinds))]
-        self.pos = np.empty(len(mats), dtype=np.intp)
-        for idx in self.members:
-            self.pos[idx] = np.arange(idx.size)
-        self.stacks = [np.stack([mats[i] for i in idx]) for idx in self.members]
-
-    def take(self, idx: np.ndarray) -> np.ndarray:
-        """The matrices at the (non-empty) indices idx, which must share one shape."""
-        return self.stacks[self.cls[idx[0]]][self.pos[idx]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,149 +159,85 @@ def validate_bundle(b: EquivariantSampleBundle) -> BundleValidation:
     location as a shape mismatch.
 
     The checks run on an integer action table and on transports stacked by
-    shape, all pairs at once (the cocycle one h at a time, so temporaries
-    stay O(|G|·points·d^2)).  Unitarity, T(0, p) = I and the cocycle law hold
-    to LAW_TOL in operator norm.  Each tolerance decision takes the SVD 2-norm
-    only where the Frobenius norm does not already settle it; the
-    violations, their order and their printed defects are exactly those of
-    an SVD norm per pair.
-
-    The result is computed once per bundle and kept: `require_valid`,
-    `alpha_elliptic_check` and `prim_enumerate` reuse it, so a bundle is
-    validated once however many checks it goes through.
+    shape, to LAW_TOL in operator norm.  Both laws go through
+    `reps._law_failures`, along the Cayley edges first: a valid bundle costs
+    O(|G|·rank·points) products, and only a failing edge brings in every
+    pair.  The violations, their order and their printed defects are
+    exactly those of an SVD norm per pair.  The result is kept per bundle,
+    so a bundle is validated once however many checks it goes through.
     """
     return b._validated
 
 
 def _check_bundle(b: EquivariantSampleBundle) -> BundleValidation:
-    out: list[Violation] = []
-    pts = b.points
-    n_pts = len(pts)
-    group = b.group
+    pts, n_pts, group, A = b.points, len(b.points), b.group, b._action_table
     keys = [",".join(str(x) for x in g) for g in group.elements]
     e = group.elements.index(group.identity)
-    A = b._action_table
-    for g, p in np.argwhere(A < 0):
-        detail = (
-            "missing" if A[g, p] == -1
-            else f"image {b.action[(group.elements[g], pts[p])]!r} is not a point"
-        )
-        out.append(Violation("action", f"/action/{keys[g]}/{pts[p]}", detail))
+
+    def at(kind: str, g: int, p: int, detail: str) -> Violation:
+        return Violation(kind, f"/{kind}/{keys[g]}/{pts[p]}", detail)
+
+    out = [
+        at("action", g, p, "missing" if A[g, p] == -1
+           else f"image {b.action[(group.elements[g], pts[p])]!r} is not a point")
+        for g, p in np.argwhere(A < 0)
+    ]
     if out:
         return BundleValidation(tuple(out))
+    out += [at("action", e, p, "identity must fix every point")
+            for p in np.flatnonzero(A[e] != np.arange(n_pts))]
 
-    residues = np.array(group.elements, dtype=np.intp)
-    radix = np.array([math.prod(group.orders[j + 1:]) for j in range(group.rank)], dtype=np.intp)
-
-    def plus(h: int) -> np.ndarray:
-        """Index of g + h for every g, by residue arithmetic."""
-        return ((residues + residues[h]) % group.orders) @ radix
-
-    for p in np.flatnonzero(A[e] != np.arange(n_pts)):
-        out.append(
-            Violation("action", f"/action/{keys[e]}/{pts[p]}", "identity must fix every point")
-        )
-    broken = []
-    for h in range(group.order):
-        gh = plus(h)
-        broken += [(g, h, p, gh[g]) for g, p in np.argwhere(A[:, A[h]] != A[gh])]
-    for g, h, p, gh in sorted(broken):
-        out.append(Violation(
-            "action", f"/action/{keys[g]}/{pts[A[h, p]]}",
-            f"composition law fails against {keys[gh]} at {pts[p]}",
-        ))
-
+    rest: list[Violation] = []  # what follows the composition law
     unlabelled = [p for p in pts if p not in b.base]
-    out += [Violation("base", f"/base/{p}", "missing label") for p in unlabelled]
+    rest += [Violation("base", f"/base/{p}", "missing label") for p in unlabelled]
     if not unlabelled:
-        labels = [b.base[p] for p in pts]
-        ids: dict[str, int] = {}
-        label_id = np.array([ids.setdefault(x, len(ids)) for x in labels], dtype=np.intp)
-        first: dict[int, int] = {}
-        lead = np.array([first.setdefault(x, i) for i, x in enumerate(label_id)], dtype=np.intp)
-        moved = label_id[A]  # label of g·p
+        first: dict[str, int] = {}
+        lead = np.array([first.setdefault(b.base[p], i) for i, p in enumerate(pts)], dtype=np.intp)
+        moved = lead[A]  # the first point with the label of g·p
         # the label of g·p must be that of g·q for the first point q sharing p's label
-        for g, p in np.argwhere(moved != moved[:, lead]):
-            out.append(Violation(
-                "base", f"/base/{pts[A[g, p]]}",
-                f"label {labels[p]!r} moves inconsistently under {keys[g]}",
-            ))
+        rest += [
+            Violation("base", f"/base/{pts[A[g, p]]}",
+                      f"label {b.base[pts[p]]!r} moves inconsistently under {keys[g]}")
+            for g, p in np.argwhere(moved != moved[:, lead])
+        ]
 
+    T, non_unitary = None, []
     bad_dims = [p for p in pts if p not in b.fiber_dim or b.fiber_dim[p] < 1]
-    if bad_dims:
-        out += [Violation("fiber", f"/fiber_dim/{p}", "missing or non-positive") for p in bad_dims]
-        return BundleValidation(tuple(out))
+    rest += [Violation("fiber", f"/fiber_dim/{p}", "missing or non-positive") for p in bad_dims]
+    if not bad_dims:
+        dims = [b.fiber_dim[p] for p in pts]
+        found = len(rest)
+        for g, elem in enumerate(group.elements):
+            for p, pt in enumerate(pts):
+                m, want = b.transport.get((elem, pt)), (dims[A[g, p]], dims[p])
+                if m is None or m.shape != want:
+                    detail = "missing" if m is None else f"shape {m.shape}, expected {want}"
+                    rest.append(at("transport", g, p, detail))
+        if len(rest) == found:
+            T = b._transports  # indexed g * n_pts + p
+            non_unitary = _non_unitary(T, LAW_TOL)
+            rest += [at("transport", *divmod(int(i), n_pts), f"not unitary ({err:.3e})")
+                     for i, err in non_unitary]
+            rest += [at("transport", e, i % n_pts, "identity transport != I")
+                     for i in _off_identity(T, e * n_pts + np.arange(n_pts), LAW_TOL)]
 
-    dims = [b.fiber_dim[p] for p in pts]
-    malformed = []
-    for g, elem in enumerate(group.elements):
-        for p, pt in enumerate(pts):
-            loc = f"/transport/{keys[g]}/{pt}"
-            if (elem, pt) not in b.transport:
-                malformed.append(Violation("transport", loc, "missing"))
-                continue
-            shape, want = b.transport[(elem, pt)].shape, (dims[A[g, p]], dims[p])
-            if shape != want:
-                malformed.append(Violation("transport", loc, f"shape {shape}, expected {want}"))
-    if malformed:
-        return BundleValidation(tuple(out + malformed))
-
-    # transports are indexed g * n_pts + p from here on
-    T = b._transports
-    non_unitary, not_identity = [], []
-    for idx, t in zip(T.members, T.stacks):
-        at, err = _norms_over(t.conj().transpose(0, 2, 1) @ t - np.eye(t.shape[2]), LAW_TOL)
-        non_unitary += zip(idx[at], err)
-        at_e = np.flatnonzero(idx // n_pts == e)
-        if t.shape[1] != t.shape[2]:
-            not_identity += list(idx[at_e])  # a non-square transport is not I
-        else:
-            not_identity += list(idx[at_e[_norms_over(t[at_e] - np.eye(t.shape[1]), LAW_TOL)[0]]])
-    for i, err in sorted(non_unitary):
-        g, p = divmod(int(i), n_pts)
-        out.append(
-            Violation("transport", f"/transport/{keys[g]}/{pts[p]}", f"not unitary ({err:.3e})")
-        )
-    for i in sorted(not_identity):
-        loc = f"/transport/{keys[e]}/{pts[i - e * n_pts]}"
-        out.append(Violation("transport", loc, "identity transport != I"))
-
-    # T(g, h·p) T(h, p) against T(g+h, p): one h at a time, batched over (g, p)
-    # in runs whose three transports each share one shape
-    n_cls = len(T.stacks)
-    at_p = np.arange(n_pts)
-    found = []
-    for h in range(group.order):
-        gh = plus(h)
-        left = (np.arange(group.order)[:, None] * n_pts + A[h][None, :]).ravel()
-        right = np.tile(h * n_pts + at_p, group.order)
-        whole = (gh[:, None] * n_pts + at_p[None, :]).ravel()
-        run = (T.cls[left] * n_cls + T.cls[right]) * n_cls + T.cls[whole]
-        # return_inverse keeps np.unique off its hash path, which imports numpy.ma
-        runs, which = np.unique(run, return_inverse=True)
-        for r in range(runs.size):
-            sel = np.flatnonzero(which == r)
-            lhs, rhs, want = T.take(left[sel]), T.take(right[sel]), T.take(whole[sel])
-            if (lhs.shape[1], rhs.shape[2]) != want.shape[1:]:
-                what = f"cocycle shapes {(lhs.shape[1], rhs.shape[2])} and {want.shape[1:]} differ"
-                hits = [(j, what) for j in sel]
-            else:
-                at, err = _norms_over(lhs @ rhs - want, LAW_TOL)
-                hits = [(j, f"cocycle defect {x:.3e}") for j, x in zip(sel[at], err)]
-            found += [(j // n_pts, h, j % n_pts, gh[j // n_pts], what) for j, what in hits]
-    for g, h, p, gh, what in sorted(found):
-        out.append(Violation(
-            "transport", f"/transport/{keys[g]}/{pts[A[h, p]]}",
-            f"{what} against {keys[gh]} at {pts[p]}",
-        ))
-    return BundleValidation(tuple(out))
+    # unitarity bounds every transport by sqrt(1 + LAW_TOL); without it, no bound
+    bound = None if non_unitary else math.sqrt(1 + LAW_TOL)
+    composition, cocycle = _law_failures(group, A, T, bound)
+    out += [at("action", g, A[h, p], f"composition law fails against {keys[gh]} at {pts[p]}")
+            for g, h, p, gh in composition]
+    rest += [at("transport", g, A[h, p], f"{what} against {keys[gh]} at {pts[p]}")
+             for g, h, p, gh, what in cocycle]
+    return BundleValidation(tuple(out + rest))
 
 
 def require_valid(b: EquivariantSampleBundle) -> None:
+    """Raise ModelInconsistencyError, naming the first violations, unless the
+    bundle passes `validate_bundle`."""
     v = b._validated
     if not v.ok:
         lines = "; ".join(f"{x.location}: {x.detail}" for x in v.violations[:5])
-        raise ValueError(f"bundle fails validation: {lines}")
+        raise ModelInconsistencyError(f"bundle fails validation: {lines}")
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +322,10 @@ def build_X(b: EquivariantSampleBundle) -> tuple:
     Each orbit is a tuple of XPoints sorted by point id; orbits are listed by
     (least point id, isotype).  The isotype content is computed at every point
     and must agree along each orbit, otherwise the bundle data is inconsistent.
-    The result is computed once per bundle and kept.
+    A bundle that fails validation is refused first (`require_valid`).  The
+    result is computed once per bundle and kept.
     """
+    require_valid(b)
     return b._x_orbits
 
 
@@ -672,9 +593,9 @@ def prim_enumerate(b: EquivariantSampleBundle) -> tuple:
 
     Each record holds a point orbit and the isotypes of its fiber action; the
     record's fiber size is the number of distinct isotypes present, which is
-    exactly how many X-orbits sit over that point orbit.
+    exactly how many X-orbits sit over that point orbit.  A bundle that fails
+    validation is refused by `build_X`.
     """
-    require_valid(b)
     x_orbits = build_X(b)
     by_orbit: dict[tuple[str, ...], list[SubgroupCharacter]] = {}
     for orb in x_orbits:

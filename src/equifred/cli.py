@@ -233,9 +233,13 @@ def _check_positive(flag: str, value: int) -> None:
 def cmd_bvp(args) -> int:
     _check_positive("--count", args.count)
     _check_sizes(args.sizes, 4, 1, 4)  # the doubled circle has 2n or 4n points
+    smallest = double_interval_bvp(min(args.sizes), args.bc)  # the least invariant dimension
+    if args.count > smallest.invariant_dim:
+        most = f"{smallest.invariant_dim} (the invariant dimension at size {smallest.base_n})"
+        raise _CliError(f"--count must be at most {most}, got {args.count}")
     tables = []
     for n in args.sizes:
-        problem = double_interval_bvp(n, args.bc)
+        problem = smallest if n == smallest.base_n else double_interval_bvp(n, args.bc)
         eigs = mixed_bvp_spectrum(problem, args.count)
         tables.append({"n": n, "eigenvalues": [float(x) for x in eigs]})
     doc = {

@@ -132,26 +132,9 @@ def unitary_rep(carrier: CarrierT, matrices: Mapping[ElementT, np.ndarray]) -> U
     The matrices are copied into one read-only (|carrier|, d, d) stack.
     U(identity) must be I, every U(g) unitary and U(g) U(h) = U(g + h), all to
     tol = LAW_TOL in operator norm; the first failure is raised, in that
-    order, the pairs (g, h) in carrier order.
-
-    Notes
-    -----
-    The law is checked along the edges of the Cayley graph first.  Let
-    d0 = |U(0) - I|_2 and e = max |U(g) U(e_i) - U(g + e_i)|_2 over every g
-    and every standard generator e_i of Z_{n_1} x ... x Z_{n_k}.  After the
-    unitarity check c = sqrt(1 + tol) bounds every |U(g)|_2, and an h reached
-    by a Cayley path of L <= sum_i (n_i - 1) steps satisfies, for every g,
-
-        |U(g) U(h) - U(g + h)|_2 <= c^(L+1) d0 + (1 + c) e sum_{j<L} c^j
-                                 <= c^(L+1) (d0 + 2 L e).
-
-    So when d0 and e are at most tol / (2 (1 + 2L) c^(L+1)), which for
-    tol = LAW_TOL is about tol / (4 sum_i n_i) or more, every pair is within
-    tol/2, far enough from tol that rounding cannot flip a decision, and the
-    law is accepted.  Otherwise, and always on a Subgroup carrier, every pair
-    is checked, one row g at a time, and the first failing (g, h) is
-    reported.  Every threshold goes through the Frobenius prefilter
-    `_norms_over`, so the decisions are those of one SVD norm per matrix.
+    order, the pairs (g, h) in carrier order.  The law is that of a bundle
+    over one point, checked by `_law_failures` with the norm bound
+    c = sqrt(1 + tol) that unitarity gives.
     """
     elems = carrier.elements
     missing = [g for g in elems if g not in matrices]
@@ -164,9 +147,15 @@ def unitary_rep(carrier: CarrierT, matrices: Mapping[ElementT, np.ndarray]) -> U
         if m.shape != (dim, dim):
             raise ValueError(f"matrix for {g} has shape {m.shape}, expected {(dim, dim)}")
         stack[i] = m
-    rep = _from_stack(carrier, stack)
-    _require_representation(rep)
-    return rep
+    transports = _ShapeStacks(stack)
+    if _off_identity(transports, np.array([elems.index(carrier.identity)]), LAW_TOL):
+        raise ValueError("matrix at the identity is not the identity")
+    bad = _non_unitary(transports, LAW_TOL)
+    if bad:
+        raise ValueError(f"matrix for {elems[bad[0][0]]} is not unitary to {LAW_TOL}")
+    one_point = np.zeros((len(elems), 1), dtype=np.intp)
+    _require_law(carrier, one_point, transports, math.sqrt(1 + LAW_TOL))
+    return _from_stack(carrier, stack)
 
 
 def _from_stack(carrier: CarrierT, stack: np.ndarray) -> UnitaryRep:
@@ -177,36 +166,166 @@ def _from_stack(carrier: CarrierT, stack: np.ndarray) -> UnitaryRep:
     return UnitaryRep(carrier, stack.shape[1], stack)
 
 
-def _require_representation(rep: UnitaryRep) -> None:
-    """The checks of `unitary_rep`; temporaries are one element's
-    matrices, or one row's in the all-pairs fallback."""
-    tol = LAW_TOL
-    carrier, elems, stack = rep.carrier, rep.elements, rep.stack
-    eye = np.eye(rep.dim)
-    index = {g: i for i, g in enumerate(elems)}
-    ident = stack[index[carrier.identity]] - eye
-    if _norms_over(ident[None], tol)[0].size:
-        raise ValueError("matrix at the identity is not the identity")
-    for g, u in zip(elems, stack):
-        if _norms_over((u.conj().T @ u - eye)[None], tol)[0].size:
-            raise ValueError(f"matrix for {g} is not unitary to {tol}")
-    if isinstance(carrier, Group):
-        steps = sum(n - 1 for n in carrier.orders)
-        # tol / (2 (1 + 2L) c^(L+1)) with c = sqrt(1 + tol), without overflow
-        cut = tol / (2 * (1 + 2 * steps)) * math.exp(-(steps + 1) * math.log1p(tol) / 2)
-        gens = [carrier.element(e) for e in np.eye(carrier.rank, dtype=int)]
-        at_gens = stack[[index[e] for e in gens]]
-        if not _norms_over(ident[None], cut)[0].size and not any(
-            _norms_over(u @ at_gens - stack[[index[carrier.op(g, e)] for e in gens]], cut)[0].size
-            for g, u in zip(elems, stack)
-        ):
+# ---------------------------------------------------------------------------
+# the composition and cocycle laws of an action with transports
+
+# the most matrix entries any one temporary of the law check holds
+_LAW_CELLS = 1 << 14
+
+
+class _ShapeStacks:
+    """A list of matrices held as one stack per matrix shape.
+
+    Matrix i is stacks[cls[i]][pos[i]]; members[k] lists, in increasing
+    order, the indices that stacks[k] holds.  An (n, a, b) array is taken
+    as it is, as the one stack of its n matrices.
+    """
+
+    def __init__(self, mats: list[np.ndarray] | np.ndarray):
+        if isinstance(mats, np.ndarray):
+            self.cls = np.zeros(len(mats), dtype=np.intp)
+            self.members = [np.arange(len(mats))]
+            self.pos, self.stacks = self.members[0], [mats]
             return
-    for g, u in zip(elems, stack):
-        defect = u @ stack
-        defect -= stack[[index[carrier.op(g, h)] for h in elems]]
-        at = _norms_over(defect, tol)[0]
-        if at.size:
-            raise ValueError(f"homomorphism law fails at ({g}, {elems[at[0]]}) beyond {tol}")
+        kinds: dict[tuple[int, ...], int] = {}
+        self.cls = np.array([kinds.setdefault(m.shape, len(kinds)) for m in mats], dtype=np.intp)
+        self.members = [np.flatnonzero(self.cls == k) for k in range(len(kinds))]
+        self.pos = np.empty(len(mats), dtype=np.intp)
+        for idx in self.members:
+            self.pos[idx] = np.arange(idx.size)
+        self.stacks = [np.stack([mats[i] for i in idx]) for idx in self.members]
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """The matrices at the (non-empty) indices idx, which must share one shape."""
+        return self.stacks[self.cls[idx[0]]][self.pos[idx]]
+
+
+def _law_failures(
+    carrier: CarrierT, table: np.ndarray, transports: _ShapeStacks | None, bound: float | None
+) -> tuple[list, list]:
+    """Where an action of the carrier on points, with transports between
+    fibers, breaks the composition law or the cocycle law.
+
+    table[g, p] is the index of g·p, g indexing carrier.elements; transports
+    holds T(g, p) at g * points + p (None: check the action alone); bound is
+    a c >= |T(g, p)|_2 for all (g, p), or None.  Returns the sorted
+    composition failures (g, h, p, g+h), where g·(h·p) != (g+h)·p, and the
+    sorted cocycle failures (g, h, p, g+h, what), where the two sides of
+    T(g, h·p) T(h, p) = T(g+h, p) differ in shape or by over LAW_TOL in
+    2-norm.  A representation is a bundle over one point; a monomial one is
+    a bundle of lines over its basis indices.
+
+    The Cayley edges (g, e_i, p), e_i the standard generators, go first.
+    Take h = h' + e_i on a path of L <= sum_i (n_i - 1) steps and q = e_i·p.
+    If 0·p = p and every edge keeps the action law, g·(h·p) = g·(h'·q) =
+    (g+h')·q = (g+h)·p by induction, so the integer edge check is exact.
+    For D(g, h, p) = T(g, h·p) T(h, p) - T(g+h, p) the same step gives
+    D(g, h, p) = D(g+h', e_i, p) + D(g, h', q) T(e_i, p) - T(g, h·p) D(h', e_i, p);
+    with d0 = max_p |T(0, p) - I|_2 and e the largest edge defect,
+
+        |D(g, h, p)|_2 <= c^(L+1) d0 + (1 + c) e sum_{j<L} c^j
+                       <= c^(L+1) (d0 + 2 L e).
+
+    So when d0 and e are at most tol / (2 (1 + 2L) c^(L+1)), about
+    tol / (4 sum_i n_i) for c near 1, every pair is within tol/2, too far
+    from tol for rounding to flip a decision, and both laws hold.  Otherwise,
+    and always on a Subgroup carrier (no standard generators) or without a
+    bound, every pair is checked.  Every threshold goes through `_norms_over`.
+    """
+    order, n_pts = table.shape
+    elems = carrier.elements
+    group = carrier if isinstance(carrier, Group) else carrier.parent
+    residues = np.array(elems, dtype=np.intp).reshape(order, group.rank).T
+    at = np.full(group.order, -1, dtype=np.intp)
+    at[np.ravel_multi_index(residues, group.orders)] = np.arange(order)
+
+    def plus(h: int) -> np.ndarray:  # carrier index of g + h for every g
+        return at[np.ravel_multi_index(residues + residues[:, [h]], group.orders, mode="wrap")]
+
+    if isinstance(carrier, Group) and bound is not None:
+        steps = sum(n - 1 for n in carrier.orders)
+        # tol / (2 (1 + 2L) c^(L+1)), without overflow
+        cut = LAW_TOL / (2 * (1 + 2 * steps)) * math.exp(-(steps + 1) * math.log(bound))
+        e = elems.index(carrier.identity)
+        gens = [elems.index(carrier.element(x)) for x in np.eye(carrier.rank, dtype=int)]
+        fixed = e * n_pts + np.arange(n_pts)
+        if (table[e] == np.arange(n_pts)).all() and not _off_identity(transports, fixed, cut):
+            if not any(_pair_failures(table, transports, plus, gens, cut)):
+                return [], []
+    composition, cocycle = _pair_failures(table, transports, plus, range(order), LAW_TOL)
+    return sorted(composition), sorted(cocycle)
+
+
+def _pair_failures(table: np.ndarray, transports: _ShapeStacks | None, plus, hs, tol: float):
+    """The failures of `_law_failures` at (g, h) for every g and every h in
+    hs, unsorted, the cocycle decided at tol.  One h at a time, the (g, p)
+    are batched in runs whose three transports each share one shape, and
+    each run is cut so that no stack holds more than _LAW_CELLS entries."""
+    order, n_pts = table.shape
+    composition, cocycle = [], []
+    for h in hs:
+        gh = plus(h)
+        composition += [(g, h, p, gh[g]) for g, p in np.argwhere(table[:, table[h]] != table[gh])]
+        if transports is None:
+            continue
+        # T(g, h·p), T(h, p) and T(g+h, p), at position g * n_pts + p
+        left = (np.arange(order)[:, None] * n_pts + table[h]).ravel()
+        right = np.tile(h * n_pts + np.arange(n_pts), order)
+        whole = (gh[:, None] * n_pts + np.arange(n_pts)).ravel()
+        n_cls, cls = len(transports.stacks), transports.cls
+        run = (cls[left] * n_cls + cls[right]) * n_cls + cls[whole]
+        for r in np.flatnonzero(np.bincount(run)):
+            sel = np.flatnonzero(run == r)
+            shapes = [transports.stacks[cls[x[sel[0]]]].shape[1:] for x in (left, right, whole)]
+            product = (shapes[0][0], shapes[1][1])
+            if product != shapes[2]:
+                what = f"cocycle shapes {product} and {shapes[2]} differ"
+                hits = [(j, what) for j in sel]
+            else:
+                step = max(1, _LAW_CELLS // max(1, *(math.prod(s) for s in shapes)))
+                hits = []
+                for part in (sel[i:i + step] for i in range(0, sel.size, step)):
+                    defect = transports.take(left[part]) @ transports.take(right[part])
+                    defect -= transports.take(whole[part])
+                    at, err = _norms_over(defect, tol)
+                    hits += [(j, f"cocycle defect {x:.3e}") for j, x in zip(part[at], err)]
+            cocycle += [(j // n_pts, h, j % n_pts, gh[j // n_pts], what) for j, what in hits]
+    return composition, cocycle
+
+
+def _off_identity(transports: _ShapeStacks | None, idx: np.ndarray, tol: float) -> list:
+    """The indices among idx whose transport is not square or is farther
+    than tol from I, in increasing order (none without transports)."""
+    off = []
+    for k, t in enumerate(transports.stacks if transports else ()):
+        sel = idx[transports.cls[idx] == k]
+        if t.shape[1] != t.shape[2]:
+            off += list(sel)
+        elif sel.size:
+            off += list(sel[_norms_over(t[transports.pos[sel]] - np.eye(t.shape[1]), tol)[0]])
+    return sorted(off)
+
+
+def _non_unitary(transports: _ShapeStacks, tol: float) -> list:
+    """(index, |T^* T - I|_2) of every transport over tol, by index, in
+    batches of at most _LAW_CELLS entries."""
+    out = []
+    for idx, t in zip(transports.members, transports.stacks):
+        step = max(1, _LAW_CELLS // max(1, *t.shape[1:]) ** 2)  # T and T^* T both fit
+        for i in range(0, len(t), step):
+            part = t[i:i + step]
+            at, err = _norms_over(part.conj().transpose(0, 2, 1) @ part - np.eye(t.shape[2]), tol)
+            out += zip(idx[i + at], err)
+    return sorted(out)
+
+
+def _require_law(carrier: CarrierT, table: np.ndarray, transports: _ShapeStacks, c: float):
+    """Raise the representation laws' ValueError at the first failing (g, h)
+    in carrier order, composition and cocycle alike."""
+    failures = [x[:2] for found in _law_failures(carrier, table, transports, c) for x in found]
+    if failures:
+        g, h = (carrier.elements[i] for i in min(failures))
+        raise ValueError(f"homomorphism law fails at ({g}, {h}) beyond {LAW_TOL}")
 
 
 class MonomialRep:
@@ -214,10 +333,10 @@ class MonomialRep:
 
     Row i of `perm` and `phase` belongs to the i-th carrier element g:
     U(g) e_j = phase[i, j] e_{perm[i, j]}.  Dense matrices are built only on
-    request by `matrix`.  Construction always checks that each row of `perm`
-    is a permutation, that the phases have unit modulus, and the homomorphism
-    law: the permutations compose exactly as integers and the phases multiply
-    to 1e-10, at O(|G|^2 d) cost.  The law forces U(identity) = I.
+    request by `matrix`.  Construction checks that each row of `perm` is a
+    permutation, the phases unit modulus to LAW_TOL (a NaN has none), and
+    the homomorphism law by `_law_failures`, for lines over the indices:
+    the permutations compose exactly, the phases to LAW_TOL.
     """
 
     def __init__(self, carrier: CarrierT, perm: np.ndarray, phase: np.ndarray):
@@ -230,21 +349,14 @@ class MonomialRep:
             )
         if (np.sort(perm, axis=1) != np.arange(perm.shape[1])).any():
             raise ValueError("every row of perm must be a permutation of range(d)")
-        if np.abs(np.abs(phase) - 1.0).max(initial=0.0) > LAW_TOL:
+        if not (np.abs(np.abs(phase) - 1.0) <= LAW_TOL).all():
             raise ValueError(f"phases are not unit modulus to {LAW_TOL}")
-        index = {g: i for i, g in enumerate(elems)}
-        for i, g in enumerate(elems):
-            prod = [index[carrier.op(g, h)] for h in elems]
-            # U(g) U(h) e_j = phase[h, j] phase[g, perm[h, j]] e_{perm[g, perm[h, j]]}
-            bad = ~(perm[i, perm] == perm[prod]).all(axis=1)
-            defect = np.abs(phase * phase[i, perm] - phase[prod])
-            bad |= defect.max(axis=1, initial=0.0) > LAW_TOL
-            if bad.any():
-                h = elems[int(np.argmax(bad))]
-                raise ValueError(f"homomorphism law fails at ({g}, {h}) beyond {LAW_TOL}")
+        # U(g) U(h) e_j = phase[h, j] phase[g, perm[h, j]] e_{perm[g, perm[h, j]]}
+        _require_law(carrier, perm, _ShapeStacks(phase.reshape(-1, 1, 1)), 1 + LAW_TOL)
         perm.setflags(write=False)
         phase.setflags(write=False)
-        self.carrier, self.perm, self.phase, self._row = carrier, perm, phase, index
+        self.carrier, self.perm, self.phase = carrier, perm, phase
+        self._row = {g: i for i, g in enumerate(elems)}
 
     @property
     def dim(self) -> int:
@@ -541,9 +653,6 @@ class MultiplicityVector:
                 return mult
         return 0
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
     @property
     def total(self) -> int:
         return sum(m for _, m in self.entries)
@@ -654,43 +763,16 @@ def _sparse_commutator_norms(rep: MonomialRep, a: CooMatrix) -> np.ndarray:
     return np.sqrt(np.bincount(keys // (d * d), (summed.conj() * summed).real, order))
 
 
-@dataclass(frozen=True, eq=False)
-class EquivariantEndomorphism:
-    """A matrix together with the representation it commutes with."""
-
-    rep: RepT
-    matrix: np.ndarray
-
-
-def equivariant_endomorphism(rep: RepT, matrix: np.ndarray) -> EquivariantEndomorphism:
-    """Wrap a matrix after checking it commutes with the representation to
-    LAW_TOL relative to max(1, |matrix|)."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (rep.dim, rep.dim):
-        raise ValueError(f"matrix shape {m.shape} does not match dim {rep.dim}")
-    require_intertwining("matrix does not commute with the action", rep, m, tol=LAW_TOL)
-    return EquivariantEndomorphism(rep, m)
-
-
 def pi_alpha_restrict(
-    rep: RepT | EquivariantEndomorphism,
-    m: np.ndarray | Character | SubgroupCharacter,
-    chi: Character | SubgroupCharacter | None = None,
+    rep: RepT, m: np.ndarray, chi: Character | SubgroupCharacter
 ) -> np.ndarray:
     """Compress an equivariant matrix to the chi-isotypical block.
 
-    Accepts either (rep, matrix, character) or (EquivariantEndomorphism,
-    character).  The matrix must commute with the representation; the defect
-    is measured relative to max(1, |m|) and rejected beyond COMMUTE_TOL.
-    The block is expressed in the reproducible isotypical basis, so repeated
-    runs give identical entries.
+    The matrix must commute with the representation; the defect is measured
+    relative to max(1, |m|) and rejected beyond COMMUTE_TOL.  The block is
+    expressed in the reproducible isotypical basis, so repeated runs give
+    identical entries.
     """
-    if isinstance(rep, EquivariantEndomorphism):
-        if chi is not None:
-            raise TypeError("pass the character as the second argument")
-        rep, m, chi = rep.rep, rep.matrix, m
-    if chi is None:
-        raise TypeError("missing the character argument")
     m = np.asarray(m, dtype=complex)
     require_intertwining("matrix does not commute with the action", rep, m, tol=COMMUTE_TOL)
     basis = isotypical_basis(rep, chi)

@@ -375,24 +375,16 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
     values: dict[str, np.ndarray] = {}
     for p in points:
         m = parse_matrix(sym_node[p], f"/symbol/{p}")
+        want = (fiber_out[p] if two_bundle else fiber_dim[p], fiber_dim[p])
+        if m.shape != want:
+            raise InputDocumentError(f"/symbol/{p}", f"shape {m.shape}, expected {want}")
         if two_bundle:
-            want = (fiber_out[p], fiber_dim[p])
-            if m.shape != want:
-                raise InputDocumentError(
-                    f"/symbol/{p}", f"shape {m.shape}, expected {want}"
-                )
             d = fiber_dim[p] + fiber_out[p]
             folded = np.zeros((d, d), dtype=complex)
             folded[fiber_dim[p] :, : fiber_dim[p]] = m
             folded[: fiber_dim[p], fiber_dim[p] :] = m.conj().T
-            values[p] = folded
-        else:
-            want = (fiber_dim[p], fiber_dim[p])
-            if m.shape != want:
-                raise InputDocumentError(
-                    f"/symbol/{p}", f"shape {m.shape}, expected {want}"
-                )
-            values[p] = m
+            m = folded
+        values[p] = m
     return bundle, symbol_field(bundle, values)
 
 

@@ -1,7 +1,7 @@
 """Shared helpers: group enumeration, trace-based multiplicity oracles and
-loop references for the batched representation and bundle checks, the orbit
-and stabilizer walks, the stack builders, projectors and group averages, the
-subgroup lattice and the flat report writer."""
+loop references for the batched representation, monomial and bundle checks,
+the orbit and stabilizer walks, the stack builders, projectors and group
+averages, the subgroup lattice and the flat report writer."""
 
 import itertools
 import json
@@ -114,6 +114,35 @@ def reference_unitary_rep(carrier, matrices, *, tol=1e-10):
         for h in elems:
             if np.linalg.norm(store[g] @ store[h] - store[carrier.op(g, h)], 2) > tol:
                 return f"homomorphism law fails at ({g}, {h}) beyond {tol}"
+    return None
+
+
+def reference_monomial_rep(carrier, perm, phase, *, tol=1e-10):
+    """The row loop that `MonomialRep` construction replaced, as an oracle.
+
+    Returns the ValueError message it raised, or None when it accepted: the
+    shapes, each row a permutation, unit phases, then one row g at a time
+    the permutations composed as integers and the phases multiplied against
+    every h, the first failing (g, h) in carrier order.
+    """
+    elems = carrier.elements
+    perm = np.array(perm, dtype=np.intp)
+    phase = np.array(phase, dtype=complex)
+    if perm.ndim != 2 or perm.shape[0] != len(elems) or phase.shape != perm.shape:
+        return f"perm and phase need shape ({len(elems)}, d), got {perm.shape} and {phase.shape}"
+    if (np.sort(perm, axis=1) != np.arange(perm.shape[1])).any():
+        return "every row of perm must be a permutation of range(d)"
+    if np.abs(np.abs(phase) - 1.0).max(initial=0.0) > tol:
+        return f"phases are not unit modulus to {tol}"
+    index = {g: i for i, g in enumerate(elems)}
+    for i, g in enumerate(elems):
+        prod = [index[carrier.op(g, h)] for h in elems]
+        # U(g) U(h) e_j = phase[h, j] phase[g, perm[h, j]] e_{perm[g, perm[h, j]]}
+        bad = ~(perm[i, perm] == perm[prod]).all(axis=1)
+        defect = np.abs(phase * phase[i, perm] - phase[prod])
+        bad |= defect.max(axis=1, initial=0.0) > tol
+        if bad.any():
+            return f"homomorphism law fails at ({g}, {elems[int(np.argmax(bad))]}) beyond {tol}"
     return None
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from equifred import reps
 from equifred import (
     load_bundle,
     make_group,
@@ -106,6 +107,52 @@ def test_corruptions_match_the_loop_reference(what):
                       min_isotropy=trivial_subgroup(group))
     assert validate_bundle(b).ok
     assert _same_as_reference(_corrupt(b, what)) != ()
+
+
+def _law_spy(monkeypatch):
+    """The stack length of every threshold decision that `reps` takes."""
+    sizes = []
+    original = reps._norms_over
+
+    def spy(stack, tol):
+        sizes.append(len(stack))
+        return original(stack, tol)
+
+    monkeypatch.setattr(reps, "_norms_over", spy)
+    return sizes
+
+
+def test_valid_bundle_is_accepted_along_the_edges(monkeypatch):
+    group = make_group((4, 4))
+    b = random_bundle(group, np.random.default_rng(9), n_orbits=3,
+                      min_isotropy=trivial_subgroup(group))
+    sizes = _law_spy(monkeypatch)
+    assert validate_bundle(b).ok
+    # unitarity per (g, p); T(0, p) = I at tol and again at the edge cut;
+    # then one cocycle product per (g, e_i, p): O(|G| rank points)
+    # matrices, and no pass over all |G|^2 points pairs
+    n_pts = len(b.points)
+    assert sum(sizes) == n_pts * (2 + group.order * (1 + group.rank)) < group.order**2 * n_pts
+
+
+@pytest.mark.parametrize("size, ok", [(2e-11, True), (2e-10, False)])
+def test_an_edge_defect_over_the_cut_falls_back_to_every_pair(monkeypatch, size, ok):
+    """One transport of the free orbit turned by the phase e^{i size}: over
+    the edge cut tol / (2 (1 + 2L) c^(L+1)), about 5.6e-12 on Z4 x Z2, and
+    at every pair under tol (or, for the larger size, over it).  The
+    fallback accepts what the loop reference accepts, and refuses what it
+    refuses."""
+    group = make_group((4, 2))
+    b = random_bundle(group, np.random.default_rng(4), n_orbits=2,
+                      min_isotropy=trivial_subgroup(group))
+    transport = dict(b.transport)
+    key = ((1, 1), b.points[0])
+    transport[key] = transport[key] * np.exp(1j * size)
+    b = sample_bundle(group, b.points, b.base, b.action, b.fiber_dim, transport)
+    sizes = _law_spy(monkeypatch)
+    assert validate_bundle(b).ok is ok
+    _same_as_reference(b)
+    assert sum(sizes) > group.order**2 * len(b.points)  # the all-pairs pass ran
 
 
 @pytest.mark.parametrize("delta, ok", [(0.8e-10, True), (1.2e-10, False)])

@@ -356,6 +356,20 @@ def test_build_X_detects_isotype_drift():
         build_X(b)
 
 
+def test_build_X_refuses_a_bundle_that_fails_validation():
+    # Z3 with 1·a = b, 1·b = b, 1·c = a and 2 acting as the identity breaks
+    # the composition law; {0, 2} "fixes" a but is not a subgroup
+    g = make_group((3,))
+    moves = {(1,): {"a": "b", "b": "b", "c": "a"}}
+    points = ("a", "b", "c")
+    action = {(x, p): moves.get(x, {}).get(p, p) for x in g.elements for p in points}
+    transport = {(x, p): np.eye(1) for x in g.elements for p in points}
+    b = sample_bundle(g, points, {p: p for p in points}, action, {p: 1 for p in points}, transport)
+    for call in (build_X, prim_enumerate):
+        with pytest.raises(ModelInconsistencyError, match="bundle fails validation: /action/1/b"):
+            call(b)
+
+
 def test_build_X_alpha_trivial_gamma0_keeps_everything():
     b = free_z2_bundle()
     x = build_X(b)

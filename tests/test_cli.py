@@ -585,24 +585,39 @@ def test_check_and_prim_do_not_load_numpy_ma():
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, flag, built",
     [
-        (("bvp", "--bc", "d,n", "--count", "0"), "--count"),
-        (("bvp", "--bc", "d,n", "--count", "-2"), "--count"),
-        (("sweep", "--family", "zero", "--alpha", "0", "--k", "0"), "--k"),
-        (("sweep", "--family", "reflection_laplacian", "--alpha", "0", "--k", "-1"), "--k"),
+        (("bvp", "--bc", "d,n", "--count", "0"), "--count", []),
+        (("bvp", "--bc", "d,n", "--count", "-2"), "--count", []),
+        (("sweep", "--family", "zero", "--alpha", "0", "--k", "0"), "--k", []),
+        (("sweep", "--family", "reflection_laplacian", "--alpha", "0", "--k", "-1"), "--k", []),
+        # over the invariant dimension: only the smallest size is built, to read it
+        (("bvp", "--bc", "d,n", "--sizes", "512,8", "--count", "100"), "--count", [8]),
     ],
 )
-def test_counts_below_one_are_refused_before_anything_is_built(capsys, monkeypatch, argv, flag):
+def test_counts_below_one_are_refused_before_anything_is_built(
+    capsys, monkeypatch, argv, flag, built
+):
     def refuse(*_args, **_kwargs):
         raise AssertionError("built a grid")
 
-    for name in ("double_interval_bvp", "reflection_circle_rep"):
-        monkeypatch.setattr(equifred.cli, name, refuse)
+    sizes = []
+    real = equifred.cli.double_interval_bvp
+    monkeypatch.setattr(
+        equifred.cli, "double_interval_bvp", lambda n, bc: sizes.append(n) or real(n, bc)
+    )
+    monkeypatch.setattr(equifred.cli, "reflection_circle_rep", refuse)
+    monkeypatch.setattr(equifred.cli, "mixed_bvp_spectrum", refuse)
     monkeypatch.setattr(equifred.lab, "require_intertwining", refuse)
     rc, out, err = run(capsys, *argv)
-    assert rc == 1 and not out
-    assert err == f"input error: {flag} must be at least 1, got {argv[-1]}\n"
+    assert rc == 1 and not out and sizes == built
+    if built:
+        assert err == (
+            f"input error: {flag} must be at most 8 (the invariant dimension at size 8), "
+            f"got {argv[-1]}\n"
+        )
+    else:
+        assert err == f"input error: {flag} must be at least 1, got {argv[-1]}\n"
 
 
 def test_sweep_families_act_through_the_sweep_group():

@@ -25,7 +25,6 @@ from equifred import (
     decompose,
     deterministic_range_basis,
     dual_characters,
-    equivariant_endomorphism,
     frobenius_hom_map,
     gamma_symbol_eval,
     intertwiner_basis,
@@ -82,7 +81,6 @@ REMOVED = [
     ("validate_bundle", "tol", lambda **kw: validate_bundle(BUNDLE, **kw)),
     ("require_valid", "tol", lambda **kw: require_valid(BUNDLE, **kw)),
     ("propagate_symbol", "tol", lambda **kw: propagate_symbol(BUNDLE, SEEDS, **kw)),
-    ("equivariant_endomorphism", "tol", lambda **kw: equivariant_endomorphism(REP, EYE, **kw)),
     ("frobenius_hom_map", "tol", lambda **kw: frobenius_hom_map(np.eye(4), REP, BETA, **kw)),
     ("build_invariant_circle_operator", "tol",
      lambda **kw: build_invariant_circle_operator(8, 2, "shifted_laplacian", **kw)),

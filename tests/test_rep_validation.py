@@ -5,6 +5,8 @@ is far enough below tol, and otherwise checked on every pair.  Either way the
 outcome and the message must be those of the pair-by-pair loops in `helpers`.
 The decompose trace-oracle guard is tested here too.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,8 +113,10 @@ def test_valid_rep_is_accepted_along_the_edges(monkeypatch):
     g = make_group((4, 2))
     sizes = _spy(monkeypatch)
     unitary_rep(g, _mats(random_rep(g, 6, np.random.default_rng(1))))
-    # identity and unitarity one matrix at a time, then one edge per generator
-    assert set(sizes) <= {1, g.rank} and g.order not in sizes
+    # the identity and unitarity, one matrix each; the identity again at the
+    # edge cut and one product per element and generator; and no pass over
+    # all |G|^2 pairs
+    assert sum(sizes) == 2 + g.order * (1 + g.rank)
 
 
 @pytest.mark.parametrize("size, accepted", [(2e-11, True), (1e-10, False)])
@@ -126,6 +130,20 @@ def test_edge_defect_above_the_cut_falls_back_to_every_pair(monkeypatch, size, a
     sizes = _spy(monkeypatch)
     assert (_same_as_reference(g, mats) is None) == accepted
     assert g.order in sizes  # the all-pairs rows ran
+
+
+def test_regular_z8xz8_validates_in_little_more_than_its_stack():
+    g = make_group((8, 8))
+    mats = _mats(regular_rep(g))
+    tracemalloc.start()
+    try:
+        unitary_rep(g, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the stack is 64 matrices of 64 x 64 complex entries, 4 MiB; the law
+    # check's batches hold at most reps._LAW_CELLS entries each
+    assert peak < 6 * 2**20
 
 
 def test_matrices_are_views_into_one_read_only_stack():

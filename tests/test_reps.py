@@ -19,8 +19,8 @@ from equifred import (
     decompose,
     deterministic_range_basis,
     diagonal_rep,
+    double_interval_bvp,
     dual_characters,
-    equivariant_endomorphism,
     frobenius_hom_map,
     full_subgroup,
     haar_unitary,
@@ -42,7 +42,12 @@ from equifred import (
     unitary_rep,
 )
 
-from helpers import abelian_orders, decompose_oracle, multiplicity_oracle
+from helpers import (
+    abelian_orders,
+    decompose_oracle,
+    multiplicity_oracle,
+    reference_monomial_rep,
+)
 
 
 def _z4_with_z2():
@@ -119,6 +124,53 @@ def test_orbit_sum_basis_checks_the_trace_oracle(monkeypatch):
     monkeypatch.setattr(equifred.reps, "_trace_multiplicity", lambda values, traces: 2)
     with pytest.raises(InternalInconsistencyError):
         isotypical_basis(rep, chi)
+
+
+def _monomial_outcome(carrier, perm, phase):
+    try:
+        MonomialRep(carrier, perm, phase)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _monomial_cases():
+    """(carrier, perm, phase): the cases above, a subgroup carrier, and the
+    four doubled-circle reps, each as built and broken."""
+    g = make_group((3,))
+    ones = np.ones((3, 3))
+    shifts = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    twisted = ones.copy()
+    twisted[1, 0] = -1.0
+    yield g, shifts, ones
+    yield g, shifts[[0, 2, 2]], ones
+    yield g, shifts, twisted
+    yield g, np.array([[0, 1, 2], [1, 1, 0], [2, 0, 1]]), ones
+    yield g, shifts, 2.0 * ones
+    yield g, shifts[:2], ones[:2]
+    yield (make_group((4,)), np.array([[0, 1], [1, 0], [0, 1], [1, 0]]),
+           np.array([[1, 1], [1j, 1j], [-1, -1], [-1j, -1j]]))
+    # translation on Z4 x Z2, carried by a subgroup with no standard generators
+    big = make_group((4, 2))
+    sub = subgroup_from_generators(big, [(2, 0), (0, 1)])
+    at = {x: i for i, x in enumerate(big.elements)}
+    perm = np.array([[at[big.op(h, x)] for x in big.elements] for h in sub.elements])
+    yield sub, perm, np.ones(perm.shape)
+    yield sub, perm[[0, 1, 1, 3]], np.ones(perm.shape)
+    for bc in ("d,d", "n,n", "d,n", "n,d"):
+        rep = double_interval_bvp(8, bc.split(",")).rep
+        yield rep.carrier, rep.perm, rep.phase
+        yield rep.carrier, rep.perm[::-1], rep.phase
+        # phase errors: over the edge cut but under tol everywhere, then over tol
+        for size in (2e-11, 2e-10):
+            phase = rep.phase.copy()
+            phase[-1, 3] *= np.exp(1j * size)
+            yield rep.carrier, rep.perm, phase
+
+
+@pytest.mark.parametrize("case", list(_monomial_cases()))
+def test_monomial_rep_checks_like_the_row_loop(case):
+    assert _monomial_outcome(*case) == reference_monomial_rep(*case)
 
 
 def test_unitary_rep_rejects_missing_element():
@@ -340,17 +392,6 @@ def test_pi_alpha_rejects_non_equivariant():
     bad = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         pi_alpha_restrict(rep, bad, dual_characters(g)[0])
-
-
-def test_equivariant_endomorphism_wrapper():
-    g = make_group((2,))
-    rep = regular_rep(g)
-    t = equivariant_endomorphism(rep, rep.matrix((1,)))
-    sign = dual_characters(g)[1]
-    direct = pi_alpha_restrict(rep, rep.matrix((1,)), sign)
-    assert np.array_equal(pi_alpha_restrict(t, sign), direct)
-    with pytest.raises(ValueError):
-        equivariant_endomorphism(rep, np.array([[1, 1], [0, 1]], dtype=complex))
 
 
 def _random_invariant_matrix(rep, rng):
