@@ -18,6 +18,7 @@ inconsistency (two routes to the same quantity disagreed), with an
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -65,6 +66,11 @@ from .serialize import (
 
 class _CliError(Exception):
     pass
+
+
+# the memory ceiling of one job, against which the grid sizes and an induced
+# representation are estimated before anything is built
+_CEILING_BYTES = 1 << 30
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,7 +179,16 @@ def cmd_decompose(args) -> int:
 
 def cmd_induce(args) -> int:
     group, sub, rho = load_induction(_load_json(args.input))
-    ind = induce(character_rep(rho), group)
+    rep = character_rep(rho)
+    # the induced stack holds |G| complex matrices of side [G:H]·dim rho
+    need = group.order * (group.order // sub.order * rep.dim) ** 2 * 16
+    if need > _CEILING_BYTES:
+        raise InputDocumentError(
+            "/group/orders",
+            f"inducing from order {sub.order} to order {group.order} needs about "
+            f"{need / 2**30:.3g} GiB, over the 1 GiB ceiling",
+        )
+    ind = induce(rep, group)
     mv = decompose(ind)
     doc = {
         "group": group_doc(group),
@@ -208,9 +223,8 @@ def cmd_prim(args) -> int:
 
 # bvp and sweep hold O(n) arrays: at the peak a grid point cost at most 1.3 KB
 # (a sweep's invariance check; a doubled-circle point of bvp about 0.4 KB), so
-# 2 KB per point bounds a size's memory, which must stay under 1 GiB
+# 2 KB per point bounds a size's memory
 _GRID_BYTES_PER_POINT = 2048
-_GRID_CEILING_BYTES = 1 << 30
 
 
 def _check_sizes(sizes, smallest: int, step: int, points_per_n: int) -> None:
@@ -220,7 +234,7 @@ def _check_sizes(sizes, smallest: int, step: int, points_per_n: int) -> None:
         if n < smallest or n % step:
             rule = f"at least {smallest}" + (f" and a multiple of {step}" if step > 1 else "")
             raise _CliError(f"--sizes: {n} is not a grid size here (must be {rule})")
-        if n * points_per_n * _GRID_BYTES_PER_POINT > _GRID_CEILING_BYTES:
+        if n * points_per_n * _GRID_BYTES_PER_POINT > _CEILING_BYTES:
             need = n * points_per_n * _GRID_BYTES_PER_POINT / 2**30
             raise _CliError(f"--sizes: {n} needs about {need:.3g} GiB, over the 1 GiB ceiling")
 
@@ -341,8 +355,37 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb; return its exit code (argparse and a bundle that fails
+    validation raise SystemExit instead).
+
+    The cyclic garbage collector is paused for the whole call and restored as
+    the caller left it on every way out.  Documents and reports are trees of
+    dicts and lists, so reference counting frees them; a collection pass
+    would only walk them again, over and over as they grow.  A call leaves
+    the same few hundred objects of cyclic garbage whatever its input.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_verb(build_parser().parse_args(argv))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def run() -> None:
+    """The process entry of `equifred` and `python -m equifred`: exit with
+    `main`'s code.  The collector stays paused to the end and the heap is
+    frozen, so the interpreter's collections at exit do not walk every
+    object the job left alive."""
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
+def _run_verb(args) -> int:
     try:
         return args.func(args)
     except InputDocumentError as exc:
@@ -363,4 +406,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -197,7 +197,9 @@ class _ShapeStacks:
 
     def take(self, idx: np.ndarray) -> np.ndarray:
         """The matrices at the (non-empty) indices idx, which must share one shape."""
-        return self.stacks[self.cls[idx[0]]][self.pos[idx]]
+        if len(self.stacks) == 1:  # then pos is the identity
+            return self.stacks[0].take(idx, axis=0)
+        return self.stacks[self.cls[idx[0]]].take(self.pos[idx], axis=0)
 
 
 def _law_failures(
@@ -265,7 +267,8 @@ def _pair_failures(table: np.ndarray, transports: _ShapeStacks | None, plus, hs,
     composition, cocycle = [], []
     for h in hs:
         gh = plus(h)
-        composition += [(g, h, p, gh[g]) for g, p in np.argwhere(table[:, table[h]] != table[gh])]
+        moved = table.take(table[h], axis=1) != table.take(gh, axis=0)
+        composition += [(g, h, p, gh[g]) for g, p in np.argwhere(moved)]
         if transports is None:
             continue
         # T(g, h·p), T(h, p) and T(g+h, p), at position g * n_pts + p
@@ -273,9 +276,12 @@ def _pair_failures(table: np.ndarray, transports: _ShapeStacks | None, plus, hs,
         right = np.tile(h * n_pts + np.arange(n_pts), order)
         whole = (gh[:, None] * n_pts + np.arange(n_pts)).ravel()
         n_cls, cls = len(transports.stacks), transports.cls
-        run = (cls[left] * n_cls + cls[right]) * n_cls + cls[whole]
-        for r in np.flatnonzero(np.bincount(run)):
-            sel = np.flatnonzero(run == r)
+        if n_cls == 1:  # one shape (a representation, a monomial one): one run
+            runs = [np.arange(order * n_pts)]
+        else:
+            run = (cls[left] * n_cls + cls[right]) * n_cls + cls[whole]
+            runs = (np.flatnonzero(run == r) for r in np.flatnonzero(np.bincount(run)))
+        for sel in runs:
             shapes = [transports.stacks[cls[x[sel[0]]]].shape[1:] for x in (left, right, whole)]
             product = (shapes[0][0], shapes[1][1])
             if product != shapes[2]:

@@ -418,6 +418,20 @@ def test_induce_document_missing_generators(tmp_path, capsys):
     assert "/subgroup_generators" in err
 
 
+def test_induce_over_the_memory_ceiling_is_refused_at_the_group(tmp_path, capsys):
+    # the induced stack would be 4096 matrices of side 4096: 1 TiB
+    doc = {"group": {"orders": [4096]}, "subgroup_generators": [[0]], "character_exponents": [0]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "induce", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and not out and "Traceback" not in err
+    [(pointer, detail)] = pointer_lines(err)
+    assert pointer == "/group/orders" and resolves(doc, pointer, detail)
+    assert detail == "inducing from order 1 to order 4096 needs about 1.02e+03 GiB, over the 1 GiB ceiling"
+
+
 @pytest.mark.parametrize("bad", ["2.7", '"2"', "true", "null", "1e400", '"x"'])
 @pytest.mark.parametrize("field", ["subgroup_generators", "character_exponents"])
 def test_induce_residues_and_exponents_must_be_integers(tmp_path, capsys, field, bad):
@@ -668,14 +682,16 @@ def test_out_flag_still_reports_failure_code(tmp_path, capsys):
     assert json.loads(target.read_text())["verdict"] == "not-elliptic"
 
 
-def test_module_entry_point_matches_in_process_run(capsys):
-    rc, out, _ = run(capsys, "check", "--input", FIXED, "--alpha", "1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "equifred", "check", "--input", FIXED, "--alpha", "1"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == rc == 0
-    assert proc.stdout == out
+@pytest.mark.parametrize("argv", [
+    ("check", "--input", FIXED, "--alpha", "1"),
+    ("check", "--input", FIXED, "--alpha", "0"),
+    ("bvp", "--bc", "d,n", "--sizes", "8,16,32", "--count", "3"),
+], ids=["check-elliptic", "check-not-elliptic", "bvp"])
+def test_module_entry_point_matches_in_process_run(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", "equifred", *argv], capture_output=True)
+    assert proc.returncode == rc
+    assert proc.stdout == out.encode() and proc.stderr == err.encode() == b""
 
 
 def test_cli_import_loads_no_scipy():
