@@ -23,7 +23,6 @@ from .groups import (
     Subgroup,
     SubgroupCharacter,
     all_subgroups,
-    associated,
     coset_table,
     full_subgroup,
 )
@@ -341,15 +340,14 @@ def _isotype_orbits(b: EquivariantSampleBundle) -> tuple:
                 )
         for rho in head:
             out.append(tuple(XPoint(p, rho) for p in orb))
-    out.sort(key=lambda o: (o[0].point, o[0].rho.representative.exponents))
+    out.sort(key=lambda o: (o[0].point, o[0].rho.exponents))
     return tuple(out)
 
 
 def build_X_alpha(x_orbits: tuple, alpha: Character, gamma0: Subgroup) -> tuple:
-    """The alpha-associated part of X: orbits whose isotype matches alpha on gamma0."""
-    return tuple(
-        orb for orb in x_orbits if associated(alpha, orb[0].rho, gamma0)
-    )
+    """The alpha-associated part of X: the part of `partition_by_beta` at
+    beta = alpha restricted to gamma0, empty when no isotype lies over beta."""
+    return partition_by_beta(x_orbits, gamma0).get(SubgroupCharacter(gamma0, alpha), ())
 
 
 def partition_by_beta(x_orbits: tuple, gamma0: Subgroup) -> dict:
@@ -365,7 +363,7 @@ def partition_by_beta(x_orbits: tuple, gamma0: Subgroup) -> dict:
             raise ValueError("gamma0 must be contained in every stabilizer appearing in X")
         beta = SubgroupCharacter(gamma0, rho.representative)
         parts.setdefault(beta, []).append(orb)
-    keys = sorted(parts, key=lambda c: c.representative.exponents)
+    keys = sorted(parts, key=lambda c: c.exponents)
     return {k: tuple(parts[k]) for k in keys}
 
 
@@ -464,7 +462,7 @@ def gamma_symbol_eval(sym: SymbolField, xp: XPoint) -> np.ndarray:
     basis = isotypical_basis(rep, xp.rho)
     if basis.shape[1] == 0:
         raise ValueError(
-            f"isotype {xp.rho.representative.exponents} is absent from the fiber at {xp.point!r}"
+            f"isotype {xp.rho.exponents} is absent from the fiber at {xp.point!r}"
         )
     return basis.conj().T @ sym.value(xp.point) @ basis
 

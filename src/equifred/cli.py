@@ -108,12 +108,17 @@ def _load_json(path: str):
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputDocumentError(f"/(line {exc.lineno})", f"invalid JSON: {exc.msg}")
+    except RecursionError:
+        raise InputDocumentError("/", "document nests too deeply")
 
 
 def _emit(args, doc) -> None:
     text = canonical_json(doc)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
 

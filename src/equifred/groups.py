@@ -100,6 +100,10 @@ class Subgroup:
     def _member_set(self) -> frozenset:
         return frozenset(self.elements)
 
+    def __hash__(self) -> int:
+        # a frozenset keeps its hash, so a subgroup as a cache key costs O(1)
+        return hash((self.parent, self._member_set))
+
     def contains(self, g: ElementT) -> bool:
         return g in self._member_set
 
@@ -282,10 +286,6 @@ def char_mul(a: Character, b: Character) -> Character:
     return Character(a.group, tuple(x + y for x, y in zip(a.exponents, b.exponents)))
 
 
-def char_inv(a: Character) -> Character:
-    return Character(a.group, tuple(-x for x in a.exponents))
-
-
 def dual_characters(group: Group) -> tuple[Character, ...]:
     """All |G| characters, in lexicographic exponent order."""
     return tuple(
@@ -310,7 +310,8 @@ class SubgroupCharacter:
 
     The dual of H is the quotient of the parent dual by the annihilator of H;
     the stored representative is the lexicographically least exponent tuple in
-    its annihilator coset, so equality and hashing are canonical.
+    its annihilator coset, so equality and hashing are canonical, and two
+    characters agree on H exactly when they are equal.
     """
 
     subgroup: Subgroup
@@ -320,12 +321,13 @@ class SubgroupCharacter:
         group = self.subgroup.parent
         if self.representative.group != group:
             raise ValueError("representative must be a character of the parent group")
-        coset = [
-            char_mul(self.representative, psi).exponents
-            for psi in annihilator(group, self.subgroup)
-        ]
-        least = min(coset)
+        exps = self.representative.exponents
+        least = min(group.op(exps, psi.exponents) for psi in annihilator(group, self.subgroup))
         object.__setattr__(self, "representative", Character(group, least))
+
+    @property
+    def exponents(self) -> tuple[int, ...]:
+        return self.representative.exponents
 
     def value(self, h: ElementT) -> complex:
         if not self.subgroup.contains(h):
@@ -335,14 +337,16 @@ class SubgroupCharacter:
 
 @lru_cache(maxsize=None)
 def characters_of_subgroup(group: Group, sub: Subgroup) -> tuple[SubgroupCharacter, ...]:
-    """The |H| distinct characters of a subgroup H, canonically represented."""
+    """The |H| distinct characters of a subgroup H, one per coset of its
+    annihilator, in the order of their least members.  Exponent tuples add
+    like elements, so the annihilator is a subgroup of the group's own shape."""
     if sub.parent != group:
         raise ValueError("subgroup does not belong to this group")
-    seen: dict[tuple[int, ...], SubgroupCharacter] = {}
-    for chi in dual_characters(group):
-        rho = SubgroupCharacter(sub, chi)
-        seen.setdefault(rho.representative.exponents, rho)
-    out = tuple(seen[k] for k in sorted(seen))
+    perp = Subgroup(group, tuple(psi.exponents for psi in annihilator(group, sub)))
+    out = tuple(
+        SubgroupCharacter(sub, Character(group, exps))
+        for exps in coset_transversal(group, perp)
+    )
     if len(out) != sub.order:
         raise RuntimeError(
             f"subgroup dual has {len(out)} members, expected {sub.order}"
@@ -358,13 +362,12 @@ def restrict_character(chi: Character, sub: Subgroup) -> SubgroupCharacter:
 def associated(alpha: Character, rho: SubgroupCharacter, gamma0: Subgroup) -> bool:
     """Do alpha and rho agree on every element of gamma0?
 
-    gamma0 must sit inside rho's subgroup.  The comparison is exact: it tests
-    whether the exponent difference annihilates gamma0.
+    gamma0 must sit inside rho's subgroup.  The comparison is exact: the two
+    restrictions to gamma0 are the same annihilator coset.
     """
     group = alpha.group
     if gamma0.parent != group or rho.subgroup.parent != group:
         raise ValueError("all arguments must refer to the same parent group")
     if not gamma0._member_set <= rho.subgroup._member_set:
         raise ValueError("gamma0 must be contained in the subgroup of rho")
-    diff = char_mul(alpha, char_inv(rho.representative))
-    return diff.is_trivial_on(gamma0.elements)
+    return restrict_character(alpha, gamma0) == restrict_character(rho.representative, gamma0)

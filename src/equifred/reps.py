@@ -667,12 +667,6 @@ class MultiplicityVector:
         return tuple(k for k, _ in self.entries)
 
 
-def _char_sort_key(chi: Character | SubgroupCharacter):
-    if isinstance(chi, SubgroupCharacter):
-        return chi.representative.exponents
-    return chi.exponents
-
-
 def decompose(rep: RepT) -> MultiplicityVector:
     """Multiplicity of every carrier character, via projector ranks.
 
@@ -696,12 +690,12 @@ def decompose(rep: RepT) -> MultiplicityVector:
         expected = _trace_multiplicity(values, traces)
         if mult != expected:
             raise InternalInconsistencyError(
-                f"projector rank {mult} for the character {_char_sort_key(chi)}, "
+                f"projector rank {mult} for the character {chi.exponents}, "
                 f"the trace oracle says {expected}"
             )
         if mult:
             entries.append((chi, mult))
-    entries.sort(key=lambda pair: _char_sort_key(pair[0]))
+    entries.sort(key=lambda pair: pair[0].exponents)
     mv = MultiplicityVector(tuple(entries), rep.dim)
     if mv.total != rep.dim:
         raise InternalInconsistencyError(

@@ -264,8 +264,6 @@ def load_induction(doc: Any) -> tuple[Group, Subgroup, SubgroupCharacter]:
 
 
 def character_doc(chi: Character | SubgroupCharacter) -> list:
-    if isinstance(chi, SubgroupCharacter):
-        return list(chi.representative.exponents)
     return list(chi.exponents)
 
 

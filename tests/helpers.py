@@ -1,7 +1,8 @@
 """Shared helpers: group enumeration, trace-based multiplicity oracles and
 loop references for the batched representation, monomial and bundle checks,
 the orbit and stabilizer walks, the stack builders, projectors and group
-averages, the subgroup lattice and the flat report writer."""
+averages, the subgroup lattice, the subgroup dual and the restriction test,
+and the flat report writer."""
 
 import itertools
 import json
@@ -15,8 +16,11 @@ from equifred import (
     ModelInconsistencyError,
     MultiplicityVector,
     Subgroup,
-    SubgroupCharacter,
+    annihilator,
     carrier_dual,
+    char_mul,
+    character,
+    dual_characters,
     full_subgroup,
     numerical_rank,
     subgroup_from_generators,
@@ -313,22 +317,18 @@ def reference_decompose(rep):
         expected = equifred.reps._trace_multiplicity(values, traces)
         if mult != expected:
             raise InternalInconsistencyError(
-                f"projector rank {mult} for the character {_exponents(chi)}, "
+                f"projector rank {mult} for the character {chi.exponents}, "
                 f"the trace oracle says {expected}"
             )
         if mult:
             entries.append((chi, mult))
-    entries.sort(key=lambda pair: _exponents(pair[0]))
+    entries.sort(key=lambda pair: pair[0].exponents)
     mv = MultiplicityVector(tuple(entries), rep.dim)
     if mv.total != rep.dim:
         raise InternalInconsistencyError(
             f"multiplicities sum to {mv.total}, dimension is {rep.dim}"
         )
     return mv
-
-
-def _exponents(chi):
-    return chi.representative.exponents if isinstance(chi, SubgroupCharacter) else chi.exponents
 
 
 def reference_canonical_json(obj):
@@ -441,3 +441,21 @@ def reference_all_subgroups(group):
     subs = [Subgroup(group, els) for els in seen]
     subs.sort(key=lambda s: (s.order, s.elements))
     return tuple(subs)
+
+
+def reference_characters_of_subgroup(group, sub):
+    """The enumeration that `groups.characters_of_subgroup` replaced, as the
+    representatives' exponent tuples: every character of the group, named by
+    the least exponent tuple of its coset (one `char_mul` per annihilator
+    member), deduplicated and sorted."""
+    return tuple(sorted({
+        min(char_mul(chi, psi).exponents for psi in annihilator(group, sub))
+        for chi in dual_characters(group)
+    }))
+
+
+def reference_associated(alpha, rho, gamma0):
+    """The exponent-difference test that `groups.associated` replaced: alpha
+    times the inverse of rho's representative is trivial on gamma0."""
+    inverse = character(alpha.group, [-x for x in rho.representative.exponents])
+    return char_mul(alpha, inverse).is_trivial_on(gamma0.elements)

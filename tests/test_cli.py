@@ -333,6 +333,17 @@ def test_malformed_json_names_the_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("verb", ["check", "prim", "decompose", "induce"])
+def test_a_deeply_nested_document_is_refused_at_the_root(tmp_path, capsys, verb):
+    # json.loads raises RecursionError here, not JSONDecodeError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    alpha = ("--alpha", "0") if verb == "check" else ()
+    rc, out, err = run(capsys, verb, "--input", str(path), *alpha)
+    assert rc == 1 and not out and "Traceback" not in err
+    assert pointer_lines(err) == [("/", "document nests too deeply")]
+
+
 def test_invalid_bundle_points_at_the_transport(capsys):
     rc, out, err = run(capsys, "check", "--input", BAD_TRANSPORT, "--alpha", "0")
     assert rc == 1 and not out
@@ -680,6 +691,18 @@ def test_out_flag_still_reports_failure_code(tmp_path, capsys):
     rc, out, _ = run(capsys, "check", "--input", FIXED, "--alpha", "0", "--out", str(target))
     assert rc == 2 and out == ""
     assert json.loads(target.read_text())["verdict"] == "not-elliptic"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bvp", "--bc", "d,n", "--sizes", "8,16", "--count", "3"),
+    ("check", "--input", FIXED, "--alpha", "0"),  # the report is made, then refused
+], ids=["bvp", "check"])
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+def test_an_unwritable_out_is_refused_in_one_line(tmp_path, capsys, argv, target):
+    path = tmp_path / "absent" / "x.json" if target == "missing-parent" else tmp_path
+    rc, out, err = run(capsys, *argv, "--out", str(path))
+    assert rc == 1 and out == "" and "Traceback" not in err
+    assert err.startswith(f"input error: cannot write {path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
