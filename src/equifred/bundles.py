@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -75,46 +76,22 @@ class BundleValidation:
 
 @dataclass(frozen=True, eq=False)
 class EquivariantSampleBundle:
-    """Finite group-set with unitary fiber transport.
+    """Finite group-set with unitary fiber transport, held as its tables.
 
-    points are ids (strings); base maps each point to its base-point label;
-    action maps (group element, point) to a point; transport maps the same
-    keys to a unitary matrix from the fiber at the point to the fiber at its
-    image.  The mappings are read once, on first validation: change them
-    only before that.
+    points are sorted ids (strings); base maps each point to its base-point
+    label and fiber_dim to its fiber dimension.  table[g, p] is the index
+    of g·p among the points (g and p index group.elements and points);
+    transports holds the unitary T(g, p) from the fiber at p to the fiber at
+    g·p at index g·len(points) + p, one stack per shape.  Every part is
+    read-only.  Build a bundle with `sample_bundle` or `load_bundle`.
     """
 
     group: Group
     points: tuple[str, ...]
     base: Mapping[str, str]
-    action: Mapping[tuple[ElementT, str], str]
     fiber_dim: Mapping[str, int]
-    transport: Mapping[tuple[ElementT, str], np.ndarray]
-
-    def act(self, g: ElementT, p: str) -> str:
-        return self.action[(g, p)]
-
-    def transport_matrix(self, g: ElementT, p: str) -> np.ndarray:
-        return self.transport[(g, p)]
-
-    @cached_property
-    def _action_table(self) -> np.ndarray:
-        """A[g, p]: index of g·p among the points (g, p indices into group.elements
-        and points); -1 where the entry is missing, -2 where it is not a point."""
-        index = {p: i for i, p in enumerate(self.points)}
-        rows = [
-            [index.get(self.action[(g, p)], -2) if (g, p) in self.action else -1
-             for p in self.points]
-            for g in self.group.elements
-        ]
-        return np.array(rows, dtype=np.intp).reshape(self.group.order, len(self.points))
-
-    @cached_property
-    def _transports(self) -> _ShapeStacks:
-        """T(g, p) at index g·len(points) + p (every entry must be present)."""
-        return _ShapeStacks(
-            [self.transport[(g, p)] for g in self.group.elements for p in self.points]
-        )
+    table: np.ndarray
+    transports: _ShapeStacks
 
     @cached_property
     def _validated(self) -> BundleValidation:
@@ -125,6 +102,32 @@ class EquivariantSampleBundle:
         return _isotype_orbits(self)
 
 
+def _from_tables(
+    group: Group,
+    points: tuple[str, ...],
+    base: Mapping[str, str],
+    fiber_dim: Mapping[str, int],
+    table: np.ndarray,
+    transports: list[np.ndarray],
+) -> EquivariantSampleBundle:
+    """The loaders' constructor, not checked: sorted points, labels and
+    dimensions for (at least) them, the (|G|, n) intp action table, and the
+    complex T(g, p) listed g-major, each of shape (fiber_dim of g·p,
+    fiber_dim of p).  Every part is made read-only."""
+    table.setflags(write=False)
+    stacks = _ShapeStacks(transports)
+    for arr in (stacks.cls, stacks.pos, *stacks.members, *stacks.stacks):
+        arr.setflags(write=False)
+    return EquivariantSampleBundle(
+        group, points, MappingProxyType({p: base[p] for p in points}),
+        MappingProxyType({p: fiber_dim[p] for p in points}), table, stacks,
+    )
+
+
+def _key(g: ElementT) -> str:
+    return ",".join(str(x) for x in g)
+
+
 def sample_bundle(
     group: Group,
     points: Iterable[str],
@@ -133,92 +136,96 @@ def sample_bundle(
     fiber_dim: Mapping[str, int],
     transport: Mapping,
 ) -> EquivariantSampleBundle:
-    """Normalize raw bundle data (sorted points, immutable complex matrices)."""
+    """A bundle from raw data: action and transport keyed by (element, point).
+
+    Points are sorted, dimensions made ints and matrices complex.  The first
+    entry that cannot fill the tables raises InputDocumentError at the
+    pointer `validate_bundle` once reported for it, in this order: action
+    entries (element-major, points sorted) that are missing or not a point;
+    missing base labels; missing or non-positive fiber dimensions;
+    transports that are missing or of the wrong shape.  Keys off the points
+    are ignored.
+    """
     pts = tuple(sorted(str(p) for p in points))
-    tr = {}
-    for key, m in transport.items():
-        arr = np.array(m, dtype=complex)
-        arr.setflags(write=False)
-        tr[key] = arr
-    return EquivariantSampleBundle(
-        group, pts, dict(base), dict(action), {p: int(d) for p, d in fiber_dim.items()}, tr
-    )
+    index = {p: i for i, p in enumerate(pts)}
+    table = np.empty((group.order, len(pts)), dtype=np.intp)
+    for g, elem in enumerate(group.elements):
+        for i, p in enumerate(pts):
+            if (elem, p) not in action:
+                raise InputDocumentError(f"/action/{_key(elem)}/{p}", "missing")
+            q = action[(elem, p)]
+            if q not in index:
+                raise InputDocumentError(f"/action/{_key(elem)}/{p}", f"image {q!r} is not a point")
+            table[g, i] = index[q]
+    for p in pts:
+        if p not in base:
+            raise InputDocumentError(f"/base/{p}", "missing label")
+    dims = [int(fiber_dim[p]) if p in fiber_dim else 0 for p in pts]
+    for p, d in zip(pts, dims):
+        if d < 1:
+            raise InputDocumentError(f"/fiber_dim/{p}", "missing or non-positive")
+    mats = []
+    for g, elem in enumerate(group.elements):
+        for i, p in enumerate(pts):
+            if (elem, p) not in transport:
+                raise InputDocumentError(f"/transport/{_key(elem)}/{p}", "missing")
+            m, want = np.array(transport[(elem, p)], dtype=complex), (dims[table[g, i]], dims[i])
+            if m.shape != want:
+                raise InputDocumentError(
+                    f"/transport/{_key(elem)}/{p}", f"shape {m.shape}, expected {want}"
+                )
+            mats.append(m)
+    return _from_tables(group, pts, base, dict(zip(pts, dims)), table, mats)
 
 
 def validate_bundle(b: EquivariantSampleBundle) -> BundleValidation:
-    """Check action, base-label, fiber-dimension, and cocycle axioms.
+    """Check the laws of the action, the base labels and the cocycle.
 
     Collects every violation with a location instead of stopping at the
-    first, in a fixed order: missing or foreign action images (and nothing
-    else when there are any); the identity and composition laws, g·(h·p) =
-    (g+h)·p for all g, h, p; base labels; fiber dimensions; presence and
-    shape of transports; unitarity, T(0, p) = I and the cocycle law
-    T(g, h·p) T(h, p) = T(g+h, p) for all g, h, p.  A composition failure
-    between fibers of different dimensions is reported at the cocycle's
-    location as a shape mismatch.
+    first, in a fixed order: the identity and composition laws, g·(h·p) =
+    (g+h)·p for all g, h, p; base labels that move inconsistently;
+    unitarity, T(0, p) = I and the cocycle law T(g, h·p) T(h, p) = T(g+h, p)
+    for all g, h, p.  A composition failure between fibers of different
+    dimensions is reported at the cocycle's location as a shape mismatch.
+    The tables are complete by construction (`sample_bundle` refuses data
+    that cannot fill them).
 
-    The checks run on an integer action table and on transports stacked by
-    shape, to LAW_TOL in operator norm.  Both laws go through
-    `reps._law_failures`, along the Cayley edges first: a valid bundle costs
-    O(|G|·rank·points) products, and only a failing edge brings in every
-    pair.  The violations, their order and their printed defects are
-    exactly those of an SVD norm per pair.  The result is kept per bundle,
-    so a bundle is validated once however many checks it goes through.
+    The checks run on the action table and the transport stacks, to
+    LAW_TOL in operator norm.  Both laws go through `reps._law_failures`,
+    along the Cayley edges first: a valid bundle costs O(|G|·rank·points)
+    products, and only a failing edge brings in every pair.  The
+    violations, their order and their printed defects are exactly those of
+    an SVD norm per pair.  The result is kept per bundle, so a bundle is
+    validated once however many checks it goes through.
     """
     return b._validated
 
 
 def _check_bundle(b: EquivariantSampleBundle) -> BundleValidation:
-    pts, n_pts, group, A = b.points, len(b.points), b.group, b._action_table
-    keys = [",".join(str(x) for x in g) for g in group.elements]
+    pts, n_pts, group, A, T = b.points, len(b.points), b.group, b.table, b.transports
+    keys = [_key(g) for g in group.elements]
     e = group.elements.index(group.identity)
 
     def at(kind: str, g: int, p: int, detail: str) -> Violation:
         return Violation(kind, f"/{kind}/{keys[g]}/{pts[p]}", detail)
 
-    out = [
-        at("action", g, p, "missing" if A[g, p] == -1
-           else f"image {b.action[(group.elements[g], pts[p])]!r} is not a point")
-        for g, p in np.argwhere(A < 0)
+    out = [at("action", e, p, "identity must fix every point")
+           for p in np.flatnonzero(A[e] != np.arange(n_pts))]
+
+    first: dict[str, int] = {}
+    lead = np.array([first.setdefault(b.base[p], i) for i, p in enumerate(pts)], dtype=np.intp)
+    moved = lead[A]  # the first point with the label of g·p
+    # the label of g·p must be that of g·q for the first point q sharing p's label
+    rest = [  # what follows the composition law
+        Violation("base", f"/base/{pts[A[g, p]]}",
+                  f"label {b.base[pts[p]]!r} moves inconsistently under {keys[g]}")
+        for g, p in np.argwhere(moved != moved[:, lead])
     ]
-    if out:
-        return BundleValidation(tuple(out))
-    out += [at("action", e, p, "identity must fix every point")
-            for p in np.flatnonzero(A[e] != np.arange(n_pts))]
-
-    rest: list[Violation] = []  # what follows the composition law
-    unlabelled = [p for p in pts if p not in b.base]
-    rest += [Violation("base", f"/base/{p}", "missing label") for p in unlabelled]
-    if not unlabelled:
-        first: dict[str, int] = {}
-        lead = np.array([first.setdefault(b.base[p], i) for i, p in enumerate(pts)], dtype=np.intp)
-        moved = lead[A]  # the first point with the label of g·p
-        # the label of g·p must be that of g·q for the first point q sharing p's label
-        rest += [
-            Violation("base", f"/base/{pts[A[g, p]]}",
-                      f"label {b.base[pts[p]]!r} moves inconsistently under {keys[g]}")
-            for g, p in np.argwhere(moved != moved[:, lead])
-        ]
-
-    T, non_unitary = None, []
-    bad_dims = [p for p in pts if p not in b.fiber_dim or b.fiber_dim[p] < 1]
-    rest += [Violation("fiber", f"/fiber_dim/{p}", "missing or non-positive") for p in bad_dims]
-    if not bad_dims:
-        dims = [b.fiber_dim[p] for p in pts]
-        found = len(rest)
-        for g, elem in enumerate(group.elements):
-            for p, pt in enumerate(pts):
-                m, want = b.transport.get((elem, pt)), (dims[A[g, p]], dims[p])
-                if m is None or m.shape != want:
-                    detail = "missing" if m is None else f"shape {m.shape}, expected {want}"
-                    rest.append(at("transport", g, p, detail))
-        if len(rest) == found:
-            T = b._transports  # indexed g * n_pts + p
-            non_unitary = _non_unitary(T, LAW_TOL)
-            rest += [at("transport", *divmod(int(i), n_pts), f"not unitary ({err:.3e})")
-                     for i, err in non_unitary]
-            rest += [at("transport", e, i % n_pts, "identity transport != I")
-                     for i in _off_identity(T, e * n_pts + np.arange(n_pts), LAW_TOL)]
+    non_unitary = _non_unitary(T, LAW_TOL)
+    rest += [at("transport", *divmod(int(i), n_pts), f"not unitary ({err:.3e})")
+             for i, err in non_unitary]
+    rest += [at("transport", e, i % n_pts, "identity transport != I")
+             for i in _off_identity(T, e * n_pts + np.arange(n_pts), LAW_TOL)]
 
     # unitarity bounds every transport by sqrt(1 + LAW_TOL); without it, no bound
     bound = None if non_unitary else math.sqrt(1 + LAW_TOL)
@@ -243,14 +250,6 @@ def require_valid(b: EquivariantSampleBundle) -> None:
 # orbits, isotropy, fibers
 
 
-def _complete(table: np.ndarray) -> np.ndarray:
-    """The action table, or some of its columns, refused if an entry is missing
-    or not a point (`validate_bundle` locates it)."""
-    if (table < 0).any():
-        raise ValueError("the action has a missing entry or an image that is not a point")
-    return table
-
-
 def _elements(b: EquivariantSampleBundle, at: np.ndarray) -> tuple:
     return tuple(b.group.elements[g] for g in at)
 
@@ -261,7 +260,7 @@ def orbits(b: EquivariantSampleBundle) -> tuple[tuple[str, ...], ...]:
     Read off the action table: the orbit of p is the column A[:, p], so its
     least member is the column minimum (points are held sorted).
     """
-    least = _complete(b._action_table).min(axis=0)
+    least = b.table.min(axis=0)
     return tuple(
         tuple(b.points[i] for i in np.flatnonzero(least == lead))
         for lead in np.flatnonzero(least == np.arange(len(b.points)))
@@ -273,8 +272,7 @@ def isotropy(b: EquivariantSampleBundle, p: str) -> Subgroup:
     if p not in b.points:
         raise ValueError(f"{p!r} is not a point of the bundle")
     i = b.points.index(p)
-    fixed = np.flatnonzero(_complete(b._action_table[:, i]) == i)
-    return Subgroup(b.group, _elements(b, fixed))
+    return Subgroup(b.group, _elements(b, np.flatnonzero(b.table[:, i] == i)))
 
 
 def minimal_isotropy(b: EquivariantSampleBundle) -> Subgroup:
@@ -286,7 +284,7 @@ def minimal_isotropy(b: EquivariantSampleBundle) -> Subgroup:
     """
     if not b.points:
         return full_subgroup(b.group)
-    fixes = _complete(b._action_table) == np.arange(len(b.points))  # g fixes p
+    fixes = b.table == np.arange(len(b.points))  # g fixes p
     least = np.flatnonzero(fixes[:, np.argmin(fixes.sum(axis=0))])
     outside = np.flatnonzero(~fixes[least].all(axis=0))
     if outside.size:
@@ -298,9 +296,11 @@ def minimal_isotropy(b: EquivariantSampleBundle) -> Subgroup:
 
 
 def fiber_rep(b: EquivariantSampleBundle, p: str) -> UnitaryRep:
-    """The stabilizer representation on the fiber at p, from the transport."""
+    """The stabilizer representation on the fiber at p: T(h, p) for h in
+    `isotropy(b, p)`, all of one square shape."""
     h = isotropy(b, p)
-    return _from_stack(h, np.array([b.transport_matrix(g, p) for g in h.elements]))
+    at = np.ravel_multi_index(np.array(h.elements).T, b.group.orders)  # index in group.elements
+    return _from_stack(h, b.transports.take(at * len(b.points) + b.points.index(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,8 @@ def partition_by_beta(x_orbits: tuple, gamma0: Subgroup) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class SymbolField:
-    """A fiber endomorphism at every sample point."""
+    """A fiber endomorphism at every sample point, read-only as `symbol_field`
+    builds it (the equivariance gate is read from it once and kept)."""
 
     bundle: EquivariantSampleBundle
     values: Mapping[str, np.ndarray]
@@ -398,18 +399,18 @@ def symbol_field(bundle: EquivariantSampleBundle, values: Mapping[str, np.ndarra
             raise ValueError(f"symbol at {p!r} has shape {m.shape}, expected {(d, d)}")
         m.setflags(write=False)
         store[p] = m
-    return SymbolField(bundle, store)
+    return SymbolField(bundle, MappingProxyType(store))
 
 
 def _symbol_defects(sym: SymbolField):
     """sigma(g p) - T(g, p) sigma(p) T(g, p)^* for every (g, p), one stack per
     transport shape, with the indices g * len(points) + p it holds."""
     b = sym.bundle
-    T, values = b._transports, sym._stacked
+    T, values = b.transports, sym._stacked
     for idx, t in zip(T.members, T.stacks):
         g, p = np.divmod(idx, len(b.points))
         conjugated = t @ values.take(p) @ t.conj().transpose(0, 2, 1)
-        yield idx, values.take(b._action_table[g, p]) - conjugated
+        yield idx, values.take(b.table[g, p]) - conjugated
 
 
 def _worst_symbol_defect(sym: SymbolField) -> tuple[float, str | None]:
@@ -441,11 +442,11 @@ def propagate_symbol(
             f"seed at {p0!r} is not stabilizer-invariant", fiber_rep(bundle, p0), raw,
             tol=LAW_TOL,
         )
-        for g in bundle.group.elements:
-            q = bundle.act(g, p0)
+        i = bundle.points.index(p0)
+        for g, q in enumerate(bundle.points[j] for j in bundle.table[:, i]):
             if q in values:
                 continue
-            t = bundle.transport_matrix(g, p0)
+            t = bundle.transports.take(np.array([g * len(bundle.points) + i]))[0]
             values[q] = t @ raw @ t.conj().T
     missing = [p for p in bundle.points if p not in values]
     if missing:
@@ -632,26 +633,20 @@ def random_bundle(
     containing = [s for s in subs if g0.is_subgroup_of(s)]
     count = n_orbits if n_orbits is not None else int(rng.integers(1, 4))
 
-    points: list[str] = []
-    base: dict[str, str] = {}
-    action: dict = {}
     fdim: dict[str, int] = {}
+    action: dict = {}
     transport: dict = {}
     for o in range(count):
         stab = g0 if o == 0 else containing[int(rng.integers(len(containing)))]
         v = random_rep(stab, int(rng.integers(1, max_fiber_dim + 1)), rng)
         reps_, locate = coset_table(group, stab)
         ids = [f"o{o}p{j}" for j in range(len(reps_))]
-        for j, pid in enumerate(ids):
-            points.append(pid)
-            base[pid] = pid
-            fdim[pid] = v.dim
+        fdim.update(dict.fromkeys(ids, v.dim))
         for g in group.elements:
-            for j, pid in enumerate(ids):
-                tgt_j, h = locate[group.op(g, reps_[j])]
-                action[(g, pid)] = ids[tgt_j]
-                transport[(g, pid)] = v.matrix(h)
-    return sample_bundle(group, points, base, action, fdim, transport)
+            for x, pid in zip(reps_, ids):
+                j, h = locate[group.op(g, x)]  # g x = x_j h
+                action[(g, pid)], transport[(g, pid)] = ids[j], v.matrix(h)
+    return sample_bundle(group, fdim, {p: p for p in fdim}, action, fdim, transport)
 
 
 def random_symbol(

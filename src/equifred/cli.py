@@ -32,7 +32,7 @@ from .bundles import (
     prim_enumerate,
     validate_bundle,
 )
-from .groups import Group, character
+from .groups import Group, SubgroupCharacter, character
 from .lab import (
     analytic_bvp_spectrum,
     build_fixed_point_degenerate_operator,
@@ -183,17 +183,18 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    group, sub, rho = load_induction(_load_json(args.input))
-    rep = character_rep(rho)
-    # the induced stack holds |G| complex matrices of side [G:H]·dim rho
-    need = group.order * (group.order // sub.order * rep.dim) ** 2 * 16
+    group, sub, chi = load_induction(_load_json(args.input))
+    # the induced stack holds |G| complex matrices of side [G:H], checked
+    # before any character of H is named (that walks H's annihilator)
+    need = group.order * (group.order // sub.order) ** 2 * 16
     if need > _CEILING_BYTES:
         raise InputDocumentError(
             "/group/orders",
             f"inducing from order {sub.order} to order {group.order} needs about "
             f"{need / 2**30:.3g} GiB, over the 1 GiB ceiling",
         )
-    ind = induce(rep, group)
+    rho = SubgroupCharacter(sub, chi)
+    ind = induce(character_rep(rho), group)
     mv = decompose(ind)
     doc = {
         "group": group_doc(group),

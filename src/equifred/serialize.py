@@ -17,7 +17,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .bundles import EquivariantSampleBundle, InputDocumentError, SymbolField
-from .bundles import sample_bundle, symbol_field
+from .bundles import _from_tables, symbol_field
 from .groups import Character, ElementT, Group, Subgroup, SubgroupCharacter
 from .groups import character, subgroup_from_generators
 from .reps import MultiplicityVector, UnitaryRep, unitary_rep
@@ -47,11 +47,13 @@ def parse_element_key(key: str, group: Group, path: str) -> ElementT:
 
 def _element_table(node: Any, group: Group, path: str) -> Mapping:
     """node as an object with an entry for each element of group, keyed as
-    `element_key` writes it, and no other key (refused as by `_point_table`)."""
+    `element_key` writes it, and no other key (refused as by `_point_table`).
+    The elements are walked one at a time, in `Group.elements` order, up to
+    the first missing key."""
     node = _as_dict(node, path)
-    for g in group.elements:
-        if element_key(g) not in node:
-            raise InputDocumentError(f"{path}/{element_key(g)}", "missing")
+    for i in range(group.order):
+        if (key := element_key(np.unravel_index(i, group.orders))) not in node:
+            raise InputDocumentError(f"{path}/{key}", "missing")
     for key in node:
         again = element_key(parse_element_key(key, group, f"{path}/{key}"))
         if again != key:
@@ -238,10 +240,11 @@ def rep_doc(rep: UnitaryRep) -> dict:
     }
 
 
-def load_induction(doc: Any) -> tuple[Group, Subgroup, SubgroupCharacter]:
-    """Parse an induce document: a group, subgroup generators and the exponents
-    of a full-group character, which is restricted to the generated subgroup.
-    Residues and exponents must be integers; they are reduced modulo the orders."""
+def load_induction(doc: Any) -> tuple[Group, Subgroup, Character]:
+    """Parse an induce document: a group, the subgroup its generators span and
+    the full-group character of its exponents, to be restricted to that
+    subgroup.  Residues and exponents must be integers; they are reduced
+    modulo the orders."""
     node = _as_dict(doc, "/")
     group = load_group(_need(node, "group", ""), "/group")
     gens_node = _need(node, "subgroup_generators", "")
@@ -259,8 +262,7 @@ def load_induction(doc: Any) -> tuple[Group, Subgroup, SubgroupCharacter]:
     chi = character(
         group, [_as_int(x, f"/character_exponents/{j}") for j, x in enumerate(exps)]
     )
-    sub = subgroup_from_generators(group, gens)
-    return group, sub, SubgroupCharacter(sub, chi)
+    return group, subgroup_from_generators(group, gens), chi
 
 
 def character_doc(chi: Character | SubgroupCharacter) -> list:
@@ -293,13 +295,15 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
     group = load_group(_need(node, "group", ""), "/group")
 
     pts_node = _as_list(_need(node, "points", ""), "/points")
-    points: dict[str, None] = {}  # in document order
+    points: dict[str, int] = {}  # in document order, to the index in sorted order
     for i, p in enumerate(pts_node):
         if not isinstance(p, str):
             raise InputDocumentError(f"/points/{i}", "point ids are strings")
         if p in points:
             raise InputDocumentError(f"/points/{i}", f"duplicate point id {p!r}")
-        points[p] = None
+        points[p] = 0
+    pts = tuple(sorted(points))
+    points.update((p, i) for i, p in enumerate(pts))
 
     base = _point_table(_need(node, "base", ""), points, "/base")
     for p in points:
@@ -317,55 +321,50 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
         return out
 
     action_node = _element_table(_need(node, "action", ""), group, "/action")
-    action: dict[tuple[ElementT, str], str] = {}
-    for g in group.elements:
-        key = element_key(g)
-        table = _point_table(action_node[key], points, f"/action/{key}")
+    table = np.empty((group.order, len(pts)), dtype=np.intp)
+    for g, elem in enumerate(group.elements):
+        key = element_key(elem)
+        images = _point_table(action_node[key], points, f"/action/{key}")
         for p in points:
-            q = table[p]
+            q = images[p]
             if not isinstance(q, str) or q not in points:
-                raise InputDocumentError(
-                    f"/action/{key}/{p}", f"image {q!r} is not a point"
-                )
-            action[(g, p)] = q
+                raise InputDocumentError(f"/action/{key}/{p}", f"image {q!r} is not a point")
+            table[g, points[p]] = points[q]
 
-    def load_transport(field: str, dims_from: dict[str, int], dims_to: dict[str, int]):
+    def load_transport(field: str, dims: dict[str, int]) -> list[np.ndarray]:
+        """T(g, p) at g * len(points) + p, points sorted."""
         t_node = _element_table(_need(node, field, ""), group, f"/{field}")
-        out: dict[tuple[ElementT, str], np.ndarray] = {}
-        for g in group.elements:
-            key = element_key(g)
-            table = _point_table(t_node[key], points, f"/{field}/{key}")
+        out: list = [None] * table.size
+        for g, elem in enumerate(group.elements):
+            key = element_key(elem)
+            row = _point_table(t_node[key], points, f"/{field}/{key}")
+            images = table[g].tolist()
             for p in points:
-                m = parse_matrix(table[p], f"/{field}/{key}/{p}")
-                want = (dims_to[action[(g, p)]], dims_from[p])
+                m = parse_matrix(row[p], f"/{field}/{key}/{p}")
+                want = (dims[pts[images[points[p]]]], dims[p])
                 if m.shape != want:
                     raise InputDocumentError(
                         f"/{field}/{key}/{p}", f"shape {m.shape}, expected {want}"
                     )
-                out[(g, p)] = m
+                out[g * len(pts) + points[p]] = m
         return out
 
     fiber_dim = load_point_ints("fiber_dim")
     two_bundle = "fiber_dim_out" in node or "transport_out" in node
     if two_bundle:
         fiber_out = load_point_ints("fiber_dim_out")
-        t_in = load_transport("transport", fiber_dim, fiber_dim)
-        t_out = load_transport("transport_out", fiber_out, fiber_out)
-        folded_dim = {p: fiber_dim[p] + fiber_out[p] for p in points}
-        folded_t = {}
-        for g in group.elements:
-            for p in points:
-                a, b = t_in[(g, p)], t_out[(g, p)]
-                m = np.zeros(
-                    (folded_dim[action[(g, p)]], folded_dim[p]), dtype=complex
-                )
-                m[: a.shape[0], : a.shape[1]] = a
-                m[a.shape[0] :, a.shape[1] :] = b
-                folded_t[(g, p)] = m
-        bundle = sample_bundle(group, points, base, action, folded_dim, folded_t)
+        t_in = load_transport("transport", fiber_dim)
+        t_out = load_transport("transport_out", fiber_out)
+        dims = {p: fiber_dim[p] + fiber_out[p] for p in pts}
+        transports: list = []
+        for a, b in zip(t_in, t_out):
+            m = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
+            m[: a.shape[0], : a.shape[1]] = a
+            m[a.shape[0] :, a.shape[1] :] = b
+            transports.append(m)
     else:
-        transport = load_transport("transport", fiber_dim, fiber_dim)
-        bundle = sample_bundle(group, points, base, action, fiber_dim, transport)
+        dims, transports = fiber_dim, load_transport("transport", fiber_dim)
+    bundle = _from_tables(group, pts, base, dims, table, transports)
 
     if "symbol" not in node:
         return bundle, None

@@ -2,7 +2,8 @@
 loop references for the batched representation, monomial and bundle checks,
 the orbit and stabilizer walks, the stack builders, projectors and group
 averages, the subgroup lattice, the subgroup dual and the restriction test,
-and the flat report writer."""
+and the flat report writer; raw bundle data from the old `random_bundle`
+loop and from a plain walk of a bundle document."""
 
 import itertools
 import json
@@ -22,12 +23,14 @@ from equifred import (
     character,
     dual_characters,
     full_subgroup,
+    make_group,
     numerical_rank,
+    random_rep,
     subgroup_from_generators,
     trivial_subgroup,
 )
 from equifred.bundles import BundleValidation, Violation
-from equifred.groups import coset_table
+from equifred.groups import all_subgroups, coset_table
 
 
 def _partitions(n):
@@ -150,17 +153,93 @@ def reference_monomial_rep(carrier, perm, phase, *, tol=1e-10):
     return None
 
 
-def reference_validate_bundle(b, *, tol=1e-10):
-    """The pair-by-pair bundle validator that `validate_bundle` replaced.
+def reference_random_bundle(group, rng, *, n_orbits=None, max_fiber_dim=3, min_isotropy=None):
+    """The dict loop `random_bundle` was written as, drawing from rng in the
+    same order: its raw (group, points, base, action, fiber_dim, transport)."""
+    subs = all_subgroups(group)
+    if min_isotropy is not None:
+        g0 = min_isotropy
+    else:
+        g0 = subs[int(rng.integers(len(subs)))]
+    containing = [s for s in subs if g0.is_subgroup_of(s)]
+    count = n_orbits if n_orbits is not None else int(rng.integers(1, 4))
 
-    Kept only as an oracle: the batched validator must return the same
-    violations, in the same order.  One SVD 2-norm per (g, p) or (g, h, p).
-    On a composition failure between fibers of different dimensions the
-    cocycle subtraction raises (numpy cannot broadcast the two sides).
+    points, base, action, fdim, transport = [], {}, {}, {}, {}
+    for o in range(count):
+        stab = g0 if o == 0 else containing[int(rng.integers(len(containing)))]
+        v = random_rep(stab, int(rng.integers(1, max_fiber_dim + 1)), rng)
+        reps_, locate = coset_table(group, stab)
+        ids = [f"o{o}p{j}" for j in range(len(reps_))]
+        for j, pid in enumerate(ids):
+            points.append(pid)
+            base[pid] = pid
+            fdim[pid] = v.dim
+        for g in group.elements:
+            for j, pid in enumerate(ids):
+                tgt_j, h = locate[group.op(g, reps_[j])]
+                action[(g, pid)] = ids[tgt_j]
+                transport[(g, pid)] = v.matrix(h)
+    return group, points, base, action, fdim, transport
+
+
+def _plain_matrix(node):
+    return np.array([[complex(re, im) for re, im in row] for row in node], dtype=complex)
+
+
+def raw_bundle_document(doc):
+    """A bundle document walked plainly into raw (group, points, base, action,
+    fiber_dim, transport) dicts keyed by (element, point); a two-fiber
+    document's transports are folded block-diagonally, as `load_bundle` does."""
+    group = make_group(doc["group"]["orders"])
+
+    def element(key):
+        return tuple(int(x) for x in key.split(","))
+
+    action = {(element(k), p): q for k, row in doc["action"].items() for p, q in row.items()}
+
+    def transports(field):
+        return {(element(k), p): _plain_matrix(m)
+                for k, row in doc[field].items() for p, m in row.items()}
+
+    transport, fiber_dim = transports("transport"), dict(doc["fiber_dim"])
+    if "transport_out" in doc:
+        out = transports("transport_out")
+        for key, a in transport.items():
+            b = out[key]
+            m = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
+            m[: a.shape[0], : a.shape[1]], m[a.shape[0] :, a.shape[1] :] = a, b
+            transport[key] = m
+        fiber_dim = {p: d + doc["fiber_dim_out"][p] for p, d in fiber_dim.items()}
+    return group, doc["points"], doc["base"], action, fiber_dim, transport
+
+
+def is_structural(v):
+    """Whether a reference violation says that the data cannot fill the
+    tables: an action entry or transport missing, an image off the points,
+    a label missing, a bad fiber dimension or a transport of the wrong shape."""
+    return (v.detail in ("missing", "missing label", "missing or non-positive")
+            or v.detail.endswith("is not a point") or v.detail.startswith("shape ("))
+
+
+def reference_validate_bundle(group, points, base, action, fiber_dim, transport, *, tol=1e-10):
+    """The pair-by-pair bundle validator that `validate_bundle` replaced, on
+    the raw dicts keyed by (element, point) that `sample_bundle` takes.
+
+    Kept only as an oracle: `sample_bundle` must refuse the first structural
+    violation it lists, and `validate_bundle` must return the others, in
+    the same order.  One SVD 2-norm per (g, p) or (g, h, p).  On a
+    composition failure between fibers of different dimensions the cocycle
+    subtraction raises (numpy cannot broadcast the two sides).
     """
     out = []
-    pts = set(b.points)
-    elems = b.group.elements
+    points = sorted(str(p) for p in points)
+    pts = set(points)
+    elems = group.elements
+    fiber_dim = {p: int(d) for p, d in fiber_dim.items()}
+    transport = {k: np.array(m, dtype=complex) for k, m in transport.items()}
+
+    def act(g, p):
+        return action[(g, p)]
 
     def key(g):
         return ",".join(str(x) for x in g)
@@ -169,109 +248,109 @@ def reference_validate_bundle(b, *, tol=1e-10):
         out.append(Violation(kind, loc, detail))
 
     for g in elems:
-        for p in b.points:
-            if (g, p) not in b.action:
+        for p in points:
+            if (g, p) not in action:
                 bad("action", f"/action/{key(g)}/{p}", "missing")
                 continue
-            q = b.action[(g, p)]
+            q = action[(g, p)]
             if q not in pts:
                 bad("action", f"/action/{key(g)}/{p}", f"image {q!r} is not a point")
     if out:
         return BundleValidation(tuple(out))
 
-    for p in b.points:
-        if b.act(b.group.identity, p) != p:
-            bad("action", f"/action/{key(b.group.identity)}/{p}", "identity must fix every point")
-    for g, h, p in itertools.product(elems, elems, b.points):
-        if b.act(g, b.act(h, p)) != b.act(b.group.op(g, h), p):
+    for p in points:
+        if act(group.identity, p) != p:
+            bad("action", f"/action/{key(group.identity)}/{p}", "identity must fix every point")
+    for g, h, p in itertools.product(elems, elems, points):
+        if act(g, act(h, p)) != act(group.op(g, h), p):
             bad(
                 "action",
-                f"/action/{key(g)}/{b.act(h, p)}",
-                f"composition law fails against {key(b.group.op(g, h))} at {p}",
+                f"/action/{key(g)}/{act(h, p)}",
+                f"composition law fails against {key(group.op(g, h))} at {p}",
             )
 
-    for p in b.points:
-        if p not in b.base:
+    for p in points:
+        if p not in base:
             bad("base", f"/base/{p}", "missing label")
     if not any(v.kind == "base" for v in out):
         for g in elems:
             seen = {}
-            for p in b.points:
-                lbl, img = b.base[p], b.base[b.act(g, p)]
+            for p in points:
+                lbl, img = base[p], base[act(g, p)]
                 if lbl in seen and seen[lbl] != img:
                     bad(
                         "base",
-                        f"/base/{b.act(g, p)}",
+                        f"/base/{act(g, p)}",
                         f"label {lbl!r} moves inconsistently under {key(g)}",
                     )
                 seen.setdefault(lbl, img)
 
-    for p in b.points:
-        if p not in b.fiber_dim or b.fiber_dim[p] < 1:
+    for p in points:
+        if p not in fiber_dim or fiber_dim[p] < 1:
             bad("fiber", f"/fiber_dim/{p}", "missing or non-positive")
     if any(v.kind == "fiber" for v in out):
         return BundleValidation(tuple(out))
 
     for g in elems:
-        for p in b.points:
-            if (g, p) not in b.transport:
+        for p in points:
+            if (g, p) not in transport:
                 bad("transport", f"/transport/{key(g)}/{p}", "missing")
                 continue
-            m = b.transport[(g, p)]
-            want = (b.fiber_dim[b.act(g, p)], b.fiber_dim[p])
+            m = transport[(g, p)]
+            want = (fiber_dim[act(g, p)], fiber_dim[p])
             if m.shape != want:
                 bad("transport", f"/transport/{key(g)}/{p}", f"shape {m.shape}, expected {want}")
     if any(v.kind == "transport" for v in out):
         return BundleValidation(tuple(out))
 
     for g in elems:
-        for p in b.points:
-            m = b.transport[(g, p)]
+        for p in points:
+            m = transport[(g, p)]
             err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[1]), 2)
             if err > tol:
                 bad("transport", f"/transport/{key(g)}/{p}", f"not unitary ({err:.3e})")
-    for p in b.points:
-        m = b.transport[(b.group.identity, p)]
+    for p in points:
+        m = transport[(group.identity, p)]
         if np.linalg.norm(m - np.eye(m.shape[0]), 2) > tol:
-            bad("transport", f"/transport/{key(b.group.identity)}/{p}", "identity transport != I")
-    for g, h, p in itertools.product(elems, elems, b.points):
-        lhs = b.transport[(g, b.act(h, p))] @ b.transport[(h, p)]
-        rhs = b.transport[(b.group.op(g, h), p)]
+            bad("transport", f"/transport/{key(group.identity)}/{p}", "identity transport != I")
+    for g, h, p in itertools.product(elems, elems, points):
+        lhs = transport[(g, act(h, p))] @ transport[(h, p)]
+        rhs = transport[(group.op(g, h), p)]
         err = np.linalg.norm(lhs - rhs, 2)
         if err > tol:
             bad(
                 "transport",
-                f"/transport/{key(g)}/{b.act(h, p)}",
-                f"cocycle defect {err:.3e} against {key(b.group.op(g, h))} at {p}",
+                f"/transport/{key(g)}/{act(h, p)}",
+                f"cocycle defect {err:.3e} against {key(group.op(g, h))} at {p}",
             )
     return BundleValidation(tuple(out))
 
 
-def reference_orbits(b):
-    """The `act` walks that the action-table `orbits` replaced: the orbit of
-    each point not yet seen, sorted, in point order."""
+def reference_orbits(group, points, action):
+    """The walks that the action-table `orbits` replaced: the orbit of each
+    point not yet seen, sorted, in sorted point order."""
     done, out = set(), []
-    for p in b.points:
+    for p in sorted(points):
         if p not in done:
-            orb = tuple(sorted({b.act(g, p) for g in b.group.elements}))
+            orb = tuple(sorted({action[(g, p)] for g in group.elements}))
             done.update(orb)
             out.append(orb)
     return tuple(out)
 
 
-def reference_isotropy(b, p):
-    """The stabilizer of p by one `act` call per element (ValueError off the bundle)."""
-    if p not in b.base:
+def reference_isotropy(group, points, action, p):
+    """The stabilizer of p by one action lookup per element (ValueError off the points)."""
+    if p not in points:
         raise ValueError(f"{p!r} is not a point of the bundle")
-    return Subgroup(b.group, tuple(sorted(g for g in b.group.elements if b.act(g, p) == p)))
+    return Subgroup(group, tuple(sorted(g for g in group.elements if action[(g, p)] == p)))
 
 
-def reference_minimal_isotropy(b):
+def reference_minimal_isotropy(group, points, action):
     """The least of the walked stabilizers by (order, elements), which must lie
     in every other one; the full group on an empty bundle."""
-    stabs = {reference_isotropy(b, p) for p in b.points}
+    stabs = {reference_isotropy(group, points, action, p) for p in points}
     if not stabs:
-        return full_subgroup(b.group)
+        return full_subgroup(group)
     least = min(stabs, key=lambda s: (s.order, s.elements))
     if not all(least.is_subgroup_of(s) for s in stabs):
         raise ModelInconsistencyError(f"stabilizer {least.elements} is not minimal")
@@ -289,10 +368,11 @@ def reference_symbol_defect(sym):
     first point attaining it (the loop that `bundles._worst_symbol_defect` replaced)."""
     b = sym.bundle
     worst, where = 0.0, None
-    for g in b.group.elements:
-        for p in b.points:
-            t = b.transport_matrix(g, p)
-            err = float(np.linalg.norm(sym.value(b.act(g, p)) - t @ sym.value(p) @ t.conj().T, 2))
+    for g in range(b.group.order):
+        for i, p in enumerate(b.points):
+            t = b.transports.take(np.array([g * len(b.points) + i]))[0]
+            q = b.points[b.table[g, i]]
+            err = float(np.linalg.norm(sym.value(q) - t @ sym.value(p) @ t.conj().T, 2))
             if err > worst:
                 worst, where = err, p
     return worst, where

@@ -11,6 +11,7 @@ import pytest
 
 import equifred.reps
 from equifred import (
+    SubgroupCharacter,
     AmbiguousRankError,
     InternalInconsistencyError,
     MonomialRep,
@@ -58,8 +59,8 @@ def _fixture_reps(name):
     if name.startswith("rep_"):
         return [load_rep(doc)]
     if name.startswith("induce_"):
-        group, _, rho = load_induction(doc)
-        return [induce(character_rep(rho), group)]
+        group, sub, chi = load_induction(doc)
+        return [induce(character_rep(SubgroupCharacter(sub, chi)), group)]
     bundle, _ = load_bundle(doc)
     return [fiber_rep(bundle, p) for p in bundle.points]
 

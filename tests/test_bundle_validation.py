@@ -2,8 +2,11 @@
 
 `validate_bundle` and the symbol-equivariance gate run on stacked arrays and
 take SVD norms only where a Frobenius norm does not settle a threshold.  They
-must agree exactly with the pair-by-pair loops in `helpers`: the same
-violations, in the same order, with the same printed defects.
+must agree exactly with the pair-by-pair loops in `helpers`, run on the raw
+dicts: `sample_bundle` refuses the first violation that leaves the tables
+unfilled, and `validate_bundle` returns the others, in the same order, with
+the same printed defects.  The tables `load_bundle` and `random_bundle`
+write must be those `sample_bundle` builds from the plain dicts.
 """
 import json
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 
 from equifred import reps
 from equifred import (
+    InputDocumentError,
     load_bundle,
     make_group,
     random_bundle,
@@ -23,23 +27,85 @@ from equifred import (
     validate_bundle,
 )
 from equifred.bundles import _worst_symbol_defect
-from helpers import reference_symbol_defect, reference_validate_bundle
+from helpers import (
+    is_structural,
+    raw_bundle_document,
+    reference_random_bundle,
+    reference_symbol_defect,
+    reference_validate_bundle,
+)
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = sorted(DATA.glob("bundle_*.json"))
 
 
-def _same_as_reference(b):
-    got = validate_bundle(b).violations
-    assert got == reference_validate_bundle(b).violations
+def _same_as_reference(*raw):
+    """The reference's violations on the raw data: the first one that
+    leaves the tables unfilled, which `sample_bundle` must raise, or else
+    all of them, which `validate_bundle` must return."""
+    want = reference_validate_bundle(*raw).violations
+    structural = [v for v in want if is_structural(v)]
+    if structural:
+        first = structural[0]
+        with pytest.raises(InputDocumentError) as err:
+            sample_bundle(*raw)
+        assert err.value.path == first.location
+        assert str(err.value) == f"{first.location}: {first.detail}"
+        return (first,)
+    got = validate_bundle(sample_bundle(*raw)).violations
+    assert got == want
     return got
+
+
+def assert_same_tables(a, b):
+    """Equal bundles, bit for bit: labels, dimensions, action table and
+    every transport stack with the indices it holds."""
+    assert (a.group, a.points, dict(a.base), dict(a.fiber_dim)) == (
+        b.group, b.points, dict(b.base), dict(b.fiber_dim))
+    assert a.table.dtype == b.table.dtype == np.intp and np.array_equal(a.table, b.table)
+    assert len(a.transports.stacks) == len(b.transports.stacks)
+    for ma, sa, mb, sb in zip(a.transports.members, a.transports.stacks,
+                              b.transports.members, b.transports.stacks):
+        assert np.array_equal(ma, mb)
+        assert sa.dtype == sb.dtype == complex and sa.tobytes() == sb.tobytes()
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
 def test_fixtures_match_the_loop_reference(path):
-    bundle, symbol = load_bundle(json.loads(path.read_text()))
-    _same_as_reference(bundle)
+    doc = json.loads(path.read_text())
+    bundle, symbol = load_bundle(doc)
+    assert validate_bundle(bundle).violations == _same_as_reference(*raw_bundle_document(doc))
     assert _worst_symbol_defect(symbol) == reference_symbol_defect(symbol)
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_load_bundle_writes_the_tables_sample_bundle_builds(path):
+    # bundle_two_fiber folds two transport families into one
+    doc = json.loads(path.read_text())
+    assert_same_tables(load_bundle(doc)[0], sample_bundle(*raw_bundle_document(doc)))
+
+
+@pytest.mark.parametrize("orders, seed, kwargs", [
+    ((2, 2), 3, {"n_orbits": 2}),
+    ((2, 2), 5, {"n_orbits": 2}),
+    ((4, 4), 9, {"n_orbits": 3}),
+    ((2, 4), 123, {"n_orbits": 2}),
+    ((4,), 101, {"n_orbits": 2, "min_isotropy": ((2,),)}),
+    ((2, 2), 55, {"min_isotropy": ()}),
+    ((2, 4), 24, {"n_orbits": 3, "min_isotropy": ()}),
+    ((8, 8), 42, {"n_orbits": 3, "min_isotropy": ((4, 0),)}),
+    ((2, 2, 2), 7, {"n_orbits": 3, "min_isotropy": ((1, 0, 0), (0, 1, 0))}),
+    ((6,), 11, {}),
+    ((3, 6), 9, {"n_orbits": 3, "max_fiber_dim": 4}),
+], ids=str)
+def test_random_bundle_is_the_old_dict_loop_bit_for_bit(orders, seed, kwargs):
+    group = make_group(orders)
+    if "min_isotropy" in kwargs:
+        kwargs = kwargs | {"min_isotropy": subgroup_from_generators(group, kwargs["min_isotropy"])}
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_tables(random_bundle(group, rng, **kwargs),
+                       sample_bundle(*reference_random_bundle(group, ref_rng, **kwargs)))
+    assert rng.random() == ref_rng.random()  # the same draws, in the same order
 
 
 @pytest.mark.parametrize(
@@ -55,19 +121,22 @@ def test_fixtures_match_the_loop_reference(path):
 )
 def test_random_bundles_match_the_loop_reference(orders, stabilizer_gens):
     group = make_group(orders)
-    rng = np.random.default_rng(sum(orders))
     sub = subgroup_from_generators(group, stabilizer_gens) if stabilizer_gens else None
-    b = random_bundle(group, rng, n_orbits=3, max_fiber_dim=3, min_isotropy=sub)
+    kwargs = {"n_orbits": 3, "max_fiber_dim": 3, "min_isotropy": sub}
+    rng = np.random.default_rng(sum(orders))
+    b = random_bundle(group, rng, **kwargs)
+    raw = reference_random_bundle(group, np.random.default_rng(sum(orders)), **kwargs)
     assert len(set(b.fiber_dim.values())) > 1  # mixed fiber dimensions
-    assert _same_as_reference(b) == ()
+    assert _same_as_reference(*raw) == ()
     sym = random_symbol(b, rng)
     worst = reference_symbol_defect(sym)
     assert _worst_symbol_defect(sym) == worst
 
 
-def _corrupt(b, what):
-    """A copy of b with one axiom broken; b is a Z2 x Z4 bundle with a free orbit."""
-    action, transport, base = dict(b.action), dict(b.transport), dict(b.base)
+def _corrupt(raw, what):
+    """A copy of raw with one axiom broken; raw is a Z2 x Z4 bundle with a free orbit."""
+    group, points, base, action, fiber_dim, transport = raw
+    action, transport, base = dict(action), dict(transport), dict(base)
     g = (1, 1)
     p, q = "o0p0", "o0p1"
     if what == "cocycle phase":
@@ -77,7 +146,7 @@ def _corrupt(b, what):
     elif what == "scaled transport":
         transport[(g, p)] = transport[(g, p)] * (1 + 1e-9)
     elif what == "perturbed identity":
-        e = b.group.identity
+        e = group.identity
         transport[(e, p)] = transport[(e, p)] * np.exp(1e-7j)
     elif what == "inconsistent base label":
         base[q] = base[p]
@@ -86,7 +155,7 @@ def _corrupt(b, what):
     elif what == "wrong-shape transport":
         m = transport[(g, p)]
         transport[(g, p)] = np.vstack([m, np.zeros((1, m.shape[1]))])
-    return sample_bundle(b.group, b.points, base, action, b.fiber_dim, transport)
+    return group, points, base, action, fiber_dim, transport
 
 
 @pytest.mark.parametrize(
@@ -103,10 +172,10 @@ def _corrupt(b, what):
 )
 def test_corruptions_match_the_loop_reference(what):
     group = make_group((2, 4))
-    b = random_bundle(group, np.random.default_rng(24), n_orbits=3,
-                      min_isotropy=trivial_subgroup(group))
-    assert validate_bundle(b).ok
-    assert _same_as_reference(_corrupt(b, what)) != ()
+    raw = reference_random_bundle(group, np.random.default_rng(24), n_orbits=3,
+                                  min_isotropy=trivial_subgroup(group))
+    assert validate_bundle(sample_bundle(*raw)).ok
+    assert _same_as_reference(*_corrupt(raw, what)) != ()
 
 
 def _law_spy(monkeypatch):
@@ -143,16 +212,16 @@ def test_an_edge_defect_over_the_cut_falls_back_to_every_pair(monkeypatch, size,
     fallback accepts what the loop reference accepts, and refuses what it
     refuses."""
     group = make_group((4, 2))
-    b = random_bundle(group, np.random.default_rng(4), n_orbits=2,
-                      min_isotropy=trivial_subgroup(group))
-    transport = dict(b.transport)
-    key = ((1, 1), b.points[0])
+    group, points, base, action, fiber_dim, transport = reference_random_bundle(
+        group, np.random.default_rng(4), n_orbits=2, min_isotropy=trivial_subgroup(group))
+    key = ((1, 1), min(points))
     transport[key] = transport[key] * np.exp(1j * size)
-    b = sample_bundle(group, b.points, b.base, b.action, b.fiber_dim, transport)
+    raw = group, points, base, action, fiber_dim, transport
+    b = sample_bundle(*raw)
     sizes = _law_spy(monkeypatch)
     assert validate_bundle(b).ok is ok
-    _same_as_reference(b)
     assert sum(sizes) > group.order**2 * len(b.points)  # the all-pairs pass ran
+    _same_as_reference(*raw)
 
 
 @pytest.mark.parametrize("delta, ok", [(0.8e-10, True), (1.2e-10, False)])
@@ -161,13 +230,11 @@ def test_frobenius_above_tol_alone_does_not_reject(delta, ok):
     # |T(0) - I|_F = sqrt(2) delta, above the 1e-10 tolerance in both cases
     group = make_group((2,))
     t0 = np.exp(1j * delta) * np.eye(2)
-    b = sample_bundle(
-        group, ["p"], {"p": "p"}, {((0,), "p"): "p", ((1,), "p"): "p"}, {"p": 2},
-        {((0,), "p"): t0, ((1,), "p"): np.diag([1.0, -1.0])},
-    )
+    raw = (group, ["p"], {"p": "p"}, {((0,), "p"): "p", ((1,), "p"): "p"}, {"p": 2},
+           {((0,), "p"): t0, ((1,), "p"): np.diag([1.0, -1.0])})
     assert np.linalg.norm(t0 - np.eye(2)) > 1e-10
-    assert validate_bundle(b).ok is ok
-    _same_as_reference(b)
+    assert validate_bundle(sample_bundle(*raw)).ok is ok
+    _same_as_reference(*raw)
 
 
 def test_composition_failure_across_fiber_dimensions_is_a_located_violation():
@@ -183,9 +250,10 @@ def test_composition_failure_across_fiber_dimensions_is_a_located_violation():
             q = moves.get(x, {}).get(p, p)
             action[((x,), p)] = q
             transport[((x,), p)] = np.eye(dims[q], d)
-    b = sample_bundle(group, dims, {p: p for p in dims}, action, dims, transport)
+    raw = group, dims, {p: p for p in dims}, action, dims, transport
     with pytest.raises(ValueError, match="broadcast"):
-        reference_validate_bundle(b)
+        reference_validate_bundle(*raw)
+    b = sample_bundle(*raw)
     shapes = [v for v in validate_bundle(b).violations if "shapes" in v.detail]
     assert shapes[0].location == "/transport/1/b"
     assert shapes[0].detail == "cocycle shapes (2, 1) and (3, 1) differ against 2 at a"
@@ -194,12 +262,10 @@ def test_composition_failure_across_fiber_dimensions_is_a_located_violation():
 
 def test_identity_moving_a_point_to_a_larger_fiber_matches_the_loop_reference():
     # T(0, a) is 2 x 1, so it cannot be the identity
-    b = sample_bundle(
-        make_group((1,)), ["a", "c"], {"a": "a", "c": "c"},
-        {((0,), "a"): "c", ((0,), "c"): "c"}, {"a": 1, "c": 2},
-        {((0,), "a"): np.eye(2, 1), ((0,), "c"): np.eye(2)},
-    )
-    assert [v.location for v in _same_as_reference(b)] == ["/action/0/a", "/transport/0/a"]
+    raw = (make_group((1,)), ["a", "c"], {"a": "a", "c": "c"},
+           {((0,), "a"): "c", ((0,), "c"): "c"}, {"a": 1, "c": 2},
+           {((0,), "a"): np.eye(2, 1), ((0,), "c"): np.eye(2)})
+    assert [v.location for v in _same_as_reference(*raw)] == ["/action/0/a", "/transport/0/a"]
 
 
 def test_default_tolerance_validation_is_kept_per_bundle(monkeypatch):

@@ -37,13 +37,14 @@ from equifred import (
     trivial_subgroup,
     validate_bundle,
 )
-from equifred.bundles import EquivariantSampleBundle
-from equifred.serialize import load_bundle
+from equifred.serialize import InputDocumentError, load_bundle
 
 from helpers import (
+    raw_bundle_document,
     reference_isotropy,
     reference_minimal_isotropy,
     reference_orbits,
+    reference_random_bundle,
     reference_symbol_defect,
 )
 
@@ -61,7 +62,8 @@ def fixed_two_point_bundle():
     return sample_bundle(g, points, base, action, fdim, transport)
 
 
-def free_z2_bundle():
+def free_z2_data():
+    """The raw data of `free_z2_bundle`, keyed by (element, point)."""
     g = make_group((2,))
     one = np.eye(1, dtype=complex)
     points = ["q0", "q1"]
@@ -74,11 +76,15 @@ def free_z2_bundle():
     }
     fdim = {p: 1 for p in points}
     transport = {(x, p): one for x in ((0,), (1,)) for p in points}
-    return sample_bundle(g, points, base, action, fdim, transport)
+    return g, points, base, action, fdim, transport
 
 
-def quotient_z4_bundle():
-    """Z_4 shuffling two points through its order-2 quotient."""
+def free_z2_bundle():
+    return sample_bundle(*free_z2_data())
+
+
+def quotient_z4_data():
+    """Z_4 shuffling two points through its order-2 quotient, as raw data."""
     g = make_group((4,))
     one = np.eye(1, dtype=complex)
     points = ["r0", "r1"]
@@ -89,7 +95,11 @@ def quotient_z4_bundle():
         for j in range(2):
             action[((x,), f"r{j}")] = f"r{(j + x) % 2}"
             transport[((x,), f"r{j}")] = one
-    return sample_bundle(g, points, base, action, {p: 1 for p in points}, transport)
+    return g, points, base, action, {p: 1 for p in points}, transport
+
+
+def quotient_z4_bundle():
+    return sample_bundle(*quotient_z4_data())
 
 
 def trivial_group_bundle(n_points=3, dim=2):
@@ -119,35 +129,70 @@ def test_validate_free_swap_bundle():
 
 
 def test_validate_reports_broken_cocycle():
-    b = free_z2_bundle()
-    b.transport[((1,), "q0")] = -np.eye(1, dtype=complex)
-    report = validate_bundle(b)
+    g, points, base, action, fdim, transport = free_z2_data()
+    transport[((1,), "q0")] = -np.eye(1, dtype=complex)
+    report = validate_bundle(sample_bundle(g, points, base, action, fdim, transport))
     assert not report.ok
     locations = [v.location for v in report.violations]
     assert any(loc.startswith("/transport/1/") for loc in locations)
     assert all(v.kind == "transport" for v in report.violations)
 
 
-def test_validate_reports_missing_action():
-    b = free_z2_bundle()
-    del b.action[((1,), "q0")]
-    report = validate_bundle(b)
-    assert not report.ok
-    assert report.violations[0].location == "/action/1/q0"
-    assert report.violations[0].detail == "missing"
+def _free_z2_with(faults):
+    g, points, base, action, fdim, transport = free_z2_data()
+    for fault in faults:
+        if fault == "foreign image":
+            action[((1,), "q1")] = "zz"
+        elif fault == "no label":
+            del base["q1"]
+        elif fault == "no dimension":
+            del fdim["q0"]
+        elif fault == "zero dimension":
+            fdim["q1"] = 0
+        elif fault == "no transport":
+            del transport[((0,), "q1")]
+        elif fault == "wide transport":
+            transport[((1,), "q0")] = np.eye(1, 2)
+    return g, points, base, action, fdim, transport
 
 
-def test_validate_reports_bad_fiber_dim():
+REFUSALS = [
+    (("no label", "foreign image"), "/action/1/q1: image 'zz' is not a point"),
+    (("no dimension", "no label"), "/base/q1: missing label"),
+    (("no transport", "no dimension"), "/fiber_dim/q0: missing or non-positive"),
+    (("zero dimension",), "/fiber_dim/q1: missing or non-positive"),
+    (("wide transport", "no transport"), "/transport/0/q1: missing"),
+    (("wide transport",), "/transport/1/q0: shape (1, 2), expected (1, 1)"),
+]
+
+
+@pytest.mark.parametrize("faults, where", REFUSALS, ids=["+".join(f) for f, _ in REFUSALS])
+def test_sample_bundle_refuses_the_first_entry_that_cannot_fill_the_tables(faults, where):
+    # action entries, then labels, then dimensions, then transports (element-major)
+    with pytest.raises(InputDocumentError) as err:
+        sample_bundle(*_free_z2_with(faults))
+    assert str(err.value) == where
+
+
+def test_a_bundle_is_read_only():
     b = free_z2_bundle()
-    b.fiber_dim["q1"] = 0
-    report = validate_bundle(b)
-    assert any(v.location == "/fiber_dim/q1" for v in report.violations)
+    with pytest.raises(ValueError, match="read-only"):
+        b.table[0, 0] = 1
+    for stack in b.transports.stacks:
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0] = 0
+    with pytest.raises(TypeError):
+        b.base["q0"] = "c"
+    with pytest.raises(TypeError):
+        b.fiber_dim["q0"] = 2
+    with pytest.raises(AttributeError):
+        b.table = np.zeros_like(b.table)
 
 
 def test_validate_reports_non_unitary_transport():
-    b = free_z2_bundle()
-    b.transport[((1,), "q0")] = 2.0 * np.eye(1, dtype=complex)
-    report = validate_bundle(b)
+    g, points, base, action, fdim, transport = free_z2_data()
+    transport[((1,), "q0")] = 2.0 * np.eye(1, dtype=complex)
+    report = validate_bundle(sample_bundle(g, points, base, action, fdim, transport))
     assert any(
         v.location == "/transport/1/q0" and "unitary" in v.detail
         for v in report.violations
@@ -196,17 +241,13 @@ def test_minimal_isotropy_cases():
 
 def test_minimal_isotropy_mixed_with_fixed_point():
     # Z_4: one orbit with stabilizer {0,2}, plus a fully fixed point
-    b = quotient_z4_bundle()
+    g, points, base, action, fdim, transport = quotient_z4_data()
     one = np.eye(1, dtype=complex)
-    points = list(b.points) + ["rf"]
-    base = dict(b.base) | {"rf": "bf"}
-    action = dict(b.action)
-    transport = dict(b.transport)
     for x in range(4):
         action[((x,), "rf")] = "rf"
         transport[((x,), "rf")] = one
-    fdim = dict(b.fiber_dim) | {"rf": 1}
-    merged = sample_bundle(b.group, points, base, action, fdim, transport)
+    merged = sample_bundle(g, points + ["rf"], base | {"rf": "bf"}, action,
+                           fdim | {"rf": 1}, transport)
     assert validate_bundle(merged).ok
     assert minimal_isotropy(merged).elements == ((0,), (2,))
 
@@ -240,22 +281,24 @@ def test_minimal_isotropy_incomparable_stabilizers():
 
 
 def _action_table_cases():
-    """The bundle fixtures, the empty bundle, and random bundles with and
-    without a free orbit (the others with stabilizers containing an order-2
-    subgroup)."""
+    """Raw data and its bundle: the bundle fixtures (as `load_bundle` reads
+    them), the empty bundle, and random bundles with and without a free
+    orbit (the others with stabilizers containing an order-2 subgroup)."""
     data = Path(__file__).parent / "data"
-    cases = {f.stem: load_bundle(json.loads(f.read_text()))[0]
-             for f in sorted(data.glob("bundle_*.json"))}
-    cases["empty"] = sample_bundle(make_group((2,)), [], {}, {}, {}, {})
+    cases = {}
+    for f in sorted(data.glob("bundle_*.json")):
+        doc = json.loads(f.read_text())
+        cases[f.stem] = raw_bundle_document(doc), load_bundle(doc)[0]
+    raw = make_group((2,)), [], {}, {}, {}, {}
+    cases["empty"] = raw, sample_bundle(*raw)
     for seed, orders in enumerate([(2, 2), (4, 4), (8, 8), (2, 4)]):
         group = make_group(orders)
         rng = np.random.default_rng(40 + seed)
         name = "x".join(map(str, orders))
-        cases[f"{name}-free"] = random_bundle(
-            group, rng, n_orbits=3, min_isotropy=trivial_subgroup(group))
-        cases[f"{name}-fixed"] = random_bundle(
-            group, rng, n_orbits=3,
-            min_isotropy=subgroup_from_generators(group, [(orders[0] // 2, 0)]))
+        for kind, sub in (("free", trivial_subgroup(group)),
+                          ("fixed", subgroup_from_generators(group, [(orders[0] // 2, 0)]))):
+            raw = reference_random_bundle(group, rng, n_orbits=3, min_isotropy=sub)
+            cases[f"{name}-{kind}"] = raw, sample_bundle(*raw)
     return cases
 
 
@@ -264,36 +307,26 @@ TABLE_CASES = _action_table_cases()
 
 @pytest.mark.parametrize("name", sorted(TABLE_CASES))
 def test_orbits_and_stabilizers_match_the_act_walks(name):
-    b = TABLE_CASES[name]
-    assert orbits(b) == reference_orbits(b)
-    assert [isotropy(b, p) for p in b.points] == [reference_isotropy(b, p) for p in b.points]
-    assert minimal_isotropy(b) == reference_minimal_isotropy(b)
+    (group, points, _, action, _, _), b = TABLE_CASES[name]
+    assert orbits(b) == reference_orbits(group, points, action)
+    assert [isotropy(b, p) for p in b.points] == [
+        reference_isotropy(group, points, action, p) for p in b.points]
+    assert minimal_isotropy(b) == reference_minimal_isotropy(group, points, action)
     if "-" in name:  # a random bundle, with a free orbit or without one
         assert (minimal_isotropy(b).order == 1) == name.endswith("-free")
 
 
-def test_orbits_and_stabilizers_make_no_act_call(monkeypatch):
-    b = random_bundle(make_group((4, 4)), np.random.default_rng(9), n_orbits=3)
-    want = (reference_orbits(b), [reference_isotropy(b, p) for p in b.points],
-            reference_minimal_isotropy(b))
-
-    def refuse(*_):
-        raise AssertionError("act was called")
-
-    monkeypatch.setattr(EquivariantSampleBundle, "act", refuse)
-    assert (orbits(b), [isotropy(b, p) for p in b.points], minimal_isotropy(b)) == want
-
-
 @pytest.mark.parametrize("image", [None, "zz"], ids=["missing", "not-a-point"])
-def test_an_incomplete_action_is_refused_by_the_table_readers(image):
-    b = free_z2_bundle()
+def test_an_incomplete_action_is_refused_when_the_bundle_is_built(image):
+    g, points, base, action, fdim, transport = free_z2_data()
     if image is None:
-        del b.action[((1,), "q0")]
+        del action[((1,), "q0")]
     else:
-        b.action[((1,), "q0")] = image
-    for read in (orbits, minimal_isotropy, lambda b: isotropy(b, "q0")):
-        with pytest.raises(ValueError, match="missing entry or an image that is not a point"):
-            read(b)
+        action[((1,), "q0")] = image
+    detail = "missing" if image is None else "image 'zz' is not a point"
+    with pytest.raises(InputDocumentError) as err:
+        sample_bundle(g, points, base, action, fdim, transport)
+    assert (err.value.path, str(err.value)) == ("/action/1/q0", f"/action/1/q0: {detail}")
 
 
 def test_fiber_rep_reads_transport():
@@ -421,6 +454,16 @@ def test_partition_by_beta_two_parts():
 
 # ---------------------------------------------------------------------------
 # symbol fields and blocks
+
+
+def test_a_symbol_field_is_read_only():
+    # its equivariance gate is read once and kept, so the values cannot change
+    b = random_bundle(make_group((2, 2)), np.random.default_rng(3), n_orbits=2)
+    sym = random_symbol(b, np.random.default_rng(3), shift=2.0)
+    with pytest.raises(TypeError):
+        sym.values[b.points[0]] = np.zeros((1, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        sym.value(b.points[0])[0, 0] = 0
 
 
 def test_symbol_field_shape_checks():

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import equifred.bundles
 import equifred.cli
+import equifred.groups
 import equifred.lab
 import equifred.reps
 from equifred import InternalInconsistencyError
@@ -443,6 +444,39 @@ def test_induce_over_the_memory_ceiling_is_refused_at_the_group(tmp_path, capsys
     assert detail == "inducing from order 1 to order 4096 needs about 1.02e+03 GiB, over the 1 GiB ceiling"
 
 
+def test_induce_checks_the_ceiling_before_naming_a_character_of_the_subgroup(
+    tmp_path, capsys, monkeypatch
+):
+    # naming a character of H walks the annihilator of H, here 2,000,000 characters
+    doc = {"group": {"orders": [2000000]}, "subgroup_generators": [[0]], "character_exponents": [0]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(*_):
+        raise AssertionError("annihilator was called")
+
+    monkeypatch.setattr(equifred.groups, "annihilator", refuse)
+    rc, out, err = run(capsys, "induce", "--input", str(path))
+    assert rc == 1 and not out
+    assert err == ("input error at /group/orders: inducing from order 1 to order 2000000 "
+                   "needs about 1.19e+11 GiB, over the 1 GiB ceiling\n")
+
+
+def test_decompose_reports_a_missing_matrix_without_listing_the_group(
+    tmp_path, capsys, monkeypatch
+):
+    doc = {"group": {"orders": [2000000]}, "dim": 1, "matrices": {"0": [[[1.0, 0.0]]]}}
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(self):
+        raise AssertionError("Group.elements was computed")
+
+    monkeypatch.setattr(equifred.groups.Group, "elements", property(refuse))
+    rc, out, err = run(capsys, "decompose", "--input", str(path))
+    assert (rc, out, err) == (1, "", "input error at /matrices/1: missing\n")
+
+
 @pytest.mark.parametrize("bad", ["2.7", '"2"', "true", "null", "1e400", '"x"'])
 @pytest.mark.parametrize("field", ["subgroup_generators", "character_exponents"])
 def test_induce_residues_and_exponents_must_be_integers(tmp_path, capsys, field, bad):
@@ -712,7 +746,10 @@ def test_an_unwritable_out_is_refused_in_one_line(tmp_path, capsys, argv, target
 ], ids=["check-elliptic", "check-not-elliptic", "bvp"])
 def test_module_entry_point_matches_in_process_run(capsys, argv):
     rc, out, err = run(capsys, *argv)
-    proc = subprocess.run([sys.executable, "-m", "equifred", *argv], capture_output=True)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "equifred", *argv], capture_output=True, env=env)
     assert proc.returncode == rc
     assert proc.stdout == out.encode() and proc.stderr == err.encode() == b""
 

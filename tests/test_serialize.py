@@ -348,7 +348,7 @@ def test_load_two_fiber_bundle_folds():
     bundle, sym = load_bundle(_two_fiber_doc())
     assert bundle.fiber_dim["r0"] == 2
     assert validate_bundle(bundle).ok
-    move = bundle.transport_matrix((1,), "r0")
+    move = bundle.transports.take(np.array([1 * len(bundle.points) + 0]))[0]  # T((1,), r0)
     assert np.allclose(move, np.diag([1.0, 1.0j]))
     folded = sym.value("r0")
     assert folded[1, 0] == 2.0  # the original symbol sits below the diagonal

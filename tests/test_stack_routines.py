@@ -14,6 +14,7 @@ import pytest
 
 import equifred.reps
 from equifred import (
+    SubgroupCharacter,
     carrier_dual,
     character_rep,
     character_table,
@@ -45,8 +46,8 @@ Z8X8 = make_group((8, 8))
 
 
 def _induce_cases():
-    group, _, rho = load_induction(json.loads((DATA / "induce_z4_sign.json").read_text()))
-    yield pytest.param(character_rep(rho), group, id="induce_z4_sign")
+    group, sub, chi = load_induction(json.loads((DATA / "induce_z4_sign.json").read_text()))
+    yield pytest.param(character_rep(SubgroupCharacter(sub, chi)), group, id="induce_z4_sign")
     for gens, name in (([(2, 0)], "z8xz8_cyclic4"), ([(4, 0), (0, 4)], "z8xz8_z2xz2")):
         sub = subgroup_from_generators(Z8X8, gens)
         assert sub.order == 4
