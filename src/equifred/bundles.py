@@ -39,7 +39,7 @@ from .reps import (
     _off_identity,
     _ShapeStacks,
     decompose,
-    isotypical_basis,
+    deterministic_range_basis,
     isotypical_projector,
     random_rep,
     require_intertwining,
@@ -98,7 +98,7 @@ class EquivariantSampleBundle:
         return _check_bundle(self)
 
     @cached_property
-    def _x_orbits(self) -> tuple:
+    def _x(self) -> tuple[tuple, Mapping]:
         return _isotype_orbits(self)
 
 
@@ -124,7 +124,8 @@ def _from_tables(
     )
 
 
-def _key(g: ElementT) -> str:
+def element_key(g: ElementT) -> str:
+    """The document key of a group element: its residues joined by commas."""
     return ",".join(str(x) for x in g)
 
 
@@ -138,24 +139,31 @@ def sample_bundle(
 ) -> EquivariantSampleBundle:
     """A bundle from raw data: action and transport keyed by (element, point).
 
-    Points are sorted, dimensions made ints and matrices complex.  The first
-    entry that cannot fill the tables raises InputDocumentError at the
+    Points are sorted, dimensions made ints and matrices complex.  A repeated
+    point id is refused at /points/<i>, as `load_bundle` refuses it.  Then the
+    first entry that cannot fill the tables raises InputDocumentError at the
     pointer `validate_bundle` once reported for it, in this order: action
     entries (element-major, points sorted) that are missing or not a point;
     missing base labels; missing or non-positive fiber dimensions;
     transports that are missing or of the wrong shape.  Keys off the points
     are ignored.
     """
-    pts = tuple(sorted(str(p) for p in points))
+    seen: dict[str, int] = {}
+    for i, p in enumerate(map(str, points)):
+        if seen.setdefault(p, i) != i:
+            raise InputDocumentError(f"/points/{i}", f"duplicate point id {p!r}")
+    pts = tuple(sorted(seen))
     index = {p: i for i, p in enumerate(pts)}
     table = np.empty((group.order, len(pts)), dtype=np.intp)
     for g, elem in enumerate(group.elements):
         for i, p in enumerate(pts):
             if (elem, p) not in action:
-                raise InputDocumentError(f"/action/{_key(elem)}/{p}", "missing")
+                raise InputDocumentError(f"/action/{element_key(elem)}/{p}", "missing")
             q = action[(elem, p)]
             if q not in index:
-                raise InputDocumentError(f"/action/{_key(elem)}/{p}", f"image {q!r} is not a point")
+                raise InputDocumentError(
+                    f"/action/{element_key(elem)}/{p}", f"image {q!r} is not a point"
+                )
             table[g, i] = index[q]
     for p in pts:
         if p not in base:
@@ -168,11 +176,11 @@ def sample_bundle(
     for g, elem in enumerate(group.elements):
         for i, p in enumerate(pts):
             if (elem, p) not in transport:
-                raise InputDocumentError(f"/transport/{_key(elem)}/{p}", "missing")
+                raise InputDocumentError(f"/transport/{element_key(elem)}/{p}", "missing")
             m, want = np.array(transport[(elem, p)], dtype=complex), (dims[table[g, i]], dims[i])
             if m.shape != want:
                 raise InputDocumentError(
-                    f"/transport/{_key(elem)}/{p}", f"shape {m.shape}, expected {want}"
+                    f"/transport/{element_key(elem)}/{p}", f"shape {m.shape}, expected {want}"
                 )
             mats.append(m)
     return _from_tables(group, pts, base, dict(zip(pts, dims)), table, mats)
@@ -203,7 +211,7 @@ def validate_bundle(b: EquivariantSampleBundle) -> BundleValidation:
 
 def _check_bundle(b: EquivariantSampleBundle) -> BundleValidation:
     pts, n_pts, group, A, T = b.points, len(b.points), b.group, b.table, b.transports
-    keys = [_key(g) for g in group.elements]
+    keys = [element_key(g) for g in group.elements]
     e = group.elements.index(group.identity)
 
     def at(kind: str, g: int, p: int, detail: str) -> Violation:
@@ -321,27 +329,34 @@ def build_X(b: EquivariantSampleBundle) -> tuple:
     Each orbit is a tuple of XPoints sorted by point id; orbits are listed by
     (least point id, isotype).  The isotype content is computed at every point
     and must agree along each orbit, otherwise the bundle data is inconsistent.
-    A bundle that fails validation is refused first (`require_valid`).  The
-    result is computed once per bundle and kept.
+    A bundle that fails validation is refused first (`require_valid`).  X and
+    each XPoint's basis (for `gamma_symbol_eval`) are computed once and kept.
     """
     require_valid(b)
-    return b._x_orbits
+    return b._x[0]
 
 
-def _isotype_orbits(b: EquivariantSampleBundle) -> tuple:
-    present = {p: decompose(fiber_rep(b, p)).characters() for p in b.points}
+def _isotype_orbits(b: EquivariantSampleBundle) -> tuple[tuple, Mapping]:
+    """X's orbits and each XPoint's basis, from one fiber representation and
+    one `decompose` per point (each basis at the multiplicity it decided)."""
+    present, bases = {}, {}
+    for p in b.points:
+        rep = fiber_rep(b, p)
+        entries = decompose(rep).entries
+        present[p] = tuple(XPoint(p, rho) for rho, _ in entries)
+        for xp, (rho, k) in zip(present[p], entries):
+            bases[xp] = deterministic_range_basis(isotypical_projector(rep, rho), k)
     out = []
     for orb in orbits(b):
-        head = present[orb[0]]
+        head = [xp.rho for xp in present[orb[0]]]
         for p in orb[1:]:
-            if present[p] != head:
+            if [xp.rho for xp in present[p]] != head:
                 raise ModelInconsistencyError(
                     f"isotypes differ along the orbit of {orb[0]!r} at {p!r}"
                 )
-        for rho in head:
-            out.append(tuple(XPoint(p, rho) for p in orb))
+        out += zip(*(present[p] for p in orb))
     out.sort(key=lambda o: (o[0].point, o[0].rho.exponents))
-    return tuple(out)
+    return tuple(out), MappingProxyType(bases)
 
 
 def build_X_alpha(x_orbits: tuple, alpha: Character, gamma0: Subgroup) -> tuple:
@@ -387,6 +402,28 @@ class SymbolField:
         """sigma(p) at the index of p in bundle.points."""
         return _ShapeStacks([self.values[p] for p in self.bundle.points])
 
+    @cached_property
+    def _equivariant(self) -> bool:
+        """The equivariance gate of `alpha_elliptic_check`, one pass over every
+        (g, p): the defects over the cut (`_norms_over`) name the largest and
+        its first (g, p).  Only a pass is kept; a failing symbol always raises."""
+        b, values = self.bundle, self._stacked
+        norms = [np.linalg.norm(s, 2, axis=(-2, -1)) for s in values.stacks]
+        cut = COMMUTE_TOL * max([1.0] + [float(x) for n in norms for x in n])
+        errs = np.zeros(b.table.size)  # the defects over the cut, at g * len(points) + p
+        for idx, t in zip(b.transports.members, b.transports.stacks):
+            g, p = np.divmod(idx, len(b.points))
+            defect = values.take(b.table[g, p]) - t @ values.take(p) @ t.conj().transpose(0, 2, 1)
+            where, defects = _norms_over(defect, cut)
+            errs[idx[where]] = defects
+        if errs.any():
+            i = int(np.argmax(errs))
+            raise InputDocumentError(
+                f"/symbol/{b.points[i % len(b.points)]}",
+                f"symbol is not equivariant (defect {errs[i]:.3e})",
+            )
+        return True
+
 
 def symbol_field(bundle: EquivariantSampleBundle, values: Mapping[str, np.ndarray]) -> SymbolField:
     store = {}
@@ -400,29 +437,6 @@ def symbol_field(bundle: EquivariantSampleBundle, values: Mapping[str, np.ndarra
         m.setflags(write=False)
         store[p] = m
     return SymbolField(bundle, MappingProxyType(store))
-
-
-def _symbol_defects(sym: SymbolField):
-    """sigma(g p) - T(g, p) sigma(p) T(g, p)^* for every (g, p), one stack per
-    transport shape, with the indices g * len(points) + p it holds."""
-    b = sym.bundle
-    T, values = b.transports, sym._stacked
-    for idx, t in zip(T.members, T.stacks):
-        g, p = np.divmod(idx, len(b.points))
-        conjugated = t @ values.take(p) @ t.conj().transpose(0, 2, 1)
-        yield idx, values.take(b.table[g, p]) - conjugated
-
-
-def _worst_symbol_defect(sym: SymbolField) -> tuple[float, str | None]:
-    """Largest |sigma(g p) - T(g, p) sigma(p) T(g, p)^*|_2, and the first p attaining it."""
-    b = sym.bundle
-    errs = np.zeros(b.group.order * len(b.points))
-    for idx, d in _symbol_defects(sym):
-        errs[idx] = np.linalg.norm(d, 2, axis=(-2, -1))
-    i = int(np.argmax(errs)) if errs.size else 0
-    if not errs.size or not errs[i] > 0.0:
-        return 0.0, None
-    return float(errs[i]), b.points[i % len(b.points)]
 
 
 def propagate_symbol(
@@ -455,16 +469,12 @@ def propagate_symbol(
 
 
 def gamma_symbol_eval(sym: SymbolField, xp: XPoint) -> np.ndarray:
-    """The symbol block on one isotype: compress sigma(point) to the rho-subspace."""
-    b = sym.bundle
-    rep = fiber_rep(b, xp.point)
-    if xp.rho.subgroup != rep.carrier:
-        raise ValueError("isotype does not belong to the stabilizer at this point")
-    basis = isotypical_basis(rep, xp.rho)
-    if basis.shape[1] == 0:
-        raise ValueError(
-            f"isotype {xp.rho.exponents} is absent from the fiber at {xp.point!r}"
-        )
+    """The symbol block on one isotype: sigma(point) compressed to the basis
+    `build_X` keeps for it.  ValueError for an XPoint that is not in X."""
+    require_valid(sym.bundle)
+    basis = sym.bundle._x[1].get(xp)
+    if basis is None:
+        raise ValueError(f"isotype {xp.rho.exponents} at {xp.point!r} is not in X")
     return basis.conj().T @ sym.value(xp.point) @ basis
 
 
@@ -531,13 +541,7 @@ def alpha_elliptic_check(
     _require_margin(tol)
     b = sym.bundle
     require_valid(b)
-    norms = [np.linalg.norm(s, 2, axis=(-2, -1)) for s in sym._stacked.stacks]
-    scale = max([1.0] + [float(x) for n in norms for x in n])
-    if any(_norms_over(d, COMMUTE_TOL * scale)[0].size for _, d in _symbol_defects(sym)):
-        defect, where = _worst_symbol_defect(sym)
-        raise InputDocumentError(
-            f"/symbol/{where}", f"symbol is not equivariant (defect {defect:.3e})"
-        )
+    sym._equivariant  # the gate: raises unless the symbol is equivariant
     g0 = minimal_isotropy(b)
     x_alpha = build_X_alpha(build_X(b), alpha, g0)
 

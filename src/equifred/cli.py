@@ -68,9 +68,13 @@ class _CliError(Exception):
     pass
 
 
-# the memory ceiling of one job, against which the grid sizes and an induced
-# representation are estimated before anything is built
+# the memory ceiling of one job, against which the grid sizes, an induced
+# representation and a character table are estimated before they are built
 _CEILING_BYTES = 1 << 30
+# decompose builds the |G| x |G| character table of the carrier and weighs the
+# stack with it: at the peak a table entry cost about 49 bytes (a
+# 1-dimensional representation of Z_n, n = 1000..3000), so 64 bytes bounds it
+_TABLE_BYTES_PER_ENTRY = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,8 +178,22 @@ def cmd_check(args) -> int:
     return 0 if report.verdict else 2
 
 
+def _check_ceiling(need: int, what: str) -> None:
+    """Refuse, at /group/orders, what needs more than the ceiling."""
+    if need > _CEILING_BYTES:
+        raise InputDocumentError(
+            "/group/orders", f"{what} needs about {need / 2**30:.3g} GiB, over the 1 GiB ceiling"
+        )
+
+
+def _check_table(group: Group) -> None:
+    need = group.order**2 * _TABLE_BYTES_PER_ENTRY
+    _check_ceiling(need, f"the character table of order {group.order}")
+
+
 def cmd_decompose(args) -> int:
     rep = load_rep(_load_json(args.input))
+    _check_table(rep.carrier)
     mv = decompose(rep)
     doc = {"group": group_doc(rep.carrier), "multiplicities": multiplicity_doc(mv)}
     _emit(args, doc)
@@ -184,15 +202,12 @@ def cmd_decompose(args) -> int:
 
 def cmd_induce(args) -> int:
     group, sub, chi = load_induction(_load_json(args.input))
-    # the induced stack holds |G| complex matrices of side [G:H], checked
-    # before any character of H is named (that walks H's annihilator)
-    need = group.order * (group.order // sub.order) ** 2 * 16
-    if need > _CEILING_BYTES:
-        raise InputDocumentError(
-            "/group/orders",
-            f"inducing from order {sub.order} to order {group.order} needs about "
-            f"{need / 2**30:.3g} GiB, over the 1 GiB ceiling",
-        )
+    # the induced stack holds |G| complex matrices of side [G:H], and its
+    # decomposition the character table; both are checked before any
+    # character of H is named (that walks H's annihilator)
+    stack = group.order * (group.order // sub.order) ** 2 * 16
+    _check_ceiling(stack, f"inducing from order {sub.order} to order {group.order}")
+    _check_table(group)
     rho = SubgroupCharacter(sub, chi)
     ind = induce(character_rep(rho), group)
     mv = decompose(ind)

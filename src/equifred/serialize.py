@@ -17,14 +17,10 @@ from typing import Any, Mapping
 import numpy as np
 
 from .bundles import EquivariantSampleBundle, InputDocumentError, SymbolField
-from .bundles import _from_tables, symbol_field
+from .bundles import _from_tables, element_key, symbol_field
 from .groups import Character, ElementT, Group, Subgroup, SubgroupCharacter
 from .groups import character, subgroup_from_generators
 from .reps import MultiplicityVector, UnitaryRep, unitary_rep
-
-
-def element_key(g: ElementT) -> str:
-    return ",".join(str(x) for x in g)
 
 
 def parse_element_key(key: str, group: Group, path: str) -> ElementT:

@@ -3,7 +3,8 @@ loop references for the batched representation, monomial and bundle checks,
 the orbit and stabilizer walks, the stack builders, projectors and group
 averages, the subgroup lattice, the subgroup dual and the restriction test,
 and the flat report writer; raw bundle data from the old `random_bundle`
-loop and from a plain walk of a bundle document."""
+loop and from a plain walk of a bundle document; the dense section oracle
+for alpha-ellipticity, and a symbol with an isotype killed on any orbit."""
 
 import itertools
 import json
@@ -21,10 +22,15 @@ from equifred import (
     carrier_dual,
     char_mul,
     character,
+    decompose,
     dual_characters,
+    fiber_rep,
     full_subgroup,
+    isotypical_projector,
     make_group,
     numerical_rank,
+    orbits,
+    propagate_symbol,
     random_rep,
     subgroup_from_generators,
     trivial_subgroup,
@@ -365,7 +371,8 @@ def equivariance_defect(rep, m):
 
 def reference_symbol_defect(sym):
     """Pair-by-pair largest |sigma(g p) - T(g, p) sigma(p) T(g, p)^*|_2 and the
-    first point attaining it (the loop that `bundles._worst_symbol_defect` replaced)."""
+    first point attaining it: what the equivariance gate of
+    `alpha_elliptic_check` prints when it refuses a symbol."""
     b = sym.bundle
     worst, where = 0.0, None
     for g in range(b.group.order):
@@ -539,3 +546,77 @@ def reference_associated(alpha, rho, gamma0):
     times the inverse of rho's representative is trivial on gamma0."""
     inverse = character(alpha.group, [-x for x in rho.representative.exponents])
     return char_mul(alpha, inverse).is_trivial_on(gamma0.elements)
+
+
+def section_rep(b):
+    """The bundle's group on its sections, the direct sum of the fibers in
+    point order: (U(g)s)(g.p) = T(g, p) s(p), as a (|G|, N, N) stack, and
+    the offset of each fiber (its last entry is N)."""
+    n = len(b.points)
+    off = np.concatenate([[0], np.cumsum([b.fiber_dim[p] for p in b.points])])
+    u = np.zeros((b.group.order, off[-1], off[-1]), dtype=complex)
+    for g in range(b.group.order):
+        for i in range(n):
+            j, t = b.table[g, i], b.transports.take(np.array([g * n + i]))[0]
+            u[g, off[j] : off[j + 1], off[i] : off[i + 1]] = t
+    return u, off
+
+
+def section_blocks_invertible(sym, alphas, *, tol=1e-8):
+    """Whether pi_alpha(S), S the direct sum of the symbol values, is
+    invertible on the sections for every alpha given: its compression to an
+    eigh basis of the dense isotypical projector of `section_rep`, judged
+    orbit by orbit (each orbit's sections are invariant) by the margin rule
+    smin >= tol * max(1, smax) of `alpha_elliptic_check`.  An empty
+    isotype is vacuously invertible."""
+    b = sym.bundle
+    u, off = section_rep(b)
+    s = np.zeros(u.shape[1:], dtype=complex)
+    for i, p in enumerate(b.points):
+        s[off[i] : off[i + 1], off[i] : off[i + 1]] = sym.value(p)
+    lead = b.table.min(axis=0)  # the least point of each point's orbit
+    for alpha in alphas:
+        values = np.array([alpha.value(g) for g in b.group.elements])
+        proj = np.einsum("g,gij->ij", values.conj(), u) / len(values)
+        for first in np.unique(lead):
+            orbit = np.flatnonzero(lead == first)
+            idx = np.concatenate([np.arange(off[i], off[i + 1]) for i in orbit])
+            w, v = np.linalg.eigh(proj[np.ix_(idx, idx)])
+            basis = v[:, w > 0.5]
+            if basis.shape[1]:
+                sv = np.linalg.svd(basis.conj().T @ s[np.ix_(idx, idx)] @ basis, compute_uv=False)
+                if sv[-1] < tol * max(1.0, sv[0]):
+                    return False
+    return True
+
+
+def reference_alpha_elliptic(sym, alpha, *, tol=1e-8):
+    """alpha-ellipticity as the invertibility of pi_alpha'(S) on the sections
+    for every alpha' that agrees with alpha on the minimal isotropy (the
+    stabilizer with the fewest elements, read off the table).  By Frobenius
+    reciprocity the alpha'-isotype of an orbit's sections is the
+    alpha'|stabilizer isotype of one fiber, and restriction onto a
+    stabilizer's dual is onto, so these alpha' reach every isotype over
+    alpha restricted to the minimal isotropy."""
+    b = sym.bundle
+    fixes = b.table == np.arange(len(b.points))
+    gamma0 = [b.group.elements[g] for g in np.flatnonzero(fixes[:, np.argmin(fixes.sum(axis=0))])]
+    coset = [a for a in dual_characters(b.group)
+             if all(np.isclose(a.value(h), alpha.value(h)) for h in gamma0)]
+    return section_blocks_invertible(sym, coset, tol=tol)
+
+
+def kill_isotype(sym, rng):
+    """sym with one isotype zeroed on an orbit drawn from all of them: the
+    value at the orbit's least point times I - P_rho, for a rho of its
+    stabilizer drawn from the fiber's isotypes, propagated equivariantly.
+    Returns the new symbol, the orbit and rho."""
+    b = sym.bundle
+    orbs = orbits(b)
+    orb = orbs[int(rng.integers(len(orbs)))]
+    rep = fiber_rep(b, orb[0])
+    chars = decompose(rep).characters()
+    rho = chars[int(rng.integers(len(chars)))]
+    seeds = {o[0]: sym.value(o[0]) for o in orbs}
+    seeds[orb[0]] = seeds[orb[0]] @ (np.eye(rep.dim) - isotypical_projector(rep, rho))
+    return propagate_symbol(b, seeds), orb, rho

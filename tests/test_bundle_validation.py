@@ -23,10 +23,10 @@ from equifred import (
     random_symbol,
     sample_bundle,
     subgroup_from_generators,
+    symbol_field,
     trivial_subgroup,
     validate_bundle,
 )
-from equifred.bundles import _worst_symbol_defect
 from helpers import (
     is_structural,
     raw_bundle_document,
@@ -57,6 +57,26 @@ def _same_as_reference(*raw):
     return got
 
 
+def perturbed(sym, rng):
+    """sym with the value at one point moved by about 1e-3: not equivariant."""
+    b, values = sym.bundle, dict(sym.values)
+    q = b.points[int(rng.integers(len(b.points)))]
+    d = b.fiber_dim[q]
+    values[q] = values[q] + 1e-3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return symbol_field(b, values)
+
+
+def assert_gate_refuses_as_reference(sym):
+    """The equivariance gate refuses sym at the pointer and with the printed
+    defect of the loop reference, on every read (a failure is not kept)."""
+    worst, where = reference_symbol_defect(sym)
+    for _ in range(2):
+        with pytest.raises(InputDocumentError) as err:
+            sym._equivariant
+        assert err.value.path == f"/symbol/{where}"
+        assert str(err.value) == f"/symbol/{where}: symbol is not equivariant (defect {worst:.3e})"
+
+
 def assert_same_tables(a, b):
     """Equal bundles, bit for bit: labels, dimensions, action table and
     every transport stack with the indices it holds."""
@@ -75,7 +95,10 @@ def test_fixtures_match_the_loop_reference(path):
     doc = json.loads(path.read_text())
     bundle, symbol = load_bundle(doc)
     assert validate_bundle(bundle).violations == _same_as_reference(*raw_bundle_document(doc))
-    assert _worst_symbol_defect(symbol) == reference_symbol_defect(symbol)
+    if validate_bundle(bundle).ok:  # bundle_bad_transport's symbol is not equivariant
+        assert symbol._equivariant
+        symbol = perturbed(symbol, np.random.default_rng(len(bundle.points)))
+    assert_gate_refuses_as_reference(symbol)
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
@@ -129,8 +152,8 @@ def test_random_bundles_match_the_loop_reference(orders, stabilizer_gens):
     assert len(set(b.fiber_dim.values())) > 1  # mixed fiber dimensions
     assert _same_as_reference(*raw) == ()
     sym = random_symbol(b, rng)
-    worst = reference_symbol_defect(sym)
-    assert _worst_symbol_defect(sym) == worst
+    assert sym._equivariant
+    assert_gate_refuses_as_reference(perturbed(sym, rng))
 
 
 def _corrupt(raw, what):

@@ -174,6 +174,22 @@ def test_sample_bundle_refuses_the_first_entry_that_cannot_fill_the_tables(fault
     assert str(err.value) == where
 
 
+def test_sample_bundle_refuses_a_repeated_point_as_load_bundle_does():
+    g, points, base, action, fdim, transport = free_z2_data()
+    for ids in (["q0", "q0"], ["q0", "q1", "q0"]):
+        with pytest.raises(InputDocumentError) as err:
+            sample_bundle(g, ids, base, action, fdim, transport)
+        assert str(err.value) == f"/points/{len(ids) - 1}: duplicate point id 'q0'"
+    doc = json.loads((Path(__file__).parent / "data" / "bundle_free_orbit.json").read_text())
+    doc["points"].append(doc["points"][0])
+    with pytest.raises(InputDocumentError) as loaded:
+        load_bundle(doc)
+    raw = raw_bundle_document(doc)
+    with pytest.raises(InputDocumentError) as sampled:
+        sample_bundle(*raw)
+    assert str(sampled.value) == str(loaded.value)
+
+
 def test_a_bundle_is_read_only():
     b = free_z2_bundle()
     with pytest.raises(ValueError, match="read-only"):
@@ -540,6 +556,35 @@ def test_gamma_symbol_eval_foreign_subgroup():
 
 # ---------------------------------------------------------------------------
 # ellipticity verdicts
+
+
+def test_every_alpha_reads_the_kept_fibers_bases_and_gate(monkeypatch):
+    """X, the isotype bases and the equivariance gate do not depend on alpha:
+    checking every alpha builds one fiber representation per point and one
+    basis per XPoint, and makes one pass over the symbol's defects (one
+    `_norms_over` per transport stack), and each alpha's report is the same
+    when it is checked again."""
+    import equifred.bundles as bundles
+
+    b = random_bundle(make_group((4, 2)), np.random.default_rng(8), n_orbits=3)
+    sym = random_symbol(b, np.random.default_rng(9), kill_isotype=True)
+    calls = []
+
+    def spy(name):
+        original = getattr(bundles, name)
+        monkeypatch.setattr(
+            bundles, name, lambda *args: calls.append((name, args[1])) or original(*args)
+        )
+
+    for name in ("fiber_rep", "deterministic_range_basis", "_norms_over"):
+        spy(name)
+    reports = [alpha_elliptic_check(sym, a) for a in dual_characters(b.group)]
+    assert [alpha_elliptic_check(sym, a) for a in dual_characters(b.group)] == reports
+    assert {r.verdict for r in reports} == {True, False}
+    assert sorted(p for name, p in calls if name == "fiber_rep") == list(b.points)
+    bases = sum(map(len, bundles.build_X(b)))
+    assert [name for name, _ in calls].count("deterministic_range_basis") == bases
+    assert [name for name, _ in calls].count("_norms_over") == len(b.transports.stacks)
 
 
 def test_identity_symbol_elliptic_for_every_alpha():

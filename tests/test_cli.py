@@ -477,6 +477,35 @@ def test_decompose_reports_a_missing_matrix_without_listing_the_group(
     assert (rc, out, err) == (1, "", "input error at /matrices/1: missing\n")
 
 
+@pytest.mark.parametrize("verb", ["decompose", "induce"])
+def test_a_character_table_over_the_ceiling_is_refused_at_the_group(
+    tmp_path, capsys, monkeypatch, verb
+):
+    # decompose builds the 8000 x 8000 character table of Z_8000, about 3.8 GiB,
+    # whether the representation is given (here 1-dimensional) or induced
+    # (here from the index-2 subgroup, a 512 KB stack)
+    n = 8000
+    doc = (
+        {"group": {"orders": [n]}, "dim": 1, "matrices": {str(g): [[[1.0, 0.0]]] for g in range(n)}}
+        if verb == "decompose"
+        else {"group": {"orders": [n]}, "subgroup_generators": [[2]], "character_exponents": [0]}
+    )
+    path = tmp_path / "z8000.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(*_):
+        raise AssertionError("the character table was built")
+
+    monkeypatch.setattr(equifred.reps, "character_table", refuse)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, verb, "--input", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert rc == 1 and not out
+    [(pointer, detail)] = pointer_lines(err)
+    assert pointer == "/group/orders" and resolves(doc, pointer, detail)
+    assert detail == "the character table of order 8000 needs about 3.81 GiB, over the 1 GiB ceiling"
+
+
 @pytest.mark.parametrize("bad", ["2.7", '"2"', "true", "null", "1e400", '"x"'])
 @pytest.mark.parametrize("field", ["subgroup_generators", "character_exponents"])
 def test_induce_residues_and_exponents_must_be_integers(tmp_path, capsys, field, bad):
