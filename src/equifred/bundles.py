@@ -98,7 +98,7 @@ class EquivariantSampleBundle:
         return _check_bundle(self)
 
     @cached_property
-    def _x(self) -> tuple[tuple, Mapping]:
+    def _x(self) -> Mapping[tuple, tuple[np.ndarray, np.ndarray]]:
         return _isotype_orbits(self)
 
 
@@ -115,13 +115,17 @@ def _from_tables(
     complex T(g, p) listed g-major, each of shape (fiber_dim of g·p,
     fiber_dim of p).  Every part is made read-only."""
     table.setflags(write=False)
-    stacks = _ShapeStacks(transports)
-    for arr in (stacks.cls, stacks.pos, *stacks.members, *stacks.stacks):
-        arr.setflags(write=False)
     return EquivariantSampleBundle(
         group, points, MappingProxyType({p: base[p] for p in points}),
-        MappingProxyType({p: fiber_dim[p] for p in points}), table, stacks,
+        MappingProxyType({p: fiber_dim[p] for p in points}), table, _frozen_stacks(transports),
     )
+
+
+def _frozen_stacks(mats: list[np.ndarray]) -> _ShapeStacks:
+    stacks = _ShapeStacks(mats)
+    for arr in (stacks.cls, stacks.pos, *stacks.members, *stacks.stacks):
+        arr.setflags(write=False)
+    return stacks
 
 
 def element_key(g: ElementT) -> str:
@@ -263,23 +267,30 @@ def _elements(b: EquivariantSampleBundle, at: np.ndarray) -> tuple:
 
 
 def orbits(b: EquivariantSampleBundle) -> tuple[tuple[str, ...], ...]:
-    """Point orbits, each sorted, listed by their least member.
+    """Point orbits, each sorted, listed by their least member."""
+    return tuple(tuple(b.points[i] for i in at) for at in _orbit_indices(b))
+
+
+def _orbit_indices(b: EquivariantSampleBundle) -> list[np.ndarray]:
+    """The orbits as increasing point indices, listed by their least member.
 
     Read off the action table: the orbit of p is the column A[:, p], so its
     least member is the column minimum (points are held sorted).
     """
     least = b.table.min(axis=0)
-    return tuple(
-        tuple(b.points[i] for i in np.flatnonzero(least == lead))
-        for lead in np.flatnonzero(least == np.arange(len(b.points)))
-    )
+    leads = np.flatnonzero(least == np.arange(len(b.points)))
+    return [np.flatnonzero(least == lead) for lead in leads]
+
+
+def _index(b: EquivariantSampleBundle, p: str) -> int:
+    if p not in b.points:
+        raise ValueError(f"{p!r} is not a point of the bundle")
+    return b.points.index(p)
 
 
 def isotropy(b: EquivariantSampleBundle, p: str) -> Subgroup:
     """Stabilizer subgroup of a point: the g with A[g, p] = p."""
-    if p not in b.points:
-        raise ValueError(f"{p!r} is not a point of the bundle")
-    i = b.points.index(p)
+    i = _index(b, p)
     return Subgroup(b.group, _elements(b, np.flatnonzero(b.table[:, i] == i)))
 
 
@@ -327,42 +338,38 @@ def build_X(b: EquivariantSampleBundle) -> tuple:
     """All (point, isotype) pairs with positive multiplicity, grouped into orbits.
 
     Each orbit is a tuple of XPoints sorted by point id; orbits are listed by
-    (least point id, isotype).  The isotype content is computed at every point
-    and must agree along each orbit, otherwise the bundle data is inconsistent.
-    A bundle that fails validation is refused first (`require_valid`).  X and
-    each XPoint's basis (for `gamma_symbol_eval`) are computed once and kept.
+    (least point id, isotype).  The isotypes and multiplicities are computed at
+    every point and must agree along each orbit, otherwise the bundle data is
+    inconsistent.  A bundle that fails validation is refused first
+    (`require_valid`).  X and its bases (for `gamma_symbol_eval`) are kept.
     """
     require_valid(b)
-    return b._x[0]
+    return tuple(b._x)
 
 
-def _isotype_orbits(b: EquivariantSampleBundle) -> tuple[tuple, Mapping]:
-    """X's orbits and each XPoint's basis, from one fiber representation and
-    one `decompose` per point (each basis at the multiplicity it decided)."""
-    present, bases = {}, {}
+def _isotype_orbits(b: EquivariantSampleBundle) -> Mapping[tuple, tuple[np.ndarray, np.ndarray]]:
+    """X, each orbit mapped to its point indices and its isotype's bases, one
+    read-only (m, d, k) stack, from one fiber representation and one
+    `decompose` per point (each basis at the multiplicity it decided)."""
+    entries, bases = [], []
     for p in b.points:
         rep = fiber_rep(b, p)
-        entries = decompose(rep).entries
-        present[p] = tuple(XPoint(p, rho) for rho, _ in entries)
-        for xp, (rho, k) in zip(present[p], entries):
-            bases[xp] = deterministic_range_basis(isotypical_projector(rep, rho), k)
-    out = []
-    for orb in orbits(b):
-        head = [xp.rho for xp in present[orb[0]]]
-        for p in orb[1:]:
-            if [xp.rho for xp in present[p]] != head:
+        entries.append(decompose(rep).entries)
+        bases.append([deterministic_range_basis(isotypical_projector(rep, rho), k)
+                      for rho, k in entries[-1]])
+    out = {}
+    for at in _orbit_indices(b):
+        pts, head = [b.points[i] for i in at], entries[at[0]]
+        for i, p in zip(at[1:], pts[1:]):
+            if entries[i] != head:
                 raise ModelInconsistencyError(
-                    f"isotypes differ along the orbit of {orb[0]!r} at {p!r}"
-                )
-        out += zip(*(present[p] for p in orb))
-    out.sort(key=lambda o: (o[0].point, o[0].rho.exponents))
-    return tuple(out), MappingProxyType(bases)
-
-
-def build_X_alpha(x_orbits: tuple, alpha: Character, gamma0: Subgroup) -> tuple:
-    """The alpha-associated part of X: the part of `partition_by_beta` at
-    beta = alpha restricted to gamma0, empty when no isotype lies over beta."""
-    return partition_by_beta(x_orbits, gamma0).get(SubgroupCharacter(gamma0, alpha), ())
+                    f"isotypes or multiplicities differ along the orbit of {pts[0]!r} at {p!r}")
+        for j, (rho, _) in enumerate(head):
+            stack = np.stack([bases[i][j] for i in at])
+            stack.setflags(write=False)
+            out[tuple(XPoint(p, rho) for p in pts)] = (at, stack)
+    order = sorted(out, key=lambda o: (o[0].point, o[0].rho.exponents))
+    return MappingProxyType({orb: out[orb] for orb in order})
 
 
 def partition_by_beta(x_orbits: tuple, gamma0: Subgroup) -> dict:
@@ -388,26 +395,23 @@ def partition_by_beta(x_orbits: tuple, gamma0: Subgroup) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class SymbolField:
-    """A fiber endomorphism at every sample point, read-only as `symbol_field`
-    builds it (the equivariance gate is read from it once and kept)."""
+    """A fiber endomorphism sigma(p) at every sample point, read-only shape
+    stacks with sigma(p) at p's index in bundle.points, as `symbol_field`
+    builds them (the equivariance gate is read from it once and kept)."""
 
     bundle: EquivariantSampleBundle
-    values: Mapping[str, np.ndarray]
+    stacks: _ShapeStacks
 
     def value(self, p: str) -> np.ndarray:
-        return self.values[p]
-
-    @cached_property
-    def _stacked(self) -> _ShapeStacks:
-        """sigma(p) at the index of p in bundle.points."""
-        return _ShapeStacks([self.values[p] for p in self.bundle.points])
+        i = _index(self.bundle, p)
+        return self.stacks.stacks[self.stacks.cls[i]][self.stacks.pos[i]]
 
     @cached_property
     def _equivariant(self) -> bool:
         """The equivariance gate of `alpha_elliptic_check`, one pass over every
         (g, p): the defects over the cut (`_norms_over`) name the largest and
         its first (g, p).  Only a pass is kept; a failing symbol always raises."""
-        b, values = self.bundle, self._stacked
+        b, values = self.bundle, self.stacks
         norms = [np.linalg.norm(s, 2, axis=(-2, -1)) for s in values.stacks]
         cut = COMMUTE_TOL * max([1.0] + [float(x) for n in norms for x in n])
         errs = np.zeros(b.table.size)  # the defects over the cut, at g * len(points) + p
@@ -426,7 +430,9 @@ class SymbolField:
 
 
 def symbol_field(bundle: EquivariantSampleBundle, values: Mapping[str, np.ndarray]) -> SymbolField:
-    store = {}
+    """The checked entry: ValueError names the first point without a finite
+    matrix of its fiber's shape.  Keys off the points are ignored."""
+    mats = []
     for p in bundle.points:
         if p not in values:
             raise ValueError(f"symbol is missing a value at {p!r}")
@@ -434,9 +440,10 @@ def symbol_field(bundle: EquivariantSampleBundle, values: Mapping[str, np.ndarra
         d = bundle.fiber_dim[p]
         if m.shape != (d, d):
             raise ValueError(f"symbol at {p!r} has shape {m.shape}, expected {(d, d)}")
-        m.setflags(write=False)
-        store[p] = m
-    return SymbolField(bundle, MappingProxyType(store))
+        if not np.isfinite(m).all():
+            raise ValueError(f"symbol at {p!r} has a non-finite entry")
+        mats.append(m)
+    return SymbolField(bundle, _frozen_stacks(mats))
 
 
 def propagate_symbol(
@@ -447,8 +454,10 @@ def propagate_symbol(
 
     seed_values must contain one matrix per orbit (keyed by any point in it);
     each seed must commute with the stabilizer action at its point, to
-    LAW_TOL relative to max(1, |seed|).
+    LAW_TOL relative to max(1, |seed|).  The first seed on an orbit is conjugated
+    by all its T(g, p0) at once; a bundle that fails validation is refused.
     """
+    require_valid(bundle)
     values: dict[str, np.ndarray] = {}
     for p0, raw in seed_values.items():
         raw = np.asarray(raw, dtype=complex)
@@ -457,25 +466,26 @@ def propagate_symbol(
             tol=LAW_TOL,
         )
         i = bundle.points.index(p0)
-        for g, q in enumerate(bundle.points[j] for j in bundle.table[:, i]):
-            if q in values:
-                continue
-            t = bundle.transports.take(np.array([g * len(bundle.points) + i]))[0]
-            values[q] = t @ raw @ t.conj().T
+        moved, first = np.unique(bundle.table[:, i], return_index=True)
+        t = bundle.transports.take(first * len(bundle.points) + i)
+        for q, m in zip(moved, t @ raw @ t.conj().transpose(0, 2, 1)):
+            values.setdefault(bundle.points[q], m)
     missing = [p for p in bundle.points if p not in values]
     if missing:
         raise ValueError(f"seeds cover no orbit containing {missing[0]!r}")
     return symbol_field(bundle, values)
 
 
-def gamma_symbol_eval(sym: SymbolField, xp: XPoint) -> np.ndarray:
-    """The symbol block on one isotype: sigma(point) compressed to the basis
-    `build_X` keeps for it.  ValueError for an XPoint that is not in X."""
+def gamma_symbol_eval(sym: SymbolField, orbit: tuple) -> np.ndarray:
+    """The symbol blocks of one X-orbit, as `build_X` lists it: the (m, k, k)
+    stack of B^* sigma(p) B over its points p, B the basis `build_X` keeps for
+    the isotype at p.  ValueError for an orbit that is not one of X."""
     require_valid(sym.bundle)
-    basis = sym.bundle._x[1].get(xp)
-    if basis is None:
-        raise ValueError(f"isotype {xp.rho.exponents} at {xp.point!r} is not in X")
-    return basis.conj().T @ sym.value(xp.point) @ basis
+    found = sym.bundle._x.get(tuple(orbit))
+    if found is None:
+        raise ValueError(f"not an orbit of X: {[(xp.point, xp.rho.exponents) for xp in orbit]}")
+    at, bases = found
+    return bases.conj().transpose(0, 2, 1) @ sym.stacks.take(at) @ bases
 
 
 def _require_margin(tol: float) -> None:
@@ -483,15 +493,18 @@ def _require_margin(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
+def _invertible(s: np.ndarray, tol: float) -> np.ndarray:
+    """The margin rule smin >= tol * max(1, smax), on singular values that
+    decrease along the last axis."""
+    return s[..., -1] >= tol * np.maximum(1.0, s[..., 0])
+
+
 def pointwise_invertible(sym: SymbolField, *, tol: float = 1e-8) -> bool:
     """Plain invertibility of the symbol at every point, same margin rule
     (and ValueError for the same tol) as `alpha_elliptic_check`."""
     _require_margin(tol)
-    for p in sym.bundle.points:
-        s = np.linalg.svd(sym.value(p), compute_uv=False)
-        if s[-1] < tol * max(1.0, float(s[0])):
-            return False
-    return True
+    return all(_invertible(np.linalg.svd(s, compute_uv=False), tol).all()
+               for s in sym.stacks.stacks)
 
 
 # ---------------------------------------------------------------------------
@@ -543,38 +556,22 @@ def alpha_elliptic_check(
     require_valid(b)
     sym._equivariant  # the gate: raises unless the symbol is equivariant
     g0 = minimal_isotropy(b)
-    x_alpha = build_X_alpha(build_X(b), alpha, g0)
+    part = partition_by_beta(build_X(b), g0).get(SubgroupCharacter(g0, alpha), ())
 
-    warnings: list[str] = []
+    warnings = [] if part else [
+        "vacuous: no sample isotype is associated to alpha over the minimal isotropy"]
     entries: list[EllipticityEntry] = []
     verdict = True
-    if not x_alpha:
-        warnings.append(
-            "vacuous: no sample isotype is associated to alpha over the minimal isotropy"
-        )
-    for orb in x_alpha:
-        rep_point = orb[0].point
-        mins: list[float] = []
-        rep_ok = True
-        for xp in orb:
-            block = gamma_symbol_eval(sym, xp)
-            s = np.linalg.svd(block, compute_uv=False)
-            smin, smax = float(s[-1]), float(s[0])
-            cond = smax / smin if smin > 0 else float("inf")
-            entries.append(
-                EllipticityEntry(
-                    xp.point, xp.rho, rep_point, block.shape[0], smin, cond
-                )
-            )
-            mins.append(smin)
-            if xp.point == rep_point:
-                rep_ok = smin >= tol * max(1.0, smax)
-        spread = max(mins) - min(mins)
-        if spread > 1e-9 * max(1.0, max(mins)):
-            warnings.append(
-                f"orbit of {rep_point!r}: singular values spread by {spread:.3e}"
-            )
-        verdict = verdict and rep_ok
+    for orb in part:
+        s = np.linalg.svd(gamma_symbol_eval(sym, orb), compute_uv=False)
+        rep_point, lows = orb[0].point, s[:, -1]
+        entries += [EllipticityEntry(xp.point, xp.rho, rep_point, s.shape[1], lo,
+                                     hi / lo if lo > 0 else math.inf)
+                    for xp, lo, hi in zip(orb, lows.tolist(), s[:, 0].tolist())]
+        spread = float(lows.max() - lows.min())
+        if spread > 1e-9 * max(1.0, float(lows.max())):
+            warnings.append(f"orbit of {rep_point!r}: singular values spread by {spread:.3e}")
+        verdict = verdict and bool(_invertible(s[0], tol))
     return EllipticityReport(alpha, g0, tol, tuple(entries), verdict, tuple(warnings))
 
 

@@ -75,6 +75,9 @@ _CEILING_BYTES = 1 << 30
 # stack with it: at the peak a table entry cost about 49 bytes (a
 # 1-dimensional representation of Z_n, n = 1000..3000), so 64 bytes bounds it
 _TABLE_BYTES_PER_ENTRY = 64
+# induce writes its stack into the report as text: at the peak a stack entry
+# cost about 332 bytes (from the trivial subgroup, order 64..128), so 384 bounds it
+_INDUCE_BYTES_PER_ENTRY = 384
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,11 +205,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_induce(args) -> int:
     group, sub, chi = load_induction(_load_json(args.input))
-    # the induced stack holds |G| complex matrices of side [G:H], and its
-    # decomposition the character table; both are checked before any
+    # the report writes out the induced stack, |G| matrices of side [G:H], and
+    # its decomposition needs the character table; both are checked before any
     # character of H is named (that walks H's annihilator)
-    stack = group.order * (group.order // sub.order) ** 2 * 16
-    _check_ceiling(stack, f"inducing from order {sub.order} to order {group.order}")
+    need = group.order * (group.order // sub.order) ** 2 * _INDUCE_BYTES_PER_ENTRY
+    _check_ceiling(need, f"inducing from order {sub.order} to order {group.order}")
     _check_table(group)
     rho = SubgroupCharacter(sub, chi)
     ind = induce(character_rep(rho), group)

@@ -4,7 +4,8 @@ the orbit and stabilizer walks, the stack builders, projectors and group
 averages, the subgroup lattice, the subgroup dual and the restriction test,
 and the flat report writer; raw bundle data from the old `random_bundle`
 loop and from a plain walk of a bundle document; the dense section oracle
-for alpha-ellipticity, and a symbol with an isotype killed on any orbit."""
+for alpha-ellipticity, a symbol with an isotype killed on any orbit, and the
+per-XPoint loop that the batched ellipticity verdict replaced."""
 
 import itertools
 import json
@@ -19,15 +20,18 @@ from equifred import (
     MultiplicityVector,
     Subgroup,
     annihilator,
+    build_X,
     carrier_dual,
     char_mul,
     character,
     decompose,
+    deterministic_range_basis,
     dual_characters,
     fiber_rep,
     full_subgroup,
     isotypical_projector,
     make_group,
+    minimal_isotropy,
     numerical_rank,
     orbits,
     propagate_symbol,
@@ -620,3 +624,39 @@ def kill_isotype(sym, rng):
     seeds = {o[0]: sym.value(o[0]) for o in orbs}
     seeds[orb[0]] = seeds[orb[0]] @ (np.eye(rep.dim) - isotypical_projector(rep, rho))
     return propagate_symbol(b, seeds), orb, rho
+
+
+def reference_elliptic_loop(sym, alpha, *, tol=1e-8):
+    """The loop `alpha_elliptic_check` ran before its blocks were batched per
+    X-orbit: the orbits of X associated to alpha over the minimal isotropy
+    (by the exponent-difference test), then for every XPoint its own basis
+    (pivoted Gram-Schmidt of the isotype's projector at the multiplicity
+    `decompose` decides), its own block and its own SVD, the verdict read at
+    each orbit's first point.  Returns the entries as (point, rho,
+    representative, block_dim, smallest singular value, condition estimate,
+    largest singular value), the verdict and the warnings."""
+    b = sym.bundle
+    g0 = minimal_isotropy(b)
+    part = [orb for orb in build_X(b) if reference_associated(alpha, orb[0].rho, g0)]
+    entries, verdict = [], True
+    warnings = [] if part else [
+        "vacuous: no sample isotype is associated to alpha over the minimal isotropy"]
+    for orb in part:
+        rep_point, mins, rep_ok = orb[0].point, [], True
+        for xp in orb:
+            rep = fiber_rep(b, xp.point)
+            k = dict(decompose(rep).entries)[xp.rho]
+            basis = deterministic_range_basis(isotypical_projector(rep, xp.rho), k)
+            block = basis.conj().T @ sym.value(xp.point) @ basis
+            s = np.linalg.svd(block, compute_uv=False)
+            smin, smax = float(s[-1]), float(s[0])
+            cond = smax / smin if smin > 0 else float("inf")
+            entries.append((xp.point, xp.rho, rep_point, block.shape[0], smin, cond, smax))
+            mins.append(smin)
+            if xp.point == rep_point:
+                rep_ok = smin >= tol * max(1.0, smax)
+        spread = max(mins) - min(mins)
+        if spread > 1e-9 * max(1.0, max(mins)):
+            warnings.append(f"orbit of {rep_point!r}: singular values spread by {spread:.3e}")
+        verdict = verdict and rep_ok
+    return entries, verdict, warnings

@@ -59,7 +59,8 @@ def _same_as_reference(*raw):
 
 def perturbed(sym, rng):
     """sym with the value at one point moved by about 1e-3: not equivariant."""
-    b, values = sym.bundle, dict(sym.values)
+    b = sym.bundle
+    values = {p: sym.value(p) for p in b.points}
     q = b.points[int(rng.integers(len(b.points)))]
     d = b.fiber_dim[q]
     values[q] = values[q] + 1e-3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))

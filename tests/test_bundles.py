@@ -2,16 +2,18 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import equifred.bundles
 from equifred import (
     ModelInconsistencyError,
+    SubgroupCharacter,
     XPoint,
     alpha_elliptic_check,
     build_X,
-    build_X_alpha,
     character,
     characters_of_subgroup,
     commutant_factors,
@@ -405,6 +407,27 @@ def test_build_X_detects_isotype_drift():
         build_X(b)
 
 
+def test_build_X_detects_multiplicity_drift(monkeypatch):
+    # the fibers along an orbit of a valid bundle are equivalent, so only a
+    # rank decision could give one isotype two multiplicities; a patched
+    # decompose stands in for one at the orbit's second point
+    decided = []
+
+    def drifting(rep):
+        mv = decompose(rep)
+        decided.append(mv)
+        if len(decided) == 2:
+            return SimpleNamespace(entries=tuple((rho, k + 1) for rho, k in mv.entries))
+        return mv
+
+    monkeypatch.setattr(equifred.bundles, "decompose", drifting)
+    monkeypatch.setattr(equifred.bundles, "deterministic_range_basis",
+                        lambda proj, k: np.zeros((proj.shape[0], k)))
+    with pytest.raises(ModelInconsistencyError,
+                       match="^isotypes or multiplicities differ along the orbit of 'q0' at 'q1'$"):
+        build_X(free_z2_bundle())
+
+
 def test_build_X_refuses_a_bundle_that_fails_validation():
     # Z3 with 1·a = b, 1·b = b, 1·c = a and 2 acting as the identity breaks
     # the composition law; {0, 2} "fixes" a but is not a subgroup
@@ -419,33 +442,38 @@ def test_build_X_refuses_a_bundle_that_fails_validation():
             call(b)
 
 
-def test_build_X_alpha_trivial_gamma0_keeps_everything():
+def beta_part(x, alpha, g0):
+    """The part of X that alpha_elliptic_check judges: X's part at beta = alpha|g0."""
+    return partition_by_beta(x, g0).get(SubgroupCharacter(g0, alpha), ())
+
+
+def test_the_beta_part_at_trivial_gamma0_keeps_everything():
     b = free_z2_bundle()
     x = build_X(b)
     g0 = minimal_isotropy(b)
     for alpha in dual_characters(b.group):
-        assert build_X_alpha(x, alpha, g0) == x
+        assert beta_part(x, alpha, g0) == x
 
 
-def test_build_X_alpha_sign_selection():
+def test_the_beta_part_selects_by_sign():
     b = fixed_two_point_bundle()
     x = build_X(b)
     g0 = minimal_isotropy(b)
     sign = character(b.group, (1,))
-    selected = build_X_alpha(x, sign, g0)
+    selected = beta_part(x, sign, g0)
     assert len(selected) == 2
     for orb in selected:
         assert orb[0].rho.representative.exponents == (1,)
 
 
-def test_build_X_alpha_depends_only_on_restriction():
+def test_the_beta_part_depends_only_on_restriction():
     b = quotient_z4_bundle()
     x = build_X(b)
     g0 = minimal_isotropy(b)
     chi1 = character(b.group, (1,))
     chi3 = character(b.group, (3,))
     assert restrict_character(chi1, g0) == restrict_character(chi3, g0)
-    assert build_X_alpha(x, chi1, g0) == build_X_alpha(x, chi3, g0)
+    assert beta_part(x, chi1, g0) == beta_part(x, chi3, g0)
 
 
 def test_partition_by_beta_trivial_gamma0():
@@ -476,10 +504,38 @@ def test_a_symbol_field_is_read_only():
     # its equivariance gate is read once and kept, so the values cannot change
     b = random_bundle(make_group((2, 2)), np.random.default_rng(3), n_orbits=2)
     sym = random_symbol(b, np.random.default_rng(3), shift=2.0)
-    with pytest.raises(TypeError):
-        sym.values[b.points[0]] = np.zeros((1, 1))
+    for stack in sym.stacks.stacks:
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 0
     with pytest.raises(ValueError, match="read-only"):
         sym.value(b.points[0])[0, 0] = 0
+
+
+def test_a_symbol_value_is_its_stack_entry():
+    b = random_bundle(make_group((2, 2)), np.random.default_rng(3), n_orbits=3, max_fiber_dim=3)
+    sym = random_symbol(b, np.random.default_rng(4), shift=1.0)
+    for i, p in enumerate(b.points):
+        assert sym.value(p).shape == (b.fiber_dim[p],) * 2
+        assert np.shares_memory(sym.value(p), sym.stacks.stacks[sym.stacks.cls[i]])
+        assert np.array_equal(sym.value(p), sym.stacks.take(np.array([i]))[0])
+
+
+def test_a_value_off_the_points_is_refused_by_name():
+    sym = symbol_field(fixed_two_point_bundle(), {p: np.eye(2) for p in ("p0", "p1")})
+    with pytest.raises(ValueError, match="^'nope' is not a point of the bundle$"):
+        sym.value("nope")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)], ids=str)
+def test_symbol_field_refuses_a_non_finite_value_by_point(bad):
+    b = random_bundle(make_group((2, 2)), np.random.default_rng(5), n_orbits=2)
+    sym = random_symbol(b, np.random.default_rng(6), shift=3.0)
+    values = {p: sym.value(p) for p in b.points}
+    q = b.points[-1]
+    values[q] = values[q].copy()
+    values[q][0, 0] = bad
+    with pytest.raises(ValueError, match=f"^symbol at {q!r} has a non-finite entry$"):
+        symbol_field(b, values)
 
 
 def test_symbol_field_shape_checks():
@@ -509,15 +565,15 @@ def test_gamma_symbol_eval_identity_and_projector():
     x = build_X(b)
     sym = symbol_field(b, {p: np.eye(2) for p in b.points})
     for orb in x:
-        block = gamma_symbol_eval(sym, orb[0])
-        assert block.shape == (1, 1)
+        block = gamma_symbol_eval(sym, orb)
+        assert block.shape == (1, 1, 1)
         assert np.allclose(block, np.eye(1), atol=1e-12)
     # a projector onto the other isotype compresses to zero
     p_sign = np.diag([0.0, 1.0]).astype(complex)
     sym2 = symbol_field(b, {p: p_sign for p in b.points})
     triv_orbits = [orb for orb in x if orb[0].rho.representative.exponents == (0,)]
     for orb in triv_orbits:
-        assert np.allclose(gamma_symbol_eval(sym2, orb[0]), 0.0, atol=1e-12)
+        assert np.allclose(gamma_symbol_eval(sym2, orb), 0.0, atol=1e-12)
 
 
 def test_gamma_symbol_eval_diag_two_three():
@@ -525,8 +581,8 @@ def test_gamma_symbol_eval_diag_two_three():
     sym = symbol_field(b, {p: np.diag([2.0, 3.0]) for p in b.points})
     h = full_subgroup(b.group)
     rho_triv, rho_sign = characters_of_subgroup(b.group, h)
-    assert gamma_symbol_eval(sym, XPoint("p0", rho_triv))[0, 0] == pytest.approx(2.0)
-    assert gamma_symbol_eval(sym, XPoint("p0", rho_sign))[0, 0] == pytest.approx(3.0)
+    assert gamma_symbol_eval(sym, (XPoint("p0", rho_triv),))[0, 0, 0] == pytest.approx(2.0)
+    assert gamma_symbol_eval(sym, (XPoint("p0", rho_sign),))[0, 0, 0] == pytest.approx(3.0)
 
 
 def test_gamma_symbol_eval_absent_isotype():
@@ -543,7 +599,7 @@ def test_gamma_symbol_eval_absent_isotype():
     sym = symbol_field(b, {"p": np.eye(1)})
     rho_sign = characters_of_subgroup(g, full_subgroup(g))[1]
     with pytest.raises(ValueError):
-        gamma_symbol_eval(sym, XPoint("p", rho_sign))
+        gamma_symbol_eval(sym, (XPoint("p", rho_sign),))
 
 
 def test_gamma_symbol_eval_foreign_subgroup():
@@ -551,7 +607,7 @@ def test_gamma_symbol_eval_foreign_subgroup():
     sym = symbol_field(b, {p: np.eye(2) for p in b.points})
     wrong = characters_of_subgroup(b.group, trivial_subgroup(b.group))[0]
     with pytest.raises(ValueError):
-        gamma_symbol_eval(sym, XPoint("p0", wrong))
+        gamma_symbol_eval(sym, (XPoint("p0", wrong),))
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,8 @@ def test_induce_document_missing_generators(tmp_path, capsys):
 
 
 def test_induce_over_the_memory_ceiling_is_refused_at_the_group(tmp_path, capsys):
-    # the induced stack would be 4096 matrices of side 4096: 1 TiB
+    # the induced stack would be 4096 matrices of side 4096, at 384 bytes an
+    # entry for the stack and its report text
     doc = {"group": {"orders": [4096]}, "subgroup_generators": [[0]], "character_exponents": [0]}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
@@ -441,7 +442,7 @@ def test_induce_over_the_memory_ceiling_is_refused_at_the_group(tmp_path, capsys
     assert rc == 1 and not out and "Traceback" not in err
     [(pointer, detail)] = pointer_lines(err)
     assert pointer == "/group/orders" and resolves(doc, pointer, detail)
-    assert detail == "inducing from order 1 to order 4096 needs about 1.02e+03 GiB, over the 1 GiB ceiling"
+    assert detail == "inducing from order 1 to order 4096 needs about 2.46e+04 GiB, over the 1 GiB ceiling"
 
 
 def test_induce_checks_the_ceiling_before_naming_a_character_of_the_subgroup(
@@ -459,7 +460,32 @@ def test_induce_checks_the_ceiling_before_naming_a_character_of_the_subgroup(
     rc, out, err = run(capsys, "induce", "--input", str(path))
     assert rc == 1 and not out
     assert err == ("input error at /group/orders: inducing from order 1 to order 2000000 "
-                   "needs about 1.19e+11 GiB, over the 1 GiB ceiling\n")
+                   "needs about 2.86e+12 GiB, over the 1 GiB ceiling\n")
+
+
+def _induce_from_the_trivial_subgroup(tmp_path, capsys, order):
+    doc = {"group": {"orders": [order]}, "subgroup_generators": [[0]], "character_exponents": [0]}
+    path, out = tmp_path / f"induce{order}.json", tmp_path / f"report{order}.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    rc, stdout, err = run(capsys, "induce", "--input", str(path), "--out", str(out))
+    return rc, stdout, err, out, time.perf_counter() - start
+
+
+def test_induce_counts_the_report_text_against_the_ceiling(tmp_path, capsys):
+    # a 268 MB stack passes a stack-only estimate, but its report text would
+    # peak near 6 GB: it is refused before anything is induced
+    rc, stdout, err, out, took = _induce_from_the_trivial_subgroup(tmp_path, capsys, 256)
+    assert rc == 1 and not stdout and not out.exists() and took < 1.0
+    assert err == ("input error at /group/orders: inducing from order 1 to order 256 "
+                   "needs about 6 GiB, over the 1 GiB ceiling\n")
+
+
+def test_induce_under_the_ceiling_still_writes_its_report(tmp_path, capsys):
+    rc, _, err, out, _ = _induce_from_the_trivial_subgroup(tmp_path, capsys, 64)
+    assert rc == 0 and not err
+    report = json.loads(out.read_text())
+    assert report["dim"] == 64 and len(report["induced"]["matrices"]) == 64
 
 
 def test_decompose_reports_a_missing_matrix_without_listing_the_group(

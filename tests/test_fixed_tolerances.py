@@ -54,7 +54,7 @@ BETA = restrict_rep(REP, SUB)
 EYE = np.eye(REP.dim)
 BUNDLE = random_bundle(G, np.random.default_rng(5), n_orbits=2)
 SYM = random_symbol(BUNDLE, np.random.default_rng(6), shift=3.0)
-XP = build_X(BUNDLE)[0][0]
+X_ORBIT = build_X(BUNDLE)[0]
 SEEDS = {p: SYM.value(p) for p in {orb[0] for orb in equifred.orbits(BUNDLE)}}
 
 
@@ -75,7 +75,7 @@ REMOVED = [
     ("pi_alpha_restrict", "rel_tol", lambda **kw: pi_alpha_restrict(REP, EYE, CHI, **kw)),
     ("pi_alpha_restrict", "commute_tol", lambda **kw: pi_alpha_restrict(REP, EYE, CHI, **kw)),
     ("build_X", "rel_tol", lambda **kw: build_X(BUNDLE, **kw)),
-    ("gamma_symbol_eval", "rel_tol", lambda **kw: gamma_symbol_eval(SYM, XP, **kw)),
+    ("gamma_symbol_eval", "rel_tol", lambda **kw: gamma_symbol_eval(SYM, X_ORBIT, **kw)),
     ("prim_enumerate", "rel_tol", lambda **kw: prim_enumerate(BUNDLE, **kw)),
     ("unitary_rep", "tol", lambda **kw: unitary_rep(G, REP.matrices, **kw)),
     ("validate_bundle", "tol", lambda **kw: validate_bundle(BUNDLE, **kw)),

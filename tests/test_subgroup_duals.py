@@ -15,12 +15,12 @@ from equifred import (
     all_subgroups,
     associated,
     build_X,
-    build_X_alpha,
     characters_of_subgroup,
     dual_characters,
     full_subgroup,
     make_group,
     minimal_isotropy,
+    partition_by_beta,
     random_bundle,
     subgroup_from_generators,
     trivial_subgroup,
@@ -76,20 +76,21 @@ BUNDLES = {
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLES))
-def test_build_X_alpha_is_the_associated_filter(name):
+def test_the_beta_part_is_the_associated_filter(name):
+    # alpha_elliptic_check judges the part of X at beta = alpha restricted to gamma0
     b = BUNDLES[name]()
     x = build_X(b)
     g0 = minimal_isotropy(b)
+    parts = partition_by_beta(x, g0)
     for alpha in dual_characters(b.group):
         want = tuple(orb for orb in x if reference_associated(alpha, orb[0].rho, g0))
-        assert build_X_alpha(x, alpha, g0) == want
+        assert parts.get(SubgroupCharacter(g0, alpha), ()) == want
 
 
-def test_build_X_alpha_refuses_gamma0_outside_a_stabilizer():
+def test_partition_by_beta_refuses_gamma0_outside_a_stabilizer():
     b = _fixture_bundle("bundle_free_orbit")
-    alpha = dual_characters(b.group)[0]
     with pytest.raises(ValueError, match="^gamma0 must be contained in every stabilizer"):
-        build_X_alpha(build_X(b), alpha, full_subgroup(b.group))
+        partition_by_beta(build_X(b), full_subgroup(b.group))
 
 
 def test_the_trivial_subgroup_dual_builds_one_character(monkeypatch):
