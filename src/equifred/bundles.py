@@ -30,6 +30,7 @@ from .groups import (
 from .reps import (
     COMMUTE_TOL,
     LAW_TOL,
+    InternalInconsistencyError,
     UnitaryRep,
     _from_stack,
     _group_average,
@@ -98,7 +99,7 @@ class EquivariantSampleBundle:
         return _check_bundle(self)
 
     @cached_property
-    def _x(self) -> Mapping[tuple, tuple[np.ndarray, np.ndarray]]:
+    def _x(self) -> Mapping[tuple, tuple[tuple, np.ndarray, np.ndarray]]:
         return _isotype_orbits(self)
 
 
@@ -268,18 +269,13 @@ def _elements(b: EquivariantSampleBundle, at: np.ndarray) -> tuple:
 
 def orbits(b: EquivariantSampleBundle) -> tuple[tuple[str, ...], ...]:
     """Point orbits, each sorted, listed by their least member."""
-    return tuple(tuple(b.points[i] for i in at) for at in _orbit_indices(b))
+    return tuple(tuple(b.points[i] for i in np.unique(b.table[:, h])) for h in _heads(b))
 
 
-def _orbit_indices(b: EquivariantSampleBundle) -> list[np.ndarray]:
-    """The orbits as increasing point indices, listed by their least member.
-
-    Read off the action table: the orbit of p is the column A[:, p], so its
-    least member is the column minimum (points are held sorted).
-    """
-    least = b.table.min(axis=0)
-    leads = np.flatnonzero(least == np.arange(len(b.points)))
-    return [np.flatnonzero(least == lead) for lead in leads]
+def _heads(b: EquivariantSampleBundle) -> np.ndarray:
+    """The least member of each orbit, increasing: the orbit of p is the column
+    A[:, p] of the action table, and points are held sorted."""
+    return np.flatnonzero(b.table.min(axis=0) == np.arange(len(b.points)))
 
 
 def _index(b: EquivariantSampleBundle, p: str) -> int:
@@ -338,38 +334,39 @@ def build_X(b: EquivariantSampleBundle) -> tuple:
     """All (point, isotype) pairs with positive multiplicity, grouped into orbits.
 
     Each orbit is a tuple of XPoints sorted by point id; orbits are listed by
-    (least point id, isotype).  The isotypes and multiplicities are computed at
-    every point and must agree along each orbit, otherwise the bundle data is
-    inconsistent.  A bundle that fails validation is refused first
-    (`require_valid`).  X and its bases (for `gamma_symbol_eval`) are kept.
+    (least point id, isotype).  They are decided at each orbit's least point:
+    for abelian G, T(g, p) intertwines the fiber actions at p and g·p.  A
+    bundle that fails validation is refused first (`require_valid`).  X and
+    its bases (for `gamma_symbol_eval`) are kept.
     """
     require_valid(b)
-    return tuple(b._x)
+    return tuple(orb for orb, _, _ in b._x.values())
 
 
-def _isotype_orbits(b: EquivariantSampleBundle) -> Mapping[tuple, tuple[np.ndarray, np.ndarray]]:
-    """X, each orbit mapped to its point indices and its isotype's bases, one
-    read-only (m, d, k) stack, from one fiber representation and one
-    `decompose` per point (each basis at the multiplicity it decided)."""
-    entries, bases = [], []
-    for p in b.points:
-        rep = fiber_rep(b, p)
-        entries.append(decompose(rep).entries)
-        bases.append([deterministic_range_basis(isotypical_projector(rep, rho), k)
-                      for rho, k in entries[-1]])
+def _carried(b: EquivariantSampleBundle, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit of point i, as increasing point indices, and the stack of
+    the T(g, p_i) that reach them, g the least element reaching each."""
+    moved, first = np.unique(b.table[:, i], return_index=True)
+    return moved, b.transports.take(first * len(b.points) + i)
+
+
+def _isotype_orbits(b: EquivariantSampleBundle) -> Mapping[tuple, tuple]:
+    """X keyed by (least point id, isotype exponents): each orbit's XPoints,
+    point indices and read-only (m, d, k) stack of its isotype's bases.  One
+    `decompose` per point orbit, at its least point p0, whose bases are
+    carried to each point by `_carried`; p0 keeps its own (T(0, p0) is I
+    only to LAW_TOL)."""
     out = {}
-    for at in _orbit_indices(b):
-        pts, head = [b.points[i] for i in at], entries[at[0]]
-        for i, p in zip(at[1:], pts[1:]):
-            if entries[i] != head:
-                raise ModelInconsistencyError(
-                    f"isotypes or multiplicities differ along the orbit of {pts[0]!r} at {p!r}")
-        for j, (rho, _) in enumerate(head):
-            stack = np.stack([bases[i][j] for i in at])
+    for head in _heads(b):
+        (at, t), rep = _carried(b, head), fiber_rep(b, b.points[head])
+        pts = [b.points[i] for i in at]
+        for rho, k in decompose(rep).entries:
+            basis = deterministic_range_basis(isotypical_projector(rep, rho), k)
+            stack = t @ basis
+            stack[0] = basis
             stack.setflags(write=False)
-            out[tuple(XPoint(p, rho) for p in pts)] = (at, stack)
-    order = sorted(out, key=lambda o: (o[0].point, o[0].rho.exponents))
-    return MappingProxyType({orb: out[orb] for orb in order})
+            out[(pts[0], rho.exponents)] = (tuple(XPoint(p, rho) for p in pts), at, stack)
+    return MappingProxyType({key: out[key] for key in sorted(out)})
 
 
 def partition_by_beta(x_orbits: tuple, gamma0: Subgroup) -> dict:
@@ -407,10 +404,11 @@ class SymbolField:
         return self.stacks.stacks[self.stacks.cls[i]][self.stacks.pos[i]]
 
     @cached_property
-    def _equivariant(self) -> bool:
+    def _equivariant(self) -> float:
         """The equivariance gate of `alpha_elliptic_check`, one pass over every
         (g, p): the defects over the cut (`_norms_over`) name the largest and
-        its first (g, p).  Only a pass is kept; a failing symbol always raises."""
+        its first (g, p).  Only a pass is kept, as the cut it passed; a
+        failing symbol always raises."""
         b, values = self.bundle, self.stacks
         norms = [np.linalg.norm(s, 2, axis=(-2, -1)) for s in values.stacks]
         cut = COMMUTE_TOL * max([1.0] + [float(x) for n in norms for x in n])
@@ -426,7 +424,7 @@ class SymbolField:
                 f"/symbol/{b.points[i % len(b.points)]}",
                 f"symbol is not equivariant (defect {errs[i]:.3e})",
             )
-        return True
+        return cut
 
 
 def symbol_field(bundle: EquivariantSampleBundle, values: Mapping[str, np.ndarray]) -> SymbolField:
@@ -455,7 +453,8 @@ def propagate_symbol(
     seed_values must contain one matrix per orbit (keyed by any point in it);
     each seed must commute with the stabilizer action at its point, to
     LAW_TOL relative to max(1, |seed|).  The first seed on an orbit is conjugated
-    by all its T(g, p0) at once; a bundle that fails validation is refused.
+    by all its T(g, p0) at once (`_carried`); a bundle that fails validation
+    is refused.
     """
     require_valid(bundle)
     values: dict[str, np.ndarray] = {}
@@ -465,9 +464,7 @@ def propagate_symbol(
             f"seed at {p0!r} is not stabilizer-invariant", fiber_rep(bundle, p0), raw,
             tol=LAW_TOL,
         )
-        i = bundle.points.index(p0)
-        moved, first = np.unique(bundle.table[:, i], return_index=True)
-        t = bundle.transports.take(first * len(bundle.points) + i)
+        moved, t = _carried(bundle, bundle.points.index(p0))
         for q, m in zip(moved, t @ raw @ t.conj().transpose(0, 2, 1)):
             values.setdefault(bundle.points[q], m)
     missing = [p for p in bundle.points if p not in values]
@@ -479,12 +476,14 @@ def propagate_symbol(
 def gamma_symbol_eval(sym: SymbolField, orbit: tuple) -> np.ndarray:
     """The symbol blocks of one X-orbit, as `build_X` lists it: the (m, k, k)
     stack of B^* sigma(p) B over its points p, B the basis `build_X` keeps for
-    the isotype at p.  ValueError for an orbit that is not one of X."""
+    the isotype at p.  ValueError for an orbit that is not one of X, which is
+    looked up by its head's point and exponents (no XPoint is hashed)."""
     require_valid(sym.bundle)
-    found = sym.bundle._x.get(tuple(orbit))
-    if found is None:
+    orbit = tuple(orbit)
+    found = sym.bundle._x.get((orbit[0].point, orbit[0].rho.exponents)) if orbit else None
+    if found is None or found[0] != orbit:
         raise ValueError(f"not an orbit of X: {[(xp.point, xp.rho.exponents) for xp in orbit]}")
-    at, bases = found
+    _, at, bases = found
     return bases.conj().transpose(0, 2, 1) @ sym.stacks.take(at) @ bases
 
 
@@ -546,15 +545,19 @@ def alpha_elliptic_check(
     spread of the singular values along each orbit is certified; a spread
     beyond 1e-9 (relative) only produces a warning since the verdict at the
     representative stands.  An empty associated set yields a vacuous True with
-    a warning.  A symbol whose equivariance defect exceeds
-    COMMUTE_TOL * max(1, max_p |sigma(p)|) raises InputDocumentError at
+    a warning.  A symbol whose equivariance defect exceeds the gate's cut,
+    COMMUTE_TOL * max(1, max_p |sigma(p)|), raises InputDocumentError at
     /symbol/<p> for the point p where the defect is largest.  A tol that is
-    not finite and positive raises ValueError.
+    not finite and positive raises ValueError.  As the bases are carried by
+    the transports, Weyl's inequality bounds the spread of a symbol that
+    passed by twice the cut, plus 6 * LAW_TOL * max(1, |sigma|) as transports
+    are unitary to LAW_TOL: a wider one raises InternalInconsistencyError.
     """
     _require_margin(tol)
     b = sym.bundle
     require_valid(b)
-    sym._equivariant  # the gate: raises unless the symbol is equivariant
+    cut = sym._equivariant  # the gate: raises unless the symbol is equivariant
+    reach = 2 * cut * (1 + 3 * LAW_TOL / COMMUTE_TOL)  # cut / COMMUTE_TOL is max(1, |sigma|)
     g0 = minimal_isotropy(b)
     part = partition_by_beta(build_X(b), g0).get(SubgroupCharacter(g0, alpha), ())
 
@@ -569,6 +572,10 @@ def alpha_elliptic_check(
                                      hi / lo if lo > 0 else math.inf)
                     for xp, lo, hi in zip(orb, lows.tolist(), s[:, 0].tolist())]
         spread = float(lows.max() - lows.min())
+        if spread > reach:
+            raise InternalInconsistencyError(
+                f"orbit of {rep_point!r}: singular values spread by {spread:.3e}, "
+                f"over the {reach:.3e} the equivariance gate allows")
         if spread > 1e-9 * max(1.0, float(lows.max())):
             warnings.append(f"orbit of {rep_point!r}: singular values spread by {spread:.3e}")
         verdict = verdict and bool(_invertible(s[0], tol))
@@ -596,16 +603,10 @@ def prim_enumerate(b: EquivariantSampleBundle) -> tuple:
     exactly how many X-orbits sit over that point orbit.  A bundle that fails
     validation is refused by `build_X`.
     """
-    x_orbits = build_X(b)
     by_orbit: dict[tuple[str, ...], list[SubgroupCharacter]] = {}
-    for orb in x_orbits:
-        key = tuple(xp.point for xp in orb)
-        by_orbit.setdefault(key, []).append(orb[0].rho)
-    records = [
-        PrimRecord(key, key[0], tuple(rhos)) for key, rhos in by_orbit.items()
-    ]
-    records.sort(key=lambda r: r.representative)
-    return tuple(records)
+    for orb in build_X(b):  # listed by least point
+        by_orbit.setdefault(tuple(xp.point for xp in orb), []).append(orb[0].rho)
+    return tuple(PrimRecord(key, key[0], tuple(rhos)) for key, rhos in by_orbit.items())
 
 
 # ---------------------------------------------------------------------------
@@ -664,19 +665,15 @@ def random_symbol(
     seed, producing a symbol that is singular on that isotype.
     """
     seeds: dict[str, np.ndarray] = {}
-    first = True
-    for orb in orbits(bundle):
+    for n, orb in enumerate(orbits(bundle)):
         p0 = orb[0]
         rep = fiber_rep(bundle, p0)
         d = rep.dim
         raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         sym0 = _group_average(rep, raw, rep) + shift * np.eye(d)
-        if kill_isotype and first:
-            mv = decompose(rep)
-            chars = mv.characters()
+        if kill_isotype and n == 0:
+            chars = decompose(rep).characters()
             rho = chars[int(rng.integers(len(chars)))]
-            p = isotypical_projector(rep, rho)
-            sym0 = sym0 @ (np.eye(d) - p)
-            first = False
+            sym0 = sym0 @ (np.eye(d) - isotypical_projector(rep, rho))
         seeds[p0] = sym0
     return propagate_symbol(bundle, seeds)

@@ -53,6 +53,7 @@ from .reps import (
 )
 from .serialize import (
     InputDocumentError,
+    _induction_parts,
     canonical_json,
     character_doc,
     group_doc,
@@ -71,9 +72,10 @@ class _CliError(Exception):
 # the memory ceiling of one job, against which the grid sizes, an induced
 # representation and a character table are estimated before they are built
 _CEILING_BYTES = 1 << 30
-# decompose builds the |G| x |G| character table of the carrier and weighs the
-# stack with it: at the peak a table entry cost about 49 bytes (a
-# 1-dimensional representation of Z_n, n = 1000..3000), so 64 bytes bounds it
+# decompose builds the |H| x |H| character table of its carrier H (the group,
+# or for check and prim each stabilizer) and weighs the stack with it: at the
+# peak a table entry cost about 49 bytes (a 1-dimensional representation of
+# Z_n, n = 1000..3000), so 64 bytes bounds it
 _TABLE_BYTES_PER_ENTRY = 64
 # induce writes its stack into the report as text: at the peak a stack entry
 # cost about 332 bytes (from the trivial subgroup, order 64..128), so 384 bounds it
@@ -146,6 +148,9 @@ def _checked_bundle(args):
         for v in validation.violations[:10]:
             print(f"input error at {v.location}: {v.detail}", file=sys.stderr)
         raise SystemExit(1)
+    # build_X decomposes the fiber at each orbit's stabilizer, by its table
+    fixed = bundle.table == np.arange(len(bundle.points))
+    _check_table(int(fixed.sum(axis=0).max(initial=1)))
     return bundle, symbol
 
 
@@ -189,14 +194,14 @@ def _check_ceiling(need: int, what: str) -> None:
         )
 
 
-def _check_table(group: Group) -> None:
-    need = group.order**2 * _TABLE_BYTES_PER_ENTRY
-    _check_ceiling(need, f"the character table of order {group.order}")
+def _check_table(order: int) -> None:
+    need = order**2 * _TABLE_BYTES_PER_ENTRY
+    _check_ceiling(need, f"the character table of order {order}")
 
 
 def cmd_decompose(args) -> int:
     rep = load_rep(_load_json(args.input))
-    _check_table(rep.carrier)
+    _check_table(rep.carrier.order)
     mv = decompose(rep)
     doc = {"group": group_doc(rep.carrier), "multiplicities": multiplicity_doc(mv)}
     _emit(args, doc)
@@ -204,13 +209,15 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    group, sub, chi = load_induction(_load_json(args.input))
-    # the report writes out the induced stack, |G| matrices of side [G:H], and
-    # its decomposition needs the character table; both are checked before any
-    # character of H is named (that walks H's annihilator)
+    doc = _load_json(args.input)
+    # the decomposition needs the character table of G: it is checked once the
+    # document parses and before load_induction closes H one element at a time
+    _check_table(_induction_parts(doc)[0].order)
+    group, sub, chi = load_induction(doc)
+    # the report writes out the induced stack, |G| matrices of side [G:H],
+    # checked before any character of H is named (that walks H's annihilator)
     need = group.order * (group.order // sub.order) ** 2 * _INDUCE_BYTES_PER_ENTRY
     _check_ceiling(need, f"inducing from order {sub.order} to order {group.order}")
-    _check_table(group)
     rho = SubgroupCharacter(sub, chi)
     ind = induce(character_rep(rho), group)
     mv = decompose(ind)

@@ -45,10 +45,15 @@ def _element_table(node: Any, group: Group, path: str) -> Mapping:
     """node as an object with an entry for each element of group, keyed as
     `element_key` writes it, and no other key (refused as by `_point_table`).
     The elements are walked one at a time, in `Group.elements` order, up to
-    the first missing key."""
+    the first missing key: element i is named by its mixed-radix digits in
+    Python integers, so a group of any order or rank gets its pointer."""
     node = _as_dict(node, path)
     for i in range(group.order):
-        if (key := element_key(np.unravel_index(i, group.orders))) not in node:
+        rest, digits = i, []
+        for n in reversed(group.orders):
+            rest, r = divmod(rest, n)
+            digits.append(r)
+        if (key := element_key(digits[::-1])) not in node:
             raise InputDocumentError(f"{path}/{key}", "missing")
     for key in node:
         again = element_key(parse_element_key(key, group, f"{path}/{key}"))
@@ -241,6 +246,13 @@ def load_induction(doc: Any) -> tuple[Group, Subgroup, Character]:
     the full-group character of its exponents, to be restricted to that
     subgroup.  Residues and exponents must be integers; they are reduced
     modulo the orders."""
+    group, gens, chi = _induction_parts(doc)
+    return group, subgroup_from_generators(group, gens), chi
+
+
+def _induction_parts(doc: Any) -> tuple[Group, list, Character]:
+    """`load_induction` up to the closure, which walks the subgroup one
+    element at a time: the group, the generators and the character."""
     node = _as_dict(doc, "/")
     group = load_group(_need(node, "group", ""), "/group")
     gens_node = _need(node, "subgroup_generators", "")
@@ -258,7 +270,7 @@ def load_induction(doc: Any) -> tuple[Group, Subgroup, Character]:
     chi = character(
         group, [_as_int(x, f"/character_exponents/{j}") for j, x in enumerate(exps)]
     )
-    return group, subgroup_from_generators(group, gens), chi
+    return group, gens, chi
 
 
 def character_doc(chi: Character | SubgroupCharacter) -> list:

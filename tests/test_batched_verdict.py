@@ -23,6 +23,7 @@ from equifred import (
     trivial_subgroup,
 )
 from equifred.groups import SubgroupCharacter
+from equifred.reps import RANK_TOL
 
 from helpers import kill_isotype, reference_elliptic_loop
 
@@ -55,8 +56,13 @@ def test_the_batched_report_is_the_per_xpoint_loop(orders):
                 assert (got.point, got.rho, got.orbit_representative, got.block_dim) == (
                     point, rho, rep_point, dim)
                 assert _close(got.smallest_singular_value, smin, smax)
-                # the condition estimate read back as smin / smax
-                assert _close(1 / got.condition_estimate, 1 / cond, 1.0)
+                if smin < RANK_TOL * max(1.0, smax):
+                    # a killed block: its smin, and so its condition estimate,
+                    # is rounding noise, which both routes put below the cut
+                    assert got.smallest_singular_value < RANK_TOL * max(1.0, smax)
+                else:
+                    # the condition estimate read back as smin / smax
+                    assert _close(1 / got.condition_estimate, 1 / cond, 1.0)
             seen["verdicts"].add(verdict)
     # several fiber dimensions and orbit sizes, and both verdicts, occurred
     assert len(seen["dims"]) > 1 and max(seen["orbit_sizes"]) > 1

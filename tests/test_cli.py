@@ -72,6 +72,13 @@ def pointer_lines(err):
     ]
 
 
+def _src_env():
+    """The environment of a child process that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def mults(doc_node):
     return {tuple(e["character"]): e["multiplicity"] for e in doc_node["entries"]}
 
@@ -300,9 +307,7 @@ def test_every_verb_emits_no_warnings():
         "    runs.append((code, err.getvalue()))\n"
         "print(json.dumps(runs))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _src_env()
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", script], capture_output=True, text=True, env=env
     )
@@ -448,7 +453,8 @@ def test_induce_over_the_memory_ceiling_is_refused_at_the_group(tmp_path, capsys
 def test_induce_checks_the_ceiling_before_naming_a_character_of_the_subgroup(
     tmp_path, capsys, monkeypatch
 ):
-    # naming a character of H walks the annihilator of H, here 2,000,000 characters
+    # naming a character of H walks the annihilator of H, here 2,000,000
+    # characters; the character table of G is over the ceiling first
     doc = {"group": {"orders": [2000000]}, "subgroup_generators": [[0]], "character_exponents": [0]}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
@@ -459,8 +465,8 @@ def test_induce_checks_the_ceiling_before_naming_a_character_of_the_subgroup(
     monkeypatch.setattr(equifred.groups, "annihilator", refuse)
     rc, out, err = run(capsys, "induce", "--input", str(path))
     assert rc == 1 and not out
-    assert err == ("input error at /group/orders: inducing from order 1 to order 2000000 "
-                   "needs about 2.86e+12 GiB, over the 1 GiB ceiling\n")
+    assert err == ("input error at /group/orders: the character table of order 2000000 "
+                   "needs about 2.38e+05 GiB, over the 1 GiB ceiling\n")
 
 
 def _induce_from_the_trivial_subgroup(tmp_path, capsys, order):
@@ -503,19 +509,29 @@ def test_decompose_reports_a_missing_matrix_without_listing_the_group(
     assert (rc, out, err) == (1, "", "input error at /matrices/1: missing\n")
 
 
-@pytest.mark.parametrize("verb", ["decompose", "induce"])
+def _fixed_point_bundle(n):
+    """One point fixed by Z_n, a 1-dimensional trivial fiber, symbol 2."""
+    return {"group": {"orders": [n]}, "points": ["p"], "base": {"p": "p"}, "fiber_dim": {"p": 1},
+            "action": {str(g): {"p": "p"} for g in range(n)},
+            "transport": {str(g): {"p": [[[1.0, 0.0]]]} for g in range(n)},
+            "symbol": {"p": [[[2.0, 0.0]]]}}
+
+
+@pytest.mark.parametrize("verb", ["decompose", "induce", "check", "prim"])
 def test_a_character_table_over_the_ceiling_is_refused_at_the_group(
     tmp_path, capsys, monkeypatch, verb
 ):
     # decompose builds the 8000 x 8000 character table of Z_8000, about 3.8 GiB,
     # whether the representation is given (here 1-dimensional) or induced
-    # (here from the index-2 subgroup, a 512 KB stack)
+    # (here from the index-2 subgroup, a 512 KB stack); check and prim build
+    # it for the stabilizer of a point that Z_8000 fixes
     n = 8000
-    doc = (
-        {"group": {"orders": [n]}, "dim": 1, "matrices": {str(g): [[[1.0, 0.0]]] for g in range(n)}}
-        if verb == "decompose"
-        else {"group": {"orders": [n]}, "subgroup_generators": [[2]], "character_exponents": [0]}
-    )
+    doc = {
+        "decompose": {"group": {"orders": [n]}, "dim": 1,
+                      "matrices": {str(g): [[[1.0, 0.0]]] for g in range(n)}},
+        "induce": {"group": {"orders": [n]}, "subgroup_generators": [[2]],
+                   "character_exponents": [0]},
+    }.get(verb) or _fixed_point_bundle(n)
     path = tmp_path / "z8000.json"
     path.write_text(json.dumps(doc))
 
@@ -524,12 +540,63 @@ def test_a_character_table_over_the_ceiling_is_refused_at_the_group(
 
     monkeypatch.setattr(equifred.reps, "character_table", refuse)
     start = time.perf_counter()
-    rc, out, err = run(capsys, verb, "--input", str(path))
+    alpha = ["--alpha", "0"] if verb == "check" else []
+    rc, out, err = run(capsys, verb, "--input", str(path), *alpha)
     assert time.perf_counter() - start < 2.0
     assert rc == 1 and not out
     [(pointer, detail)] = pointer_lines(err)
     assert pointer == "/group/orders" and resolves(doc, pointer, detail)
     assert detail == "the character table of order 8000 needs about 3.81 GiB, over the 1 GiB ceiling"
+
+
+@pytest.mark.parametrize("order", [10**12, 2**63], ids=["1e12", "2^63"])
+def test_induce_refuses_a_huge_group_before_closing_the_subgroup(tmp_path, order):
+    # the subgroup spanned by 2 has order/2 elements, closed one at a time
+    doc = {"group": {"orders": [order]}, "subgroup_generators": [[2]], "character_exponents": [1]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "equifred", "induce", "--input", str(path)],
+                          capture_output=True, text=True, env=_src_env(), timeout=30)
+    assert proc.returncode == 1 and not proc.stdout
+    [(pointer, detail)] = pointer_lines(proc.stderr)
+    assert pointer == "/group/orders" and resolves(doc, pointer, detail)
+    assert detail.startswith(f"the character table of order {order} needs about ")
+
+
+def _with_orders(path, orders):
+    """A fixture document over another group, its residue lists widened to
+    the group's rank."""
+    doc = json.loads(Path(path).read_text())
+    doc["group"]["orders"] = orders
+    pad = [0] * (len(orders) - 1)  # the fixtures are over one cyclic factor
+    if "subgroup_generators" in doc:
+        doc["subgroup_generators"] = [g + pad for g in doc["subgroup_generators"]]
+        doc["character_exponents"] += pad
+    return doc
+
+
+@pytest.mark.parametrize("orders", [[2**63], [2, 10**30], [2] * 70], ids=["2^63", "2x1e30", "70x2"])
+def test_huge_orders_and_ranks_keep_the_input_contract(tmp_path, orders):
+    alpha = ",".join("0" * len(orders))
+    cases = [
+        (FIXED, [["check", "--alpha", alpha], ["prim"]]),
+        (REP_Z3, [["decompose"]]),
+        (INDUCE_Z4, [["induce"]]),
+    ]
+    for fixture, verbs in cases:
+        doc, path = _with_orders(fixture, orders), tmp_path / Path(fixture).name
+        argvs = [[verb[0], "--input", str(path), *verb[1:]] for verb in verbs]
+        assert_input_contract(path, doc, argvs)
+
+
+def test_a_stabilizer_table_under_the_ceiling_is_answered(tmp_path, capsys):
+    path = tmp_path / "z1000.json"
+    path.write_text(json.dumps(_fixed_point_bundle(1000)))
+    rc, doc = run_json(capsys, "check", "--input", str(path), "--alpha", "0")
+    assert rc == 0 and doc["verdict"] == "elliptic"
+    assert [e["smallest_singular_value"] for e in doc["entries"]] == [2.0]
+    rc, doc = run_json(capsys, "prim", "--input", str(path))
+    assert rc == 0 and doc["records"][0]["isotypes"] == [[0]]
 
 
 @pytest.mark.parametrize("bad", ["2.7", '"2"', "true", "null", "1e400", '"x"'])
@@ -690,9 +757,7 @@ def test_check_and_prim_do_not_load_numpy_ma():
         f"             main(['prim', '--input', {FIXED!r}])]\n"
         "print(codes, 'numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _src_env()
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env)
     assert proc.stdout == "[0, 0] False\n", proc.stderr
@@ -801,18 +866,14 @@ def test_an_unwritable_out_is_refused_in_one_line(tmp_path, capsys, argv, target
 ], ids=["check-elliptic", "check-not-elliptic", "bvp"])
 def test_module_entry_point_matches_in_process_run(capsys, argv):
     rc, out, err = run(capsys, *argv)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _src_env()
     proc = subprocess.run([sys.executable, "-m", "equifred", *argv], capture_output=True, env=env)
     assert proc.returncode == rc
     assert proc.stdout == out.encode() and proc.stderr == err.encode() == b""
 
 
 def test_cli_import_loads_no_scipy():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _src_env()
     probe = "import sys, equifred.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
