@@ -266,7 +266,7 @@ def character_table(
     numerator, exactly as `char_eval` takes it, so every entry has the bits
     of `Character.value` / `SubgroupCharacter.value`.  The product cannot
     overflow int64: a numerator is below |G|^2, and a group with
-    |G|^2 > 2^63 has no table that fits in memory anyway.
+    |G|^2 > 2^63 has no element list that fits in memory.
     """
     reps = [c.representative if isinstance(c, SubgroupCharacter) else c for c in chars]
     group = reps[0].group

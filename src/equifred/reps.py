@@ -1,11 +1,11 @@
 """Unitary representations of finite abelian groups and their isotypical calculus.
 
-Provides character projectors, multiplicity extraction by numerical rank,
-compression to isotypical blocks in a reproducible basis, induction from a
-subgroup realized on a fixed coset transversal, the Frobenius reciprocity map
-`frobenius_hom_map` from subgroup intertwiners to maps into the induction, and
-the kernel/image split of the isotypical compression on induced endomorphism
-algebras.
+Provides character projectors (all of them from one DFT of the stack),
+multiplicities by numerical rank, compression to isotypical blocks in a
+reproducible basis, induction from a subgroup on a fixed coset transversal,
+the Frobenius reciprocity map `frobenius_hom_map` from subgroup intertwiners
+to maps into the induction, and the kernel/image split of the isotypical
+compression on induced endomorphism algebras.
 
 A representation is either dense (`UnitaryRep`, one matrix per element) or
 monomial (`MonomialRep`, one permutation with unit phases per element).  The
@@ -87,10 +87,9 @@ def _over_half(fro: np.ndarray, tol: float) -> np.ndarray:
     return np.flatnonzero(~(fro <= tol / 2))
 
 
-def _trace_multiplicity(values: np.ndarray, traces: np.ndarray) -> int:
-    """The trace oracle (1/|G|) sum_g conj(chi(g)) tr U(g), from chi's values and
-    the traces in carrier order; it must be an integer."""
-    value = np.vdot(values, traces) / len(values)
+def _trace_multiplicity(chi: Character | SubgroupCharacter, value: complex) -> int:
+    """chi's trace-oracle value (1/|G|) sum_g conj(chi(g)) tr U(g), which
+    must be an integer: every route to a multiplicity hands it in here."""
     mult = round(value.real)
     if abs(value - mult) > 1e-8:
         raise InternalInconsistencyError(f"non-integral multiplicity {value}")
@@ -385,7 +384,8 @@ class MonomialRep:
 
     def multiplicity(self, chi: Character | SubgroupCharacter) -> int:
         """Multiplicity of chi by the trace oracle (1/|G|) sum_g conj(chi(g)) tr U(g)."""
-        return _trace_multiplicity(_character_row(self, chi), self.traces)
+        value = np.vdot(_character_row(self, chi), self.traces) / len(self.elements)
+        return _trace_multiplicity(chi, value)
 
 
 RepT = UnitaryRep | MonomialRep
@@ -586,7 +586,7 @@ def _orbit_sums(rep: MonomialRep, chi: Character | SubgroupCharacter):
     on_stabilizer = np.where(fixed, weights, 0.0).sum(axis=0)  # |H| or 0
     leads = np.flatnonzero(rep.perm.min(axis=0) == np.arange(d))
     leads = leads[np.abs(on_stabilizer[leads]) > stabilizer[leads] / 2]
-    expected = _trace_multiplicity(values, rep.traces)
+    expected = _trace_multiplicity(chi, np.vdot(values, rep.traces) / order)
     if leads.size != expected:
         raise InternalInconsistencyError(
             f"{leads.size} orbit sums carry the character, the trace oracle says {expected}"
@@ -667,27 +667,45 @@ class MultiplicityVector:
         return tuple(k for k, _ in self.entries)
 
 
+def _dual_projectors(rep: RepT) -> np.ndarray:
+    """Every projector sum_h conj(chi(h)) U(h) / |H| of the carrier H, in dual
+    order: one in-place forward DFT (numpy's sign is conj chi) of the grid of
+    H's group holding U(h), or a MonomialRep's phases, at h and zeros elsewhere,
+    read row-major for a Group and at the representatives for a Subgroup."""
+    carrier, d = rep.carrier, rep.dim
+    group = getattr(carrier, "parent", carrier)
+    grid = np.zeros(group.orders + (d, d), dtype=complex)
+    at = tuple(np.array(carrier.elements).T)
+    if isinstance(rep, UnitaryRep):
+        grid[at] = rep.stack
+    else:
+        grid[tuple(c[:, None] for c in at) + (rep.perm, np.arange(d))] = rep.phase
+    out = np.fft.fftn(grid, axes=tuple(range(group.rank)), out=grid).reshape(group.order, d, d)
+    if group is not carrier:
+        exps = np.array([chi.exponents for chi in carrier_dual(carrier)]).T
+        out = out[np.ravel_multi_index(exps, group.orders)]
+    out /= carrier.order
+    return out
+
+
 def decompose(rep: RepT) -> MultiplicityVector:
     """Multiplicity of every carrier character, via projector ranks.
 
-    The character table of the carrier (one row per character, in dual
-    order) gives every isotypical projector at once through `_projectors`;
-    the batch is exactly the size of the stack, since a finite abelian group
-    has as many characters as elements.  One batched SVD gives
-    all their singular values, and each rank is cut by `numerical_rank`'s
-    rule.  The characters are then decided in dual order: an ambiguous rank
-    raises AmbiguousRankError, and a rank that differs from the trace oracle
-    (1/|G|) sum_g conj(chi(g)) tr U(g), which must be an integer, raises
-    InternalInconsistencyError, as does a total other than the dimension.
+    The projectors come from `_dual_projectors`, and each trace-oracle value
+    (1/|G|) sum_g conj(chi(g)) tr U(g) is its projector's trace.  Each rank is
+    cut by `numerical_rank`'s rule on the descending moduli of the projector's
+    eigenvalues (an orthogonal projector's singular values), in dual order: an
+    ambiguous rank raises AmbiguousRankError, and a rank other than the
+    (integral) trace oracle's, or a total other than the dimension, raises
+    InternalInconsistencyError.
     """
     entries = []
-    dual = carrier_dual(rep.carrier)
-    table = character_table(dual, rep.elements)
-    traces = rep.traces
-    singular = np.linalg.svd(_projectors(rep, table), compute_uv=False)
-    for chi, values, s in zip(dual, table, singular):
+    projectors = _dual_projectors(rep)
+    moduli = np.sort(np.abs(np.linalg.eigvalsh(projectors)), axis=1)[:, ::-1]
+    oracle = np.trace(projectors, axis1=1, axis2=2)
+    for chi, s, value in zip(carrier_dual(rep.carrier), moduli, oracle):
         mult = _rank_cut(s)
-        expected = _trace_multiplicity(values, traces)
+        expected = _trace_multiplicity(chi, value)
         if mult != expected:
             raise InternalInconsistencyError(
                 f"projector rank {mult} for the character {chi.exponents}, "
@@ -695,7 +713,6 @@ def decompose(rep: RepT) -> MultiplicityVector:
             )
         if mult:
             entries.append((chi, mult))
-    entries.sort(key=lambda pair: pair[0].exponents)
     mv = MultiplicityVector(tuple(entries), rep.dim)
     if mv.total != rep.dim:
         raise InternalInconsistencyError(

@@ -100,6 +100,14 @@ def _as_int(node: Any, path: str) -> int:
     return node
 
 
+def _positive_int(node: Any, path: str, detail: str = "dimensions are positive") -> int:
+    """An integer of at least 1; anything else is refused at path."""
+    value = _as_int(node, path)
+    if value < 1:
+        raise InputDocumentError(path, detail)
+    return value
+
+
 def parse_complex(node: Any, path: str) -> complex:
     pair = _as_list(node, path)
     # type() rather than isinstance(): bool is an int subclass, not a number here
@@ -200,13 +208,8 @@ def load_group(doc: Any, path: str = "") -> Group:
     orders = _as_list(_need(node, "orders", path), f"{path}/orders")
     if not orders:
         raise InputDocumentError(f"{path}/orders", "needs at least one cyclic order")
-    vals = []
-    for i, n in enumerate(orders):
-        v = _as_int(n, f"{path}/orders/{i}")
-        if v < 1:
-            raise InputDocumentError(f"{path}/orders/{i}", "orders must be positive")
-        vals.append(v)
-    return Group(tuple(vals))
+    return Group(tuple(_positive_int(n, f"{path}/orders/{i}", "orders must be positive")
+                       for i, n in enumerate(orders)))
 
 
 def group_doc(group: Group) -> dict:
@@ -216,7 +219,7 @@ def group_doc(group: Group) -> dict:
 def load_rep(doc: Any) -> UnitaryRep:
     node = _as_dict(doc, "/")
     group = load_group(_need(node, "group", ""), "/group")
-    dim = _as_int(_need(node, "dim", ""), "/dim")
+    dim = _positive_int(_need(node, "dim", ""), "/dim")
     mats_doc = _element_table(_need(node, "matrices", ""), group, "/matrices")
     mats: dict[ElementT, np.ndarray] = {}
     for g in group.elements:
@@ -320,13 +323,7 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
 
     def load_point_ints(field: str) -> dict[str, int]:
         fd_node = _point_table(_need(node, field, ""), points, f"/{field}")
-        out = {}
-        for p in points:
-            v = _as_int(fd_node[p], f"/{field}/{p}")
-            if v < 1:
-                raise InputDocumentError(f"/{field}/{p}", "dimensions are positive")
-            out[p] = v
-        return out
+        return {p: _positive_int(fd_node[p], f"/{field}/{p}") for p in points}
 
     action_node = _element_table(_need(node, "action", ""), group, "/action")
     table = np.empty((group.order, len(pts)), dtype=np.intp)

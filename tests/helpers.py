@@ -394,8 +394,9 @@ def reference_decompose(rep):
 
     For each character in dual order: its values one element at a time, the
     projector accumulated one matrix at a time, its rank by `numerical_rank`,
-    then the trace oracle (`reps._trace_multiplicity`, looked up at call time
-    so a test can patch it for both routes).  Raises what `decompose` raised.
+    then the trace oracle's value from the same values, handed to the hook
+    `reps._trace_multiplicity` (looked up at call time so a test can patch
+    it for both routes).  Raises what `decompose` raised.
     """
     entries = []
     traces = rep.traces
@@ -405,7 +406,7 @@ def reference_decompose(rep):
         for g, value in zip(rep.elements, values):
             acc += np.conj(value) * rep.matrix(g)
         mult = numerical_rank(acc / len(rep.elements))
-        expected = equifred.reps._trace_multiplicity(values, traces)
+        expected = equifred.reps._trace_multiplicity(chi, np.vdot(values, traces) / len(values))
         if mult != expected:
             raise InternalInconsistencyError(
                 f"projector rank {mult} for the character {chi.exponents}, "

@@ -1,5 +1,6 @@
-"""`decompose` reads every projector off one character table and every rank
-off one batched SVD; it must decide exactly as the per-character loop in
+"""`decompose` reads every projector off one DFT of its stack, each
+trace-oracle value off its projector's trace, and every rank off one
+batched `eigvalsh`; it must decide exactly as the per-character loop in
 `helpers.reference_decompose`, and raise the same error for the same
 character when it refuses."""
 import json
@@ -131,9 +132,8 @@ def test_a_later_ambiguous_rank_is_reported_after_earlier_characters_pass():
     chi0, chi1, chi2 = dual_characters(g)
     mats = {x: np.array([[chi1.value(x) + 1e-8 * chi2.value(x)]]) for x in g.elements}
     rep = equifred.reps._from_stack(g, [mats[x] for x in g.elements])
-    assert equifred.reps._trace_multiplicity(
-        np.array([chi1.value(x) for x in g.elements]), rep.traces
-    ) == 1
+    row = np.array([chi1.value(x) for x in g.elements])
+    assert equifred.reps._trace_multiplicity(chi1, np.vdot(row, rep.traces) / 3) == 1
     _, err = _same_as_reference(rep)
     assert err is not None and err[0] is AmbiguousRankError
 
@@ -142,11 +142,10 @@ def test_a_trace_oracle_disagreement_names_the_same_character(monkeypatch):
     g = make_group((4, 2))
     rep = regular_rep(g)
     target = dual_characters(g)[5]
-    row = np.array([target.value(x) for x in g.elements])
     honest = equifred.reps._trace_multiplicity
 
-    def off_by_one_at_target(values, traces):
-        return honest(values, traces) + bool(np.array_equal(values, row))
+    def off_by_one_at_target(chi, value):
+        return honest(chi, value) + (chi == target)
 
     monkeypatch.setattr(equifred.reps, "_trace_multiplicity", off_by_one_at_target)
     _, err = _same_as_reference(rep)

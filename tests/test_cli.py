@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import equifred.bundles
 import equifred.cli
@@ -454,7 +454,7 @@ def test_induce_checks_the_ceiling_before_naming_a_character_of_the_subgroup(
     tmp_path, capsys, monkeypatch
 ):
     # naming a character of H walks the annihilator of H, here 2,000,000
-    # characters; the character table of G is over the ceiling first
+    # characters; the order of G is over induce's limit first
     doc = {"group": {"orders": [2000000]}, "subgroup_generators": [[0]], "character_exponents": [0]}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
@@ -465,8 +465,7 @@ def test_induce_checks_the_ceiling_before_naming_a_character_of_the_subgroup(
     monkeypatch.setattr(equifred.groups, "annihilator", refuse)
     rc, out, err = run(capsys, "induce", "--input", str(path))
     assert rc == 1 and not out
-    assert err == ("input error at /group/orders: the character table of order 2000000 "
-                   "needs about 2.38e+05 GiB, over the 1 GiB ceiling\n")
+    assert err == "input error at /group/orders: induce takes order at most 4096, got 2000000\n"
 
 
 def _induce_from_the_trivial_subgroup(tmp_path, capsys, order):
@@ -518,13 +517,11 @@ def _fixed_point_bundle(n):
 
 
 @pytest.mark.parametrize("verb", ["decompose", "induce", "check", "prim"])
-def test_a_character_table_over_the_ceiling_is_refused_at_the_group(
-    tmp_path, capsys, monkeypatch, verb
-):
-    # decompose builds the 8000 x 8000 character table of Z_8000, about 3.8 GiB,
-    # whether the representation is given (here 1-dimensional) or induced
-    # (here from the index-2 subgroup, a 512 KB stack); check and prim build
-    # it for the stabilizer of a point that Z_8000 fixes
+def test_z8000_is_answered_and_only_induce_refuses_its_order(tmp_path, capsys, verb):
+    # decompose (a 1-dimensional representation), check and prim (a point that
+    # Z_8000 fixes) answer Z_8000 from one DFT of the stack, with no table
+    # quadratic in the order; induce (from the index-2 subgroup) refuses the
+    # order before it closes the subgroup
     n = 8000
     doc = {
         "decompose": {"group": {"orders": [n]}, "dim": 1,
@@ -534,19 +531,56 @@ def test_a_character_table_over_the_ceiling_is_refused_at_the_group(
     }.get(verb) or _fixed_point_bundle(n)
     path = tmp_path / "z8000.json"
     path.write_text(json.dumps(doc))
-
-    def refuse(*_):
-        raise AssertionError("the character table was built")
-
-    monkeypatch.setattr(equifred.reps, "character_table", refuse)
     start = time.perf_counter()
     alpha = ["--alpha", "0"] if verb == "check" else []
     rc, out, err = run(capsys, verb, "--input", str(path), *alpha)
     assert time.perf_counter() - start < 2.0
-    assert rc == 1 and not out
-    [(pointer, detail)] = pointer_lines(err)
-    assert pointer == "/group/orders" and resolves(doc, pointer, detail)
-    assert detail == "the character table of order 8000 needs about 3.81 GiB, over the 1 GiB ceiling"
+    if verb == "induce":
+        assert rc == 1 and not out
+        [(pointer, detail)] = pointer_lines(err)
+        assert pointer == "/group/orders" and resolves(doc, pointer, detail)
+        assert detail == "induce takes order at most 4096, got 8000"
+        return
+    assert rc == 0 and not err
+    report = json.loads(out)
+    if verb == "decompose":
+        assert report["multiplicities"]["entries"] == [{"character": [0], "multiplicity": 1}]
+    elif verb == "check":
+        assert report["verdict"] == "elliptic"
+        assert [e["smallest_singular_value"] for e in report["entries"]] == [2.0]
+    else:
+        assert report["records"][0]["isotypes"] == [[0]]
+
+
+# Starts argv[1:] and prints its exit code and its peak RSS in KiB from
+# wait4.  Linux counts the resident size of the process that forked a child
+# in that child's peak, so the job is forked from this bare interpreter, not
+# from the test process.
+_PEAK_OF_CHILD = (
+    "import os, sys; pid = os.spawnv(os.P_NOWAIT, sys.argv[1], sys.argv[1:]);"
+    " _, status, usage = os.wait4(pid, 0);"
+    " print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+@pytest.mark.parametrize("verb", ["check", "prim"])
+def test_a_z4000_fixed_point_peaks_under_100_mb(tmp_path, verb):
+    # the stabilizer Z_4000 has 4000 characters; a 4000 x 4000 table of them
+    # once took this job to 785 MB
+    path, out = tmp_path / "z4000.json", tmp_path / "report.json"
+    path.write_text(json.dumps(_fixed_point_bundle(4000)))
+    alpha = ["--alpha", "0"] if verb == "check" else []
+    job = [sys.executable, "-m", "equifred", verb, "--input", str(path), "--out", str(out), *alpha]
+    proc = subprocess.run([sys.executable, "-c", _PEAK_OF_CHILD, *job],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert (code, proc.stderr) == (0, "")
+    report = json.loads(out.read_text())
+    if verb == "check":
+        assert report["verdict"] == "elliptic"
+    else:
+        assert report["records"][0]["isotypes"] == [[0]]
+    assert peak_kib < 100 * 1024
 
 
 @pytest.mark.parametrize("order", [10**12, 2**63], ids=["1e12", "2^63"])
@@ -560,7 +594,7 @@ def test_induce_refuses_a_huge_group_before_closing_the_subgroup(tmp_path, order
     assert proc.returncode == 1 and not proc.stdout
     [(pointer, detail)] = pointer_lines(proc.stderr)
     assert pointer == "/group/orders" and resolves(doc, pointer, detail)
-    assert detail.startswith(f"the character table of order {order} needs about ")
+    assert detail == f"induce takes order at most 4096, got {order}"
 
 
 def _with_orders(path, orders):
@@ -587,6 +621,29 @@ def test_huge_orders_and_ranks_keep_the_input_contract(tmp_path, orders):
         doc, path = _with_orders(fixture, orders), tmp_path / Path(fixture).name
         argvs = [[verb[0], "--input", str(path), *verb[1:]] for verb in verbs]
         assert_input_contract(path, doc, argvs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(dim=0)
+@example(dim=-3)
+@example(dim=2**63)
+@example(dim=10**30)
+@given(dim=st.one_of(st.integers().filter(lambda n: n != 3), st.booleans(), st.floats()))
+def test_a_dim_other_than_the_matrices_is_refused_with_one_pointer(tmp_path_factory, dim):
+    # the Z3 regular representation has 3 x 3 matrices; a dim below 1 is
+    # refused at /dim itself, not blamed on the first matrix
+    doc = json.loads(Path(REP_Z3).read_text())
+    doc["dim"] = dim
+    path = tmp_path_factory.mktemp("dim") / "rep.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["decompose", "--input", str(path)])
+    assert rc == 1 and not out.getvalue() and len(err.getvalue().splitlines()) == 1
+    [(pointer, detail)] = pointer_lines(err.getvalue())
+    assert resolves(doc, pointer, detail)
+    if type(dim) is int and dim < 1:
+        assert (pointer, detail) == ("/dim", "dimensions are positive")
 
 
 def test_a_stabilizer_table_under_the_ceiling_is_answered(tmp_path, capsys):
