@@ -34,14 +34,13 @@ from .reps import (
     UnitaryRep,
     _from_stack,
     _group_average,
+    _isotypes,
     _law_failures,
     _non_unitary,
     _norms_over,
     _off_identity,
     _ShapeStacks,
-    decompose,
     deterministic_range_basis,
-    isotypical_projector,
     random_rep,
     require_intertwining,
 )
@@ -353,15 +352,16 @@ def _carried(b: EquivariantSampleBundle, i: int) -> tuple[np.ndarray, np.ndarray
 def _isotype_orbits(b: EquivariantSampleBundle) -> Mapping[tuple, tuple]:
     """X keyed by (least point id, isotype exponents): each orbit's XPoints,
     point indices and read-only (m, d, k) stack of its isotype's bases.  One
-    `decompose` per point orbit, at its least point p0, whose bases are
-    carried to each point by `_carried`; p0 keeps its own (T(0, p0) is I
+    decomposition (`_isotypes`) per point orbit, at its least point p0: each
+    basis there is the pivoted Gram-Schmidt basis of the projector `decompose`
+    cut, carried to each point by `_carried`; p0 keeps its own (T(0, p0) is I
     only to LAW_TOL)."""
     out = {}
     for head in _heads(b):
         (at, t), rep = _carried(b, head), fiber_rep(b, b.points[head])
         pts = [b.points[i] for i in at]
-        for rho, k in decompose(rep).entries:
-            basis = deterministic_range_basis(isotypical_projector(rep, rho), k)
+        for rho, k, projector in _isotypes(rep):
+            basis = deterministic_range_basis(projector, k)
             stack = t @ basis
             stack[0] = basis
             stack.setflags(write=False)
@@ -672,8 +672,7 @@ def random_symbol(
         raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         sym0 = _group_average(rep, raw, rep) + shift * np.eye(d)
         if kill_isotype and n == 0:
-            chars = decompose(rep).characters()
-            rho = chars[int(rng.integers(len(chars)))]
-            sym0 = sym0 @ (np.eye(d) - isotypical_projector(rep, rho))
+            projectors = [p for _, _, p in _isotypes(rep)]
+            sym0 = sym0 @ (np.eye(d) - projectors[int(rng.integers(len(projectors)))])
         seeds[p0] = sym0
     return propagate_symbol(bundle, seeds)

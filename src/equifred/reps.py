@@ -1,11 +1,11 @@
 """Unitary representations of finite abelian groups and their isotypical calculus.
 
-Provides character projectors (all of them from one DFT of the stack),
-multiplicities by numerical rank, compression to isotypical blocks in a
-reproducible basis, induction from a subgroup on a fixed coset transversal,
-the Frobenius reciprocity map `frobenius_hom_map` from subgroup intertwiners
-to maps into the induction, and the kernel/image split of the isotypical
-compression on induced endomorphism algebras.
+Provides character projectors (a decomposition's from one DFT of the stack,
+one chosen character's from one weighted sum), multiplicities by numerical
+rank, isotypical blocks in a reproducible basis, induction from a subgroup on
+a fixed coset transversal, the Frobenius reciprocity map `frobenius_hom_map`
+from subgroup intertwiners to maps into the induction, and the kernel/image
+split of the isotypical compression on induced endomorphism algebras.
 
 A representation is either dense (`UnitaryRep`, one matrix per element) or
 monomial (`MonomialRep`, one permutation with unit phases per element).  The
@@ -139,7 +139,10 @@ def unitary_rep(carrier: CarrierT, matrices: Mapping[ElementT, np.ndarray]) -> U
     missing = [g for g in elems if g not in matrices]
     if missing:
         raise ValueError(f"representation is missing matrices for {missing[:3]}...")
-    dim = np.asarray(matrices[elems[0]]).shape[0]
+    first = np.shape(matrices[elems[0]])
+    if len(first) != 2 or first[0] != first[1]:
+        raise ValueError(f"matrix for {elems[0]} has shape {first}, expected a square matrix")
+    dim = first[0]
     stack = np.empty((len(elems), dim, dim), dtype=complex)
     for i, g in enumerate(elems):
         m = np.asarray(matrices[g], dtype=complex)
@@ -688,37 +691,36 @@ def _dual_projectors(rep: RepT) -> np.ndarray:
     return out
 
 
-def decompose(rep: RepT) -> MultiplicityVector:
-    """Multiplicity of every carrier character, via projector ranks.
-
-    The projectors come from `_dual_projectors`, and each trace-oracle value
-    (1/|G|) sum_g conj(chi(g)) tr U(g) is its projector's trace.  Each rank is
-    cut by `numerical_rank`'s rule on the descending moduli of the projector's
-    eigenvalues (an orthogonal projector's singular values), in dual order: an
-    ambiguous rank raises AmbiguousRankError, and a rank other than the
-    (integral) trace oracle's, or a total other than the dimension, raises
-    InternalInconsistencyError.
-    """
-    entries = []
+def _isotypes(rep: RepT) -> list[tuple]:
+    """(chi, multiplicity, projector) of each carrier character present, in
+    dual order.  The projectors come from `_dual_projectors`, and each
+    trace-oracle value (1/|G|) sum_g conj(chi(g)) tr U(g) is its projector's
+    trace.  Each rank is cut by `numerical_rank`'s rule on the descending
+    moduli of the projector's eigenvalues (an orthogonal projector's singular
+    values): an ambiguous rank raises AmbiguousRankError, and a rank other
+    than the (integral) trace oracle's, or a total other than the dimension,
+    raises InternalInconsistencyError."""
+    out = []
     projectors = _dual_projectors(rep)
     moduli = np.sort(np.abs(np.linalg.eigvalsh(projectors)), axis=1)[:, ::-1]
     oracle = np.trace(projectors, axis1=1, axis2=2)
-    for chi, s, value in zip(carrier_dual(rep.carrier), moduli, oracle):
+    for chi, p, s, value in zip(carrier_dual(rep.carrier), projectors, moduli, oracle):
         mult = _rank_cut(s)
         expected = _trace_multiplicity(chi, value)
         if mult != expected:
-            raise InternalInconsistencyError(
-                f"projector rank {mult} for the character {chi.exponents}, "
-                f"the trace oracle says {expected}"
-            )
+            raise InternalInconsistencyError(f"projector rank {mult} for the character "
+                                             f"{chi.exponents}, the trace oracle says {expected}")
         if mult:
-            entries.append((chi, mult))
-    mv = MultiplicityVector(tuple(entries), rep.dim)
-    if mv.total != rep.dim:
-        raise InternalInconsistencyError(
-            f"multiplicities sum to {mv.total}, dimension is {rep.dim}"
-        )
-    return mv
+            out.append((chi, mult, p))
+    total = sum(k for _, k, _ in out)
+    if total != rep.dim:
+        raise InternalInconsistencyError(f"multiplicities sum to {total}, dimension is {rep.dim}")
+    return out
+
+
+def decompose(rep: RepT) -> MultiplicityVector:
+    """Multiplicity of every carrier character: the ranks `_isotypes` cuts."""
+    return MultiplicityVector(tuple((chi, k) for chi, k, _ in _isotypes(rep)), rep.dim)
 
 
 def _group_average(target: RepT, x: np.ndarray, source: RepT) -> np.ndarray:

@@ -611,14 +611,14 @@ def test_every_alpha_reads_the_kept_fibers_bases_and_gate(monkeypatch):
             bundles, name, lambda *args: calls.append((name, args[-1])) or original(*args)
         )
 
-    for name in ("fiber_rep", "decompose", "deterministic_range_basis", "_norms_over"):
+    for name in ("fiber_rep", "_isotypes", "deterministic_range_basis", "_norms_over"):
         spy(name)
     reports = [alpha_elliptic_check(sym, a) for a in dual_characters(b.group)]
     assert [alpha_elliptic_check(sym, a) for a in dual_characters(b.group)] == reports
     assert {r.verdict for r in reports} == {True, False}
     heads = [o[0] for o in orbits(b)]
     assert [p for name, p in calls if name == "fiber_rep"] == heads and len(heads) < len(b.points)
-    decomposed = [rep.dim for name, rep in calls if name == "decompose"]
+    decomposed = [rep.dim for name, rep in calls if name == "_isotypes"]
     assert decomposed == [b.fiber_dim[p] for p in heads]
     bases = len(bundles.build_X(b))
     assert [name for name, _ in calls].count("deterministic_range_basis") == bases

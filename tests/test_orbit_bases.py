@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import equifred.bundles as bundles
+import equifred.reps as reps
 from equifred import (
     InternalInconsistencyError,
     alpha_elliptic_check,
@@ -26,6 +27,7 @@ from equifred import (
     isotypical_projector,
     make_group,
     orbits,
+    prim_enumerate,
     random_bundle,
     random_symbol,
     trivial_subgroup,
@@ -93,6 +95,38 @@ def test_a_repeated_check_hashes_no_xpoint(monkeypatch):
     assert max(map(len, build_X(b))) > 1 and not hashed
     with pytest.raises(ValueError, match="^not an orbit of X"):
         bundles.gamma_symbol_eval(sym, build_X(b)[0][:1] + build_X(b)[-1][:1])
+
+
+def test_the_check_path_cuts_each_isotype_once_per_orbit_head(monkeypatch):
+    """X's bases, `prim`, every alpha's check and a killed isotype read the
+    projectors of one DFT per orbit head (`reps._dual_projectors`, through
+    `_isotypes`): no chosen character's projector (`reps._projectors`) is
+    formed on the check path."""
+
+    def refuse(*args):
+        raise AssertionError("a chosen character's projector was formed")
+
+    dfts = []
+    dual_projectors = reps._dual_projectors
+    monkeypatch.setattr(reps, "_projectors", refuse)
+    monkeypatch.setattr(reps, "_dual_projectors",
+                        lambda rep: dfts.append(rep) or dual_projectors(rep))
+    valid = [b for b, _ in (load_bundle(json.loads(p.read_text())) for p in FIXTURES)
+             if bundles.validate_bundle(b).ok]
+    assert len(valid) == 3
+    drawn = random_bundle(make_group((4, 2)), np.random.default_rng(8), n_orbits=3)
+    for b in valid + [drawn]:
+        heads = [fiber_rep(b, o[0]) for o in orbits(b)]
+        sym = random_symbol(b, np.random.default_rng(9), kill_isotype=True)
+        build_X(b)
+        records = prim_enumerate(b)
+        reports = [alpha_elliptic_check(sym, a) for a in dual_characters(b.group)]
+        # the first orbit's seed for the killed isotype, then X once per head
+        assert len(dfts) == 1 + len(heads) == 1 + len(records)
+        for rep, head in zip(dfts, heads[:1] + heads):
+            assert rep.carrier == head.carrier and np.array_equal(rep.stack, head.stack)
+        assert not all(r.verdict for r in reports)  # the killed isotype is seen
+        dfts.clear()
 
 
 def _carry_twice(monkeypatch):

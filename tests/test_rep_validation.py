@@ -5,6 +5,7 @@ is far enough below tol, and otherwise checked on every pair.  Either way the
 outcome and the message must be those of the pair-by-pair loops in `helpers`.
 The decompose trace-oracle guard is tested here too.
 """
+import re
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,15 @@ def test_broken_reps_get_the_reference_message():
     one_pair[(2, 1)] = good[(2, 0)]
     msg = _same_as_reference(g, one_pair)
     assert msg == "homomorphism law fails at ((0, 1), (2, 0)) beyond 1e-10"
+
+
+@pytest.mark.parametrize("first, shape", [(1.0, "()"), ([[1.0, 0.0]], "(1, 2)")])
+def test_a_first_matrix_that_is_not_square_is_refused_by_name(first, shape):
+    # the dimension is read off the first matrix, so it must be a square 2-D array
+    g = make_group((2,))
+    msg = f"matrix for (0,) has shape {shape}, expected a square matrix"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        unitary_rep(g, {(0,): first, (1,): first})
 
 
 def _spy(monkeypatch):
