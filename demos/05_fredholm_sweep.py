@@ -6,9 +6,14 @@ If it stays bounded away from zero under refinement the compressed problem
 behaves like an invertible (Fredholm) one; if it decays to zero the
 isotype is degenerating.
 
-The second family is the interesting one: its symbol vanishes on the
-trivial isotype exactly at the two reflection fixed points, so it is
-elliptic on the sign isotype only.  The sweep separates the two verdicts.
+The second family is diag(sin^2) (I + R)/2 + (I - R)/2 for the reflection
+R: multiplication by sin^2 on even functions (the trivial isotype) and the
+identity on odd ones (the sign isotype).  It contains R itself, so it lies
+outside the paper's classical pseudodifferential operators, and its
+separation of the two isotypes comes from the (I +/- R)/2 factors:
+multiplication by sin^2 alone, which vanishes at the two reflection fixed
+points, would be Fredholm on neither isotype.  The sweep separates the two
+verdicts.
 """
 from equifred import (
     build_fixed_point_degenerate_operator,

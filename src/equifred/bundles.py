@@ -101,6 +101,11 @@ class EquivariantSampleBundle:
     def _x(self) -> Mapping[tuple, tuple[tuple, np.ndarray, np.ndarray]]:
         return _isotype_orbits(self)
 
+    @cached_property
+    def _beta_parts(self) -> tuple[Subgroup, Mapping]:
+        g0 = minimal_isotropy(self)
+        return g0, MappingProxyType(partition_by_beta(build_X(self), g0))
+
 
 def _from_tables(
     group: Group,
@@ -558,8 +563,8 @@ def alpha_elliptic_check(
     require_valid(b)
     cut = sym._equivariant  # the gate: raises unless the symbol is equivariant
     reach = 2 * cut * (1 + 3 * LAW_TOL / COMMUTE_TOL)  # cut / COMMUTE_TOL is max(1, |sigma|)
-    g0 = minimal_isotropy(b)
-    part = partition_by_beta(build_X(b), g0).get(SubgroupCharacter(g0, alpha), ())
+    g0, parts = b._beta_parts
+    part = parts.get(SubgroupCharacter(g0, alpha), ())
 
     warnings = [] if part else [
         "vacuous: no sample isotype is associated to alpha over the minimal isotropy"]

@@ -198,7 +198,7 @@ def cmd_induce(args) -> int:
                                  f"induce takes order at most {_INDUCE_MAX_ORDER}, got {order}")
     group, sub, chi = load_induction(doc)
     # the report writes out the induced stack, |G| matrices of side [G:H],
-    # checked before any character of H is named (that walks H's annihilator)
+    # checked before any character of H is named (that builds H's annihilator table)
     need = group.order * (group.order // sub.order) ** 2 * _INDUCE_BYTES_PER_ENTRY
     if need > _CEILING_BYTES:
         raise InputDocumentError("/group/orders", f"inducing from order {sub.order} to order {order}"

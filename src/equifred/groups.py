@@ -4,6 +4,7 @@ A group is a product of cyclic factors Z_{n_1} x ... x Z_{n_k}; elements are
 tuples of residues.  Everything that decides equality of characters (duals,
 annihilators, restriction agreement) is done in exact integer arithmetic;
 complex character values only appear when a numeric evaluation is requested.
+A subgroup character is named by one lookup in its annihilator's coset table.
 """
 from __future__ import annotations
 
@@ -224,9 +225,6 @@ class Character:
     def value(self, g: ElementT) -> complex:
         return char_eval(self, g)
 
-    def is_trivial_on(self, elements: Iterable[ElementT]) -> bool:
-        return all(_phase_numerator(self.group, self.exponents, g) == 0 for g in elements)
-
 
 def character(group: Group, exponents: Sequence[int]) -> Character:
     return Character(group, tuple(int(a) for a in exponents))
@@ -295,13 +293,20 @@ def dual_characters(group: Group) -> tuple[Character, ...]:
 
 
 @lru_cache(maxsize=None)
-def annihilator(group: Group, sub: Subgroup) -> tuple[Character, ...]:
-    """Characters of the group that are identically 1 on the subgroup."""
+def _perp_table(group: Group, sub: Subgroup) -> tuple[Subgroup, tuple[ElementT, ...], dict]:
+    """The annihilator of H, as the subgroup of the exponent tuples of the
+    characters trivial on H (they add like elements), and its `coset_table`,
+    whose transversal names the characters of H, each by its least member."""
     if sub.parent != group:
         raise ValueError("subgroup does not belong to this group")
-    return tuple(
-        chi for chi in dual_characters(group) if chi.is_trivial_on(sub.elements)
-    )
+    perp = Subgroup(group, tuple(e for e in group.elements
+                                 if all(_phase_numerator(group, e, h) == 0 for h in sub.elements)))
+    return (perp, *coset_table(group, perp))
+
+
+def annihilator(group: Group, sub: Subgroup) -> tuple[Character, ...]:
+    """Characters of the group that are identically 1 on the subgroup."""
+    return tuple(Character(group, e) for e in _perp_table(group, sub)[0].elements)
 
 
 @dataclass(frozen=True)
@@ -310,8 +315,8 @@ class SubgroupCharacter:
 
     The dual of H is the quotient of the parent dual by the annihilator of H;
     the stored representative is the lexicographically least exponent tuple in
-    its annihilator coset, so equality and hashing are canonical, and two
-    characters agree on H exactly when they are equal.
+    its annihilator coset (one lookup in `_perp_table`), so equality and hashing
+    are canonical, and two characters agree on H exactly when they are equal.
     """
 
     subgroup: Subgroup
@@ -321,8 +326,8 @@ class SubgroupCharacter:
         group = self.subgroup.parent
         if self.representative.group != group:
             raise ValueError("representative must be a character of the parent group")
-        exps = self.representative.exponents
-        least = min(group.op(exps, psi.exponents) for psi in annihilator(group, self.subgroup))
+        _, reps, locate = _perp_table(group, self.subgroup)
+        least = reps[locate[self.representative.exponents][0]]
         object.__setattr__(self, "representative", Character(group, least))
 
     @property
@@ -338,15 +343,9 @@ class SubgroupCharacter:
 @lru_cache(maxsize=None)
 def characters_of_subgroup(group: Group, sub: Subgroup) -> tuple[SubgroupCharacter, ...]:
     """The |H| distinct characters of a subgroup H, one per coset of its
-    annihilator, in the order of their least members.  Exponent tuples add
-    like elements, so the annihilator is a subgroup of the group's own shape."""
-    if sub.parent != group:
-        raise ValueError("subgroup does not belong to this group")
-    perp = Subgroup(group, tuple(psi.exponents for psi in annihilator(group, sub)))
-    out = tuple(
-        SubgroupCharacter(sub, Character(group, exps))
-        for exps in coset_transversal(group, perp)
-    )
+    annihilator: the transversal of the annihilator's coset table, each
+    coset named by its least member, in increasing order."""
+    out = tuple(SubgroupCharacter(sub, Character(group, e)) for e in _perp_table(group, sub)[1])
     if len(out) != sub.order:
         raise RuntimeError(
             f"subgroup dual has {len(out)} members, expected {sub.order}"

@@ -70,14 +70,15 @@ def _norms_over(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     Frobenius norms; only matrices whose Frobenius norm exceeds tol/2 get an
     SVD.  Since |A|_2 <= |A|_F, a matrix below that cut is below tol with room
     to spare for rounding in either norm, so the answer is exactly that of one
-    SVD per matrix.  A NaN is never below the cut.
+    SVD per matrix.  A non-finite matrix is over the cut, at its Frobenius norm.
     """
     fro = np.linalg.norm(stack, axis=(-2, -1))
     cand = _over_half(fro, tol)
     if not cand.size:  # the common case, a valid input
         return cand, fro[cand]
-    norms = np.linalg.norm(stack[cand], 2, axis=(-2, -1))
-    over = norms > tol
+    norms, finite = fro[cand], np.isfinite(stack[cand]).all(axis=(-2, -1))
+    norms[finite] = np.linalg.norm(stack[cand[finite]], 2, axis=(-2, -1))
+    over = ~finite | (norms > tol)
     return cand[over], norms[over]
 
 

@@ -1,12 +1,14 @@
 """Shared helpers: group enumeration, trace-based multiplicity oracles and
 loop references for the batched representation, monomial and bundle checks,
 the orbit and stabilizer walks, the stack builders, projectors and group
-averages, the subgroup lattice, the subgroup dual and the restriction test,
-and the flat report writer; raw bundle data from the old `random_bundle`
-loop and from a plain walk of a bundle document; the dense section oracle
-for alpha-ellipticity, a symbol with an isotype killed on any orbit, and the
-per-XPoint loop that the batched ellipticity verdict replaced."""
+averages, the subgroup lattice, the subgroup dual and the restriction test
+(on their own annihilator walk), and the flat report writer; raw bundle data
+from the old `random_bundle` loop and from a plain walk of a bundle
+document; the dense section oracle for alpha-ellipticity, a symbol with an
+isotype killed on any orbit, and the per-XPoint loop that the batched
+ellipticity verdict replaced."""
 
+import functools
 import itertools
 import json
 import math
@@ -19,7 +21,6 @@ from equifred import (
     ModelInconsistencyError,
     MultiplicityVector,
     Subgroup,
-    annihilator,
     build_X,
     carrier_dual,
     char_mul,
@@ -535,22 +536,40 @@ def reference_all_subgroups(group):
     return tuple(subs)
 
 
+def _trivial_on(chi, elements):
+    """chi is 1 at every element: each phase numerator sum_i a_i x_i L/n_i,
+    L = lcm(orders), vanishes mod L."""
+    orders = chi.group.orders
+    lcm = math.lcm(*orders)
+    return all(sum(a * x * (lcm // n) for a, x, n in zip(chi.exponents, g, orders)) % lcm == 0
+               for g in elements)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_annihilator(group, sub):
+    """The walk `groups.annihilator` replaced: every character of the group
+    that is trivial on each element of sub."""
+    return tuple(chi for chi in dual_characters(group) if _trivial_on(chi, sub.elements))
+
+
+def reference_subgroup_character(sub, chi):
+    """The `min` walk that `SubgroupCharacter` replaced: the least exponent
+    tuple of chi's coset of the annihilator (one `char_mul` per member)."""
+    return min(char_mul(chi, psi).exponents for psi in reference_annihilator(sub.parent, sub))
+
+
 def reference_characters_of_subgroup(group, sub):
     """The enumeration that `groups.characters_of_subgroup` replaced, as the
     representatives' exponent tuples: every character of the group, named by
-    the least exponent tuple of its coset (one `char_mul` per annihilator
-    member), deduplicated and sorted."""
-    return tuple(sorted({
-        min(char_mul(chi, psi).exponents for psi in annihilator(group, sub))
-        for chi in dual_characters(group)
-    }))
+    the least exponent tuple of its coset, deduplicated and sorted."""
+    return tuple(sorted({reference_subgroup_character(sub, chi) for chi in dual_characters(group)}))
 
 
 def reference_associated(alpha, rho, gamma0):
     """The exponent-difference test that `groups.associated` replaced: alpha
     times the inverse of rho's representative is trivial on gamma0."""
     inverse = character(alpha.group, [-x for x in rho.representative.exponents])
-    return char_mul(alpha, inverse).is_trivial_on(gamma0.elements)
+    return _trivial_on(char_mul(alpha, inverse), gamma0.elements)
 
 
 def section_rep(b):

@@ -261,6 +261,15 @@ def test_frobenius_above_tol_alone_does_not_reject(delta, ok):
     _same_as_reference(*raw)
 
 
+def test_a_nan_transport_is_a_located_violation():
+    # the non-finite defect is reported at its Frobenius norm, with no SVD
+    group = make_group((2,))
+    b = sample_bundle(group, ["p"], {"p": "p"}, {((0,), "p"): "p", ((1,), "p"): "p"}, {"p": 1},
+                      {((0,), "p"): [[1.0]], ((1,), "p"): [[np.nan]]})
+    first = validate_bundle(b).violations[0]
+    assert (first.location, first.detail) == ("/transport/1/p", "not unitary (nan)")
+
+
 def test_composition_failure_across_fiber_dimensions_is_a_located_violation():
     # Z3 moves a -> b -> c under 1 but a -> e under 2, so 1·(1·a) = c and
     # 2·a = e have fibers of dimension 2 and 3; the loop reference cannot

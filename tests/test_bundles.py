@@ -597,8 +597,8 @@ def test_every_alpha_reads_the_kept_fibers_bases_and_gate(monkeypatch):
     checking every alpha builds one fiber representation and one
     decomposition per point orbit, at its least point, and one basis per
     X-orbit, and makes one pass over the symbol's defects (one `_norms_over`
-    per transport stack), and each alpha's report is the same when it is
-    checked again."""
+    per transport stack); gamma0 and X's partition by beta are found once;
+    and each alpha's report is the same when it is checked again."""
     import equifred.bundles as bundles
 
     b = random_bundle(make_group((4, 2)), np.random.default_rng(8), n_orbits=3)
@@ -611,7 +611,8 @@ def test_every_alpha_reads_the_kept_fibers_bases_and_gate(monkeypatch):
             bundles, name, lambda *args: calls.append((name, args[-1])) or original(*args)
         )
 
-    for name in ("fiber_rep", "_isotypes", "deterministic_range_basis", "_norms_over"):
+    for name in ("fiber_rep", "_isotypes", "deterministic_range_basis", "_norms_over",
+                 "minimal_isotropy", "partition_by_beta"):
         spy(name)
     reports = [alpha_elliptic_check(sym, a) for a in dual_characters(b.group)]
     assert [alpha_elliptic_check(sym, a) for a in dual_characters(b.group)] == reports
@@ -623,6 +624,8 @@ def test_every_alpha_reads_the_kept_fibers_bases_and_gate(monkeypatch):
     bases = len(bundles.build_X(b))
     assert [name for name, _ in calls].count("deterministic_range_basis") == bases
     assert [name for name, _ in calls].count("_norms_over") == len(b.transports.stacks)
+    assert [name for name, _ in calls].count("minimal_isotropy") == 1
+    assert [name for name, _ in calls].count("partition_by_beta") == 1
 
 
 def test_identity_symbol_elliptic_for_every_alpha():

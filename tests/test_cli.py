@@ -453,16 +453,16 @@ def test_induce_over_the_memory_ceiling_is_refused_at_the_group(tmp_path, capsys
 def test_induce_checks_the_ceiling_before_naming_a_character_of_the_subgroup(
     tmp_path, capsys, monkeypatch
 ):
-    # naming a character of H walks the annihilator of H, here 2,000,000
-    # characters; the order of G is over induce's limit first
+    # naming a character of H builds the coset table of the annihilator of
+    # H, here 2,000,000 characters; the order of G is over induce's limit first
     doc = {"group": {"orders": [2000000]}, "subgroup_generators": [[0]], "character_exponents": [0]}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
 
     def refuse(*_):
-        raise AssertionError("annihilator was called")
+        raise AssertionError("the annihilator table was built")
 
-    monkeypatch.setattr(equifred.groups, "annihilator", refuse)
+    monkeypatch.setattr(equifred.groups, "_perp_table", refuse)
     rc, out, err = run(capsys, "induce", "--input", str(path))
     assert rc == 1 and not out
     assert err == "input error at /group/orders: induce takes order at most 4096, got 2000000\n"

@@ -106,6 +106,14 @@ def test_a_first_matrix_that_is_not_square_is_refused_by_name(first, shape):
         unitary_rep(g, {(0,): first, (1,): first})
 
 
+def test_a_nan_matrix_is_refused_without_an_svd():
+    # a non-finite defect is over every cut at its Frobenius norm; LAPACK
+    # never sees it (its SVD does not converge on a NaN)
+    msg = "matrix for (1,) is not unitary to 1e-10"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        unitary_rep(make_group((2,)), {(0,): [[1.0]], (1,): [[np.nan]]})
+
+
 def _spy(monkeypatch):
     """Record the stack length of every prefiltered threshold decision."""
     sizes = []

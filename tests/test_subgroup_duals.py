@@ -1,7 +1,8 @@
 """Characters of a subgroup H are the cosets of its annihilator, and two
 characters agree on H exactly when their cosets are equal.  Checked against
-the enumeration of the whole dual and the exponent-difference test that the
-coset rule replaced (kept in helpers)."""
+the enumeration of the whole dual, the `min` walk over the annihilator that
+named each coset, and the exponent-difference test that the coset rule
+replaced (kept in helpers, with their own annihilator walk)."""
 
 import json
 from pathlib import Path
@@ -27,12 +28,39 @@ from equifred import (
 )
 from equifred.serialize import load_bundle
 
-from helpers import reference_associated, reference_characters_of_subgroup
+from helpers import (
+    reference_associated,
+    reference_characters_of_subgroup,
+    reference_subgroup_character,
+)
 
 DATA = Path(__file__).parent / "data"
+GROUPS = [(2, 4), (4, 4), (3, 6), (2, 2, 2), (8, 8)]
 
 
-@pytest.mark.parametrize("orders", [(2, 4), (4, 4), (3, 6), (2, 2, 2), (8, 8)], ids=str)
+def _subgroups():
+    """Every subgroup of each of GROUPS, and seeded random subgroups of
+    Z32xZ32 on one or two generators (none trivial, so no annihilator has
+    more than 32 members)."""
+    for orders in GROUPS:
+        g = make_group(orders)
+        for i, h in enumerate(all_subgroups(g)):
+            yield pytest.param(h, id=f"{orders}-{i}")
+    g, rng = make_group((32, 32)), np.random.default_rng(27)
+    for i in range(4):
+        gens = rng.integers(0, 32, size=(i % 2 + 1, 2)).tolist()
+        yield pytest.param(subgroup_from_generators(g, gens), id=f"(32, 32)-{gens}")
+
+
+@pytest.mark.parametrize("h", _subgroups())
+def test_a_subgroup_character_is_the_least_member_of_its_coset(h):
+    g = h.parent
+    names = [SubgroupCharacter(h, chi).exponents for chi in dual_characters(g)]
+    assert names == [reference_subgroup_character(h, chi) for chi in dual_characters(g)]
+    assert tuple(r.exponents for r in characters_of_subgroup(g, h)) == tuple(sorted(set(names)))
+
+
+@pytest.mark.parametrize("orders", GROUPS, ids=str)
 def test_characters_of_subgroup_match_the_enumeration(orders):
     g = make_group(orders)
     for h in all_subgroups(g):
