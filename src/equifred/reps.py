@@ -62,6 +62,7 @@ def carrier_dual(carrier: CarrierT):
     return characters_of_subgroup(carrier.parent, carrier)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a huge or infinite matrix is over every cut
 def _norms_over(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the matrices in a stack whose 2-norm exceeds tol, and those norms.
 
@@ -206,19 +207,18 @@ class _ShapeStacks:
 
 
 def _law_failures(
-    carrier: CarrierT, table: np.ndarray, transports: _ShapeStacks | None, bound: float | None
+    carrier: CarrierT, table: np.ndarray, transports: _ShapeStacks, bound: float | None
 ) -> tuple[list, list]:
     """Where an action of the carrier on points, with transports between
     fibers, breaks the composition law or the cocycle law.
 
     table[g, p] is the index of g·p, g indexing carrier.elements; transports
-    holds T(g, p) at g * points + p (None: check the action alone); bound is
-    a c >= |T(g, p)|_2 for all (g, p), or None.  Returns the sorted
-    composition failures (g, h, p, g+h), where g·(h·p) != (g+h)·p, and the
-    sorted cocycle failures (g, h, p, g+h, what), where the two sides of
-    T(g, h·p) T(h, p) = T(g+h, p) differ in shape or by over LAW_TOL in
-    2-norm.  A representation is a bundle over one point; a monomial one is
-    a bundle of lines over its basis indices.
+    holds T(g, p) at g * points + p; bound is a c >= |T(g, p)|_2 for all
+    (g, p), or None.  Returns the sorted composition failures (g, h, p, g+h),
+    where g·(h·p) != (g+h)·p, and the sorted cocycle failures (g, h, p, g+h,
+    what), where the two sides of T(g, h·p) T(h, p) = T(g+h, p) differ in
+    shape or by over LAW_TOL in 2-norm.  A representation is a bundle over
+    one point; a monomial one is a bundle of lines over its basis indices.
 
     The Cayley edges (g, e_i, p), e_i the standard generators, go first.
     Take h = h' + e_i on a path of L <= sum_i (n_i - 1) steps and q = e_i·p.
@@ -261,7 +261,8 @@ def _law_failures(
     return sorted(composition), sorted(cocycle)
 
 
-def _pair_failures(table: np.ndarray, transports: _ShapeStacks | None, plus, hs, tol: float):
+@np.errstate(over="ignore", invalid="ignore")  # a huge or infinite T is over every cut
+def _pair_failures(table: np.ndarray, transports: _ShapeStacks, plus, hs, tol: float):
     """The failures of `_law_failures` at (g, h) for every g and every h in
     hs, unsorted, the cocycle decided at tol.  One h at a time, the (g, p)
     are batched in runs whose three transports each share one shape, and
@@ -272,8 +273,6 @@ def _pair_failures(table: np.ndarray, transports: _ShapeStacks | None, plus, hs,
         gh = plus(h)
         moved = table.take(table[h], axis=1) != table.take(gh, axis=0)
         composition += [(g, h, p, gh[g]) for g, p in np.argwhere(moved)]
-        if transports is None:
-            continue
         # T(g, h·p), T(h, p) and T(g+h, p), at position g * n_pts + p
         left = (np.arange(order)[:, None] * n_pts + table[h]).ravel()
         right = np.tile(h * n_pts + np.arange(n_pts), order)
@@ -302,11 +301,11 @@ def _pair_failures(table: np.ndarray, transports: _ShapeStacks | None, plus, hs,
     return composition, cocycle
 
 
-def _off_identity(transports: _ShapeStacks | None, idx: np.ndarray, tol: float) -> list:
+def _off_identity(transports: _ShapeStacks, idx: np.ndarray, tol: float) -> list:
     """The indices among idx whose transport is not square or is farther
-    than tol from I, in increasing order (none without transports)."""
+    than tol from I, in increasing order."""
     off = []
-    for k, t in enumerate(transports.stacks if transports else ()):
+    for k, t in enumerate(transports.stacks):
         sel = idx[transports.cls[idx] == k]
         if t.shape[1] != t.shape[2]:
             off += list(sel)
@@ -315,6 +314,7 @@ def _off_identity(transports: _ShapeStacks | None, idx: np.ndarray, tol: float) 
     return sorted(off)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a huge or infinite T is over every cut
 def _non_unitary(transports: _ShapeStacks, tol: float) -> list:
     """(index, |T^* T - I|_2) of every transport over tol, by index, in
     batches of at most _LAW_CELLS entries."""

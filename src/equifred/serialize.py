@@ -1,10 +1,10 @@
 """JSON document schemas and byte-stable report serialization.
 
-Documents use comma-joined residue tuples as element keys ("0,1" for the
-element (0, 1)) and [re, im] pairs for complex entries.  Loading failures
-carry a pointer into the document ("/transport/1/p0") so the CLI can report
-exactly where the input went wrong.  Serialization sorts keys and prints
-floats at 17 significant digits, so identical inputs produce identical bytes.
+Element keys are comma-joined residue tuples ("0,1" for (0, 1)) and complex
+entries [re, im] pairs.  Every matrix node goes through one reader, a row of
+nodes at a time; a loading failure carries a pointer to its first bad node
+("/transport/1/p0").  Serialization sorts keys and prints floats at 17
+significant digits, so identical inputs produce identical bytes.
 """
 from __future__ import annotations
 
@@ -120,20 +120,33 @@ def parse_complex(node: Any, path: str) -> complex:
 
 
 _NUMBER_TYPES = frozenset((int, float))
+_READ_LEAVES = 1 << 14  # the most leaves any one np.fromiter call of the reader reads
 
 
 def parse_matrix(node: Any, path: str) -> np.ndarray:
-    """A complex matrix from its rows of [re, im] pairs.
+    """A complex matrix from its rows of [re, im] pairs: `_read_matrices` of the
+    one node, of the shape its first row gives (the walk refuses a node without)."""
+    head = node[0] if isinstance(node, list) and node else None
+    shape = (len(node), len(head)) if isinstance(head, list) else (0, 0)
+    return _read_matrices([node], [shape], path, [""])[0]
 
-    A well-formed matrix (a non-empty list of equal-length lists of 2-element
-    lists whose leaves are exactly int or float, all finite as floats) is
-    built in one numpy call: the leaves become one float array, each by
-    float(), viewed as complex, which keeps the bits complex(re, im) gives,
-    -0.0 included.  Anything else goes through the entry-by-entry walk, which
-    raises the pointer and message of the first malformed node.
-    """
-    m = _matrix_in_one_call(node)
-    return _walk_matrix(node, path) if m is None else m
+
+def _read_matrices(nodes: list, shapes: list, path: str, keys: list) -> list[np.ndarray]:
+    """The matrices of a row of nodes, node i of shape shapes[i] at path + keys[i]:
+    each shape's nodes in `_matrix_in_one_call`s of at most _READ_LEAVES leaves.
+    A batch with a malformed or misshapen node sends the whole row, in order,
+    to the walk, which raises the pointer and message of its first fault."""
+    order = sorted(range(len(nodes)), key=shapes.__getitem__)
+    by_shape, read = list(map(nodes.__getitem__, order)), []
+    for shape, same in itertools.groupby(map(shapes.__getitem__, order)):
+        end = len(read) + len(list(same))
+        step = max(1, _READ_LEAVES // max(1, 2 * shape[0] * shape[1]))
+        for k in range(len(read), end, step):
+            stack = _matrix_in_one_call(by_shape[k:min(k + step, end)], shape)
+            if stack is None:
+                return list(map(_walk_matrix, nodes, [path + key for key in keys], shapes))
+            read.extend(stack)
+    return list(map(read.__getitem__, np.argsort(order).tolist()))
 
 
 def _grid_leaves(node: Any) -> list | None:
@@ -151,10 +164,17 @@ def _grid_leaves(node: Any) -> list | None:
     return list(itertools.chain.from_iterable(entries))
 
 
-def _matrix_in_one_call(node: Any) -> np.ndarray | None:
-    """The matrix of a well-formed node, or None for the walk to judge it."""
-    leaves = _grid_leaves(node)
-    if leaves is None or not set(map(type, leaves)) <= _NUMBER_TYPES:
+def _matrix_in_one_call(nodes: list, shape: tuple[int, int]) -> np.ndarray | None:
+    """The (len(nodes), *shape) stack of nodes of that shape, or None for the
+    walk to judge them.  Well-formed nodes (lists of rows of [re, im] pairs
+    whose leaves are exactly int or float, all finite as floats) are built in
+    one numpy call: the leaves become one float array, each by float(), viewed
+    as complex, which keeps the bits complex(re, im) gives, -0.0 included."""
+    if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {shape[0]}:
+        return None
+    rows = list(itertools.chain.from_iterable(nodes))
+    leaves = _grid_leaves(rows)
+    if leaves is None or len(rows[0]) != shape[1] or not set(map(type, leaves)) <= _NUMBER_TYPES:
         return None
     try:
         flat = np.fromiter(leaves, dtype=float, count=len(leaves))
@@ -162,10 +182,10 @@ def _matrix_in_one_call(node: Any) -> np.ndarray | None:
         return None
     if not np.isfinite(flat).all():
         return None
-    return flat.view(complex).reshape(len(node), len(node[0]))
+    return flat.view(complex).reshape(len(nodes), *shape)
 
 
-def _walk_matrix(node: Any, path: str) -> np.ndarray:
+def _walk_matrix(node: Any, path: str, shape: tuple[int, int]) -> np.ndarray:
     rows = _as_list(node, path)
     if not rows:
         raise InputDocumentError(path, "matrix must be non-empty")
@@ -182,6 +202,8 @@ def _walk_matrix(node: Any, path: str) -> np.ndarray:
     if not np.isfinite(m).all():
         i, j = np.argwhere(~np.isfinite(m))[0]
         raise InputDocumentError(f"{path}/{i}/{j}", "entries must be finite numbers")
+    if m.shape != shape:
+        raise InputDocumentError(path, f"shape {m.shape}, expected {shape}")
     return m
 
 
@@ -221,15 +243,10 @@ def load_rep(doc: Any) -> UnitaryRep:
     group = load_group(_need(node, "group", ""), "/group")
     dim = _positive_int(_need(node, "dim", ""), "/dim")
     mats_doc = _element_table(_need(node, "matrices", ""), group, "/matrices")
-    mats: dict[ElementT, np.ndarray] = {}
-    for g in group.elements:
-        key = element_key(g)
-        m = parse_matrix(mats_doc[key], f"/matrices/{key}")
-        if m.shape != (dim, dim):
-            raise InputDocumentError(f"/matrices/{key}", f"shape {m.shape}, declared dim {dim}")
-        mats[g] = m
+    keys = [element_key(g) for g in group.elements]
+    mats = _read_matrices([mats_doc[k] for k in keys], [(dim, dim)] * len(keys), "/matrices/", keys)
     try:
-        return unitary_rep(group, mats)
+        return unitary_rep(group, dict(zip(group.elements, mats)))
     except ValueError as exc:
         raise InputDocumentError("/matrices", str(exc))
 
@@ -336,22 +353,21 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
                 raise InputDocumentError(f"/action/{key}/{p}", f"image {q!r} is not a point")
             table[g, points[p]] = points[q]
 
+    keys = list(points)  # document order, in which nodes are read and refused
+    at = np.array(list(points.values()), dtype=np.intp)  # their sorted indices
+    unsort = np.argsort(at).tolist()  # the document position of each sorted point
+
     def load_transport(field: str, dims: dict[str, int]) -> list[np.ndarray]:
         """T(g, p) at g * len(points) + p, points sorted."""
         t_node = _element_table(_need(node, field, ""), group, f"/{field}")
-        out: list = [None] * table.size
+        out: list[np.ndarray] = []
+        sizes, cols = [dims[p] for p in pts], [dims[p] for p in keys]  # Python ints, any size
         for g, elem in enumerate(group.elements):
             key = element_key(elem)
             row = _point_table(t_node[key], points, f"/{field}/{key}")
-            images = table[g].tolist()
-            for p in points:
-                m = parse_matrix(row[p], f"/{field}/{key}/{p}")
-                want = (dims[pts[images[points[p]]]], dims[p])
-                if m.shape != want:
-                    raise InputDocumentError(
-                        f"/{field}/{key}/{p}", f"shape {m.shape}, expected {want}"
-                    )
-                out[g * len(pts) + points[p]] = m
+            shapes = list(zip(map(sizes.__getitem__, table[g, at].tolist()), cols))
+            mats = _read_matrices([row[p] for p in keys], shapes, f"/{field}/{key}/", keys)
+            out += map(mats.__getitem__, unsort)
         return out
 
     fiber_dim = load_point_ints("fiber_dim")
@@ -361,11 +377,10 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
         t_in = load_transport("transport", fiber_dim)
         t_out = load_transport("transport_out", fiber_out)
         dims = {p: fiber_dim[p] + fiber_out[p] for p in pts}
-        transports: list = []
+        transports = []
         for a, b in zip(t_in, t_out):
-            m = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-            m[: a.shape[0], : a.shape[1]] = a
-            m[a.shape[0] :, a.shape[1] :] = b
+            m = np.zeros((len(a) + len(b), a.shape[1] + b.shape[1]), dtype=complex)
+            m[: len(a), : a.shape[1]], m[len(a) :, a.shape[1] :] = a, b
             transports.append(m)
     else:
         dims, transports = fiber_dim, load_transport("transport", fiber_dim)
@@ -374,17 +389,12 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
     if "symbol" not in node:
         return bundle, None
     sym_node = _point_table(node["symbol"], points, "/symbol")
+    shapes = [(fiber_out[p] if two_bundle else fiber_dim[p], fiber_dim[p]) for p in keys]
     values: dict[str, np.ndarray] = {}
-    for p in points:
-        m = parse_matrix(sym_node[p], f"/symbol/{p}")
-        want = (fiber_out[p] if two_bundle else fiber_dim[p], fiber_dim[p])
-        if m.shape != want:
-            raise InputDocumentError(f"/symbol/{p}", f"shape {m.shape}, expected {want}")
-        if two_bundle:
-            d = fiber_dim[p] + fiber_out[p]
-            folded = np.zeros((d, d), dtype=complex)
-            folded[fiber_dim[p] :, : fiber_dim[p]] = m
-            folded[: fiber_dim[p], fiber_dim[p] :] = m.conj().T
+    for p, m in zip(keys, _read_matrices([sym_node[p] for p in keys], shapes, "/symbol/", keys)):
+        if two_bundle:  # the symbol below the diagonal, its adjoint above
+            a, folded = fiber_dim[p], np.zeros((sum(m.shape),) * 2, dtype=complex)
+            folded[a:, :a], folded[:a, a:] = m, m.conj().T
             m = folded
         values[p] = m
     return bundle, symbol_field(bundle, values)

@@ -689,6 +689,16 @@ def test_decompose_rank_against_trace_oracle_exits_3(capsys, monkeypatch):
     assert err == "internal: projector rank 2 for the character (0,), the trace oracle says 1\n"
 
 
+def test_decompose_ambiguous_rank_exits_2(capsys, monkeypatch):
+    def ambiguous(s):
+        raise equifred.reps.AmbiguousRankError("singular value 1.000e-09 near the cut")
+
+    monkeypatch.setattr(equifred.reps, "_rank_cut", ambiguous)
+    rc, out, err = run(capsys, "decompose", "--input", REP_Z3)
+    assert rc == 2 and out == ""
+    assert err == "indeterminate: singular value 1.000e-09 near the cut\n"
+
+
 def test_alpha_length_mismatch(capsys):
     rc, out, err = run(capsys, "check", "--input", FREE, "--alpha", "0,1")
     assert rc == 1 and not out
@@ -927,6 +937,32 @@ def test_module_entry_point_matches_in_process_run(capsys, argv):
     proc = subprocess.run([sys.executable, "-m", "equifred", *argv], capture_output=True, env=env)
     assert proc.returncode == rc
     assert proc.stdout == out.encode() and proc.stderr == err.encode() == b""
+
+
+def test_a_huge_rep_entry_is_one_stderr_line(tmp_path):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"group": {"orders": [2]}, "dim": 1,
+                                "matrices": {"0": [[[1, 0]]], "1": [[[1e200, 0]]]}}))
+    proc = subprocess.run([sys.executable, "-m", "equifred", "decompose", "--input", str(path)],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "input error at /matrices: matrix for (1,) is not unitary to 1e-10\n"
+
+
+def test_a_huge_transport_entry_gives_its_violations_only(tmp_path):
+    doc = json.loads(Path(FREE).read_text())
+    doc["transport"]["1"]["q0"][0][0] = [1e200, 0]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "equifred", "check", "--input", str(path), "--alpha", "0"],
+        capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "input error at /transport/1/q0: not unitary (inf)\n"
+        "input error at /transport/1/q1: cocycle defect 1.000e+200 against 0 at q0\n"
+        "input error at /transport/1/q0: cocycle defect 1.000e+200 against 0 at q1\n"
+    )
 
 
 def test_cli_import_loads_no_scipy():

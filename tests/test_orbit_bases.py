@@ -165,3 +165,14 @@ def test_check_exits_3_on_a_wrong_carried_transport(monkeypatch):
     rc, out, err = _check_free_orbit()
     assert rc == 3 and not out and "Traceback" not in err
     assert err.startswith("internal: orbit of 'q0': singular values spread by 1.500e+00, over the ")
+
+
+def test_a_spread_inside_the_gate_is_a_warning():
+    # 5e-9 relative is inside the 1e-8 equivariance gate and the 2.06e-8 exit-3
+    # reach, and over the 1e-9 at which a spread is reported
+    doc = json.loads((DATA / "bundle_free_orbit.json").read_text())
+    doc["symbol"]["q1"] = [[[0.5 * (1 + 5e-9), 0.0]]]
+    _, sym = load_bundle(doc)
+    report = alpha_elliptic_check(sym, dual_characters(sym.bundle.group)[0])
+    assert report.verdict is True
+    assert report.warnings == ("orbit of 'q0': singular values spread by 2.500e-09",)

@@ -7,6 +7,7 @@ The decompose trace-oracle guard is tested here too.
 """
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,16 @@ def test_a_nan_matrix_is_refused_without_an_svd():
     msg = "matrix for (1,) is not unitary to 1e-10"
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         unitary_rep(make_group((2,)), {(0,): [[1.0]], (1,): [[np.nan]]})
+
+
+@pytest.mark.parametrize("huge", [np.inf, 1e200], ids=["inf", "1e200"])
+def test_a_huge_or_infinite_matrix_is_refused_without_a_warning(huge):
+    # T^* T overflows (inf * 0 is invalid); the refusal is the only signal
+    msg = "matrix for (1,) is not unitary to 1e-10"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            unitary_rep(make_group((2,)), {(0,): [[1.0]], (1,): [[huge]]})
 
 
 def _spy(monkeypatch):

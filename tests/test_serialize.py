@@ -1,5 +1,6 @@
 """Document schemas, pointered errors, and byte-stable output."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -31,9 +32,11 @@ from equifred import (
     rep_doc,
     validate_bundle,
 )
+import equifred.serialize as serialize
 from equifred.serialize import (
     _matrix_in_one_call,
     _matrix_text,
+    _read_matrices,
     _walk_matrix,
     parse_complex,
     parse_matrix,
@@ -130,9 +133,10 @@ EXACT_LEAVES = [-0.0, 5e-324, 2.5e-310, 1e308, -1e308, 0.1, 2**53 + 1, 2**63 + 1
 @pytest.mark.parametrize("leaf", EXACT_LEAVES, ids=repr)
 def test_one_call_parse_gives_the_walks_bits(leaf):
     node = [[[leaf, -0.0], [0, leaf]], [[1, 2.5], [-0.0, leaf]], [[leaf, 7], [-3, 0.0]]]
-    fast = _matrix_in_one_call(node)
+    stack = _matrix_in_one_call([node], (3, 2))
+    fast = None if stack is None else stack[0]
     assert fast is not None and fast.shape == (3, 2)
-    assert parse_matrix(node, "/m").tobytes() == _walk_matrix(node, "/m").tobytes()
+    assert parse_matrix(node, "/m").tobytes() == _walk_matrix(node, "/m", (3, 2)).tobytes()
     assert fast.tobytes() == np.array(
         [[complex(*e) for e in row] for row in node], dtype=complex
     ).tobytes()
@@ -163,13 +167,46 @@ def _with(entry=None, row=None):
 ], ids=["bool", "nan", "inf", "ragged", "string", "triple", "dict-row", "huge", "null-entry",
         "empty", "zero-width"])
 def test_malformed_matrices_get_the_walks_error(node, error):
-    assert _matrix_in_one_call(node) is None
+    shape = (len(node), len(node[0]) if node else 0)  # what parse_matrix expects
+    assert _matrix_in_one_call([node], shape) is None
     if error is None:
-        assert parse_matrix(node, "/m").shape == _walk_matrix(node, "/m").shape == (1, 0)
+        assert parse_matrix(node, "/m").shape == _walk_matrix(node, "/m", shape).shape == (1, 0)
         return
     with pytest.raises(InputDocumentError) as exc:
         parse_matrix(node, "/m")
     assert str(exc.value) == error
+
+
+# `_read_matrices` reads a row of nodes by shape, in bounded batches, and on
+# any fault walks the row in order: the first fault keeps the walk's error
+
+def test_a_batch_read_is_the_walk_bit_for_bit(monkeypatch):
+    leaves = itertools.cycle(EXACT_LEAVES + [-0.0, 0, 3, -4, 0.25])
+    shapes = [(1, 1), (2, 3), (1, 1), (3, 2), (2, 3), (1, 1)] * 3
+    nodes = [[[[next(leaves), next(leaves)] for _ in range(c)] for _ in range(r)]
+             for r, c in shapes]
+    keys = [str(i) for i in range(len(nodes))]
+    walked = [_walk_matrix(node, f"/m/{i}", shape).tobytes()
+              for i, (node, shape) in enumerate(zip(nodes, shapes))]
+
+    def no_walk(*args):
+        raise AssertionError("a well-formed row was walked")
+
+    monkeypatch.setattr(serialize, "_walk_matrix", no_walk)
+    for bound in (serialize._READ_LEAVES, 16):  # 16: a batch holds eight of the nine 1x1 nodes
+        monkeypatch.setattr(serialize, "_READ_LEAVES", bound)
+        read = _read_matrices(nodes, shapes, "/m/", keys)
+        assert [m.shape for m in read] == shapes
+        assert [m.tobytes() for m in read] == walked
+
+
+def test_a_malformed_node_deep_in_a_rep_gets_the_walks_error():
+    doc = json.loads(json.dumps(rep_doc(regular_rep(make_group((8, 8))))))
+    doc["matrices"]["7,7"][63][63] = [10**400, 0]
+    with pytest.raises(InputDocumentError) as err:
+        load_rep(doc)
+    assert str(err.value) == "/matrices/7,7/63/63: number too large for a float"
+
 
 # ---------------------------------------------------------------------------
 # groups and reps
@@ -235,6 +272,7 @@ def test_load_rep_shape_mismatch():
     with pytest.raises(InputDocumentError) as err:
         load_rep(doc)
     assert err.value.path == "/matrices/1"
+    assert str(err.value) == "/matrices/1: shape (1, 1), expected (2, 2)"
 
 
 def test_multiplicity_doc_shape():
@@ -312,6 +350,16 @@ def test_load_bundle_pointered_errors():
         assert err.value.path == path, f"expected {path}, got {err.value.path}"
 
 
+@pytest.mark.parametrize("two_fiber", [False, True], ids=["one-fiber", "two-fiber"])
+def test_load_bundle_without_points(two_fiber):
+    doc = {"group": {"orders": [2]}, "points": [], "base": {}, "action": {"0": {}, "1": {}},
+           "fiber_dim": {}, "transport": {"0": {}, "1": {}}, "symbol": {}}
+    if two_fiber:
+        doc.update(fiber_dim_out={}, transport_out={"0": {}, "1": {}})
+    bundle, sym = load_bundle(doc)
+    assert bundle.points == () and bundle.table.shape == (2, 0) and sym is not None
+
+
 def test_load_bundle_rejects_foreign_action_key():
     doc = _square_bundle_doc()
     doc["action"]["7"] = {"p0": "p0", "p1": "p1"}
@@ -370,6 +418,47 @@ def test_two_fiber_symbol_shape_checked():
 def test_two_fiber_folded_minimal_isotropy():
     bundle, _ = load_bundle(_two_fiber_doc())
     assert minimal_isotropy(bundle).order == 1
+
+
+def _benchmark_bundle_doc(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import workloads
+
+    spec = next(s for s in workloads.BUNDLES if s.name == name)
+    doc, _ = workloads.make_bundle(spec, np.random.default_rng(5), kill=True)
+    return json.loads(json.dumps(doc))  # no node shared between points
+
+
+def test_a_malformed_node_deep_in_a_bundle_gets_the_walks_error(monkeypatch):
+    doc = _benchmark_bundle_doc(monkeypatch, "g64")
+    assert list(doc["transport"])[-1] == "7,7" and doc["points"][-1] == "o1p00"
+    doc["transport"]["7,7"]["o1p00"][1][1] = [0.0, "x"]
+    with pytest.raises(InputDocumentError) as err:
+        load_bundle(doc)
+    assert str(err.value) == "/transport/7,7/o1p00/1/1: complex entries are [re, im] pairs"
+
+
+@pytest.mark.parametrize("points", [["p0", "p1"], ["p1", "p0"]], ids=["p0-first", "p1-first"])
+def test_the_first_fault_of_a_row_in_document_order_is_reported(points):
+    # p0's node is well formed but 1x2, p1's has a string leaf: whichever
+    # point the document lists first is refused
+    doc = _square_bundle_doc()
+    doc["points"] = points
+    doc["transport"]["1"] = {"p0": [[[1.0, 0.0], [0.0, 0.0]]], "p1": [[["1", 0.0]]]}
+    with pytest.raises(InputDocumentError) as err:
+        load_bundle(doc)
+    assert str(err.value) == {
+        "p0": "/transport/1/p0: shape (1, 2), expected (1, 1)",
+        "p1": "/transport/1/p1/0/0: complex entries are [re, im] pairs",
+    }[points[0]]
+
+
+def test_two_fiber_transport_out_shape_checked():
+    doc = _two_fiber_doc()
+    doc["transport_out"]["1"]["r1"] = [[[0.0, -1.0]], [[0.0, 0.0]]]
+    with pytest.raises(InputDocumentError) as err:
+        load_bundle(doc)
+    assert str(err.value) == "/transport_out/1/r1: shape (2, 1), expected (1, 1)"
 
 
 # ---------------------------------------------------------------------------
