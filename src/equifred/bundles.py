@@ -82,8 +82,9 @@ class EquivariantSampleBundle:
     label and fiber_dim to its fiber dimension.  table[g, p] is the index
     of g·p among the points (g and p index group.elements and points);
     transports holds the unitary T(g, p) from the fiber at p to the fiber at
-    g·p at index g·len(points) + p, one stack per shape.  Every part is
-    read-only.  Build a bundle with `sample_bundle` or `load_bundle`.
+    g·p at index g·len(points) + p, one stack per shape class, as the
+    document reader fills them.  Every part is read-only.  Build a bundle
+    with `sample_bundle` or `load_bundle`.
     """
 
     group: Group
@@ -113,24 +114,17 @@ def _from_tables(
     base: Mapping[str, str],
     fiber_dim: Mapping[str, int],
     table: np.ndarray,
-    transports: list[np.ndarray],
+    transports: _ShapeStacks,
 ) -> EquivariantSampleBundle:
     """The loaders' constructor, not checked: sorted points, labels and
     dimensions for (at least) them, the (|G|, n) intp action table, and the
-    complex T(g, p) listed g-major, each of shape (fiber_dim of g·p,
+    stacks of the complex T(g, p), g-major, each of shape (fiber_dim of g·p,
     fiber_dim of p).  Every part is made read-only."""
     table.setflags(write=False)
     return EquivariantSampleBundle(
         group, points, MappingProxyType({p: base[p] for p in points}),
-        MappingProxyType({p: fiber_dim[p] for p in points}), table, _frozen_stacks(transports),
+        MappingProxyType({p: fiber_dim[p] for p in points}), table, transports,
     )
-
-
-def _frozen_stacks(mats: list[np.ndarray]) -> _ShapeStacks:
-    stacks = _ShapeStacks(mats)
-    for arr in (stacks.cls, stacks.pos, *stacks.members, *stacks.stacks):
-        arr.setflags(write=False)
-    return stacks
 
 
 def element_key(g: ElementT) -> str:
@@ -192,7 +186,7 @@ def sample_bundle(
                     f"/transport/{element_key(elem)}/{p}", f"shape {m.shape}, expected {want}"
                 )
             mats.append(m)
-    return _from_tables(group, pts, base, dict(zip(pts, dims)), table, mats)
+    return _from_tables(group, pts, base, dict(zip(pts, dims)), table, _ShapeStacks.of(mats))
 
 
 def validate_bundle(b: EquivariantSampleBundle) -> BundleValidation:
@@ -446,7 +440,7 @@ def symbol_field(bundle: EquivariantSampleBundle, values: Mapping[str, np.ndarra
         if not np.isfinite(m).all():
             raise ValueError(f"symbol at {p!r} has a non-finite entry")
         mats.append(m)
-    return SymbolField(bundle, _frozen_stacks(mats))
+    return SymbolField(bundle, _ShapeStacks.of(mats))
 
 
 def propagate_symbol(

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -151,7 +151,13 @@ def unitary_rep(carrier: CarrierT, matrices: Mapping[ElementT, np.ndarray]) -> U
         if m.shape != (dim, dim):
             raise ValueError(f"matrix for {g} has shape {m.shape}, expected {(dim, dim)}")
         stack[i] = m
-    transports = _ShapeStacks(stack)
+    return _checked_rep(carrier, _ShapeStacks.of(stack))
+
+
+def _checked_rep(carrier: CarrierT, transports: _ShapeStacks) -> UnitaryRep:
+    """`unitary_rep`'s checks, in its order, of the one (|carrier|, d, d) stack
+    of transports in carrier order, which the UnitaryRep then keeps."""
+    elems = carrier.elements
     if _off_identity(transports, np.array([elems.index(carrier.identity)]), LAW_TOL):
         raise ValueError("matrix at the identity is not the identity")
     bad = _non_unitary(transports, LAW_TOL)
@@ -159,7 +165,7 @@ def unitary_rep(carrier: CarrierT, matrices: Mapping[ElementT, np.ndarray]) -> U
         raise ValueError(f"matrix for {elems[bad[0][0]]} is not unitary to {LAW_TOL}")
     one_point = np.zeros((len(elems), 1), dtype=np.intp)
     _require_law(carrier, one_point, transports, math.sqrt(1 + LAW_TOL))
-    return _from_stack(carrier, stack)
+    return _from_stack(carrier, transports.stacks[0])
 
 
 def _from_stack(carrier: CarrierT, stack: np.ndarray) -> UnitaryRep:
@@ -178,31 +184,32 @@ _LAW_CELLS = 1 << 14
 
 
 class _ShapeStacks:
-    """A list of matrices held as one stack per matrix shape.
+    """A list of matrices held as one read-only stack per shape class: the one
+    grouping of matrices by shape.  kind[i] names the class of matrix i (one
+    kind, one shape); classes are numbered by first appearance.  Matrix i is
+    stacks[cls[i]][pos[i]]; members[k] lists, in increasing order, the
+    indices that stacks[k] holds, and stack(members[k]) builds it."""
 
-    Matrix i is stacks[cls[i]][pos[i]]; members[k] lists, in increasing
-    order, the indices that stacks[k] holds.  An (n, a, b) array is taken
-    as it is, as the one stack of its n matrices.
-    """
-
-    def __init__(self, mats: list[np.ndarray] | np.ndarray):
-        if isinstance(mats, np.ndarray):
-            self.cls = np.zeros(len(mats), dtype=np.intp)
-            self.members = [np.arange(len(mats))]
-            self.pos, self.stacks = self.members[0], [mats]
-            return
-        kinds: dict[tuple[int, ...], int] = {}
-        self.cls = np.array([kinds.setdefault(m.shape, len(kinds)) for m in mats], dtype=np.intp)
+    def __init__(self, kind: Sequence, stack: Callable[[np.ndarray], np.ndarray]):
+        kinds: dict = {}
+        self.cls = np.array([kinds.setdefault(k, len(kinds)) for k in kind], dtype=np.intp)
         self.members = [np.flatnonzero(self.cls == k) for k in range(len(kinds))]
-        self.pos = np.empty(len(mats), dtype=np.intp)
+        self.pos = np.empty(len(self.cls), dtype=np.intp)
         for idx in self.members:
             self.pos[idx] = np.arange(idx.size)
-        self.stacks = [np.stack([mats[i] for i in idx]) for idx in self.members]
+        self.stacks = [stack(idx) for idx in self.members]
+        for arr in (self.cls, self.pos, *self.members, *self.stacks):
+            arr.setflags(write=False)
+
+    @classmethod
+    def of(cls, mats: Sequence[np.ndarray]) -> _ShapeStacks:
+        """The matrices of a list, or of an (n, a, b) array, by shape."""
+        if isinstance(mats, np.ndarray):  # one stack, taken as it is
+            return cls([0] * len(mats), lambda idx: mats)
+        return cls([m.shape for m in mats], lambda idx: np.stack([mats[i] for i in idx]))
 
     def take(self, idx: np.ndarray) -> np.ndarray:
         """The matrices at the (non-empty) indices idx, which must share one shape."""
-        if len(self.stacks) == 1:  # then pos is the identity
-            return self.stacks[0].take(idx, axis=0)
         return self.stacks[self.cls[idx[0]]].take(self.pos[idx], axis=0)
 
 
@@ -361,7 +368,7 @@ class MonomialRep:
         if not (np.abs(np.abs(phase) - 1.0) <= LAW_TOL).all():
             raise ValueError(f"phases are not unit modulus to {LAW_TOL}")
         # U(g) U(h) e_j = phase[h, j] phase[g, perm[h, j]] e_{perm[g, perm[h, j]]}
-        _require_law(carrier, perm, _ShapeStacks(phase.reshape(-1, 1, 1)), 1 + LAW_TOL)
+        _require_law(carrier, perm, _ShapeStacks.of(phase.reshape(-1, 1, 1)), 1 + LAW_TOL)
         perm.setflags(write=False)
         phase.setflags(write=False)
         self.carrier, self.perm, self.phase = carrier, perm, phase

@@ -1,10 +1,11 @@
 """JSON document schemas and byte-stable report serialization.
 
 Element keys are comma-joined residue tuples ("0,1" for (0, 1)) and complex
-entries [re, im] pairs.  Every matrix node goes through one reader, a row of
-nodes at a time; a loading failure carries a pointer to its first bad node
-("/transport/1/p0").  Serialization sorts keys and prints floats at 17
-significant digits, so identical inputs produce identical bytes.
+entries [re, im] pairs.  Each table of matrix nodes is read in one reader call
+into the shape stacks that are kept; a loading failure carries a pointer to
+its first bad node in document order ("/transport/1/p0").  Serialization sorts
+keys and prints floats at 17 significant digits, so identical inputs produce
+identical bytes.
 """
 from __future__ import annotations
 
@@ -12,15 +13,16 @@ import itertools
 import json
 import math
 from functools import lru_cache
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .bundles import EquivariantSampleBundle, InputDocumentError, SymbolField
-from .bundles import _from_tables, element_key, symbol_field
+from .bundles import _from_tables, element_key
 from .groups import Character, ElementT, Group, Subgroup, SubgroupCharacter
 from .groups import character, subgroup_from_generators
-from .reps import MultiplicityVector, UnitaryRep, unitary_rep
+from .reps import InternalInconsistencyError, MultiplicityVector, UnitaryRep, _checked_rep
+from .reps import _ShapeStacks
 
 
 def parse_element_key(key: str, group: Group, path: str) -> ElementT:
@@ -63,10 +65,12 @@ def _element_table(node: Any, group: Group, path: str) -> Mapping:
 
 
 def _point_table(node: Any, points: Mapping, path: str) -> Mapping:
-    """node as an object with an entry for each point and no other key: the
-    first missing point, or else the first key that is not a point, is
-    refused at its pointer."""
+    """node as an object with an entry for each point and no other key (one
+    comparison of the key sets decides it): the first missing point, or else
+    the first key that is not a point, is refused at its pointer."""
     node = _as_dict(node, path)
+    if node.keys() == points.keys():
+        return node
     for p in points:
         if p not in node:
             raise InputDocumentError(f"{path}/{p}", "missing")
@@ -123,41 +127,54 @@ _NUMBER_TYPES = frozenset((int, float))
 _READ_LEAVES = 1 << 14  # the most leaves any one np.fromiter call of the reader reads
 
 
-def parse_matrix(node: Any, path: str) -> np.ndarray:
-    """A complex matrix from its rows of [re, im] pairs: `_read_matrices` of the
-    one node, of the shape its first row gives (the walk refuses a node without)."""
-    head = node[0] if isinstance(node, list) and node else None
-    shape = (len(node), len(head)) if isinstance(head, list) else (0, 0)
-    return _read_matrices([node], [shape], path, [""])[0]
+def _read_matrices(nodes: list, kind: list, shape: Callable, where: Callable) -> _ShapeStacks:
+    """The `_ShapeStacks` of nodes by kind, node i of shape shape(kind[i])
+    (Python ints of any size, at least 1) with where(i) its (place in
+    document order, pointer).  A kind's stack concatenates
+    `_matrix_in_one_call`s of at most _READ_LEAVES leaves.  That call refuses
+    a batch exactly when the walk refuses one of its nodes: the batch is
+    walked in document order to that fault, and once all are read the first
+    fault in the document is raised."""
+    faults: list[tuple[tuple, InputDocumentError]] = []
 
+    def fault(part: list[int]) -> tuple[tuple, InputDocumentError]:
+        for i in sorted(part, key=where):
+            try:
+                _walk_matrix(nodes[i], where(i)[1], shape(kind[i]))
+            except InputDocumentError as exc:
+                return where(i), exc
+        raise InternalInconsistencyError("the walk took a batch the one-call read refused")
 
-def _read_matrices(nodes: list, shapes: list, path: str, keys: list) -> list[np.ndarray]:
-    """The matrices of a row of nodes, node i of shape shapes[i] at path + keys[i]:
-    each shape's nodes in `_matrix_in_one_call`s of at most _READ_LEAVES leaves.
-    A batch with a malformed or misshapen node sends the whole row, in order,
-    to the walk, which raises the pointer and message of its first fault."""
-    order = sorted(range(len(nodes)), key=shapes.__getitem__)
-    by_shape, read = list(map(nodes.__getitem__, order)), []
-    for shape, same in itertools.groupby(map(shapes.__getitem__, order)):
-        end = len(read) + len(list(same))
-        step = max(1, _READ_LEAVES // max(1, 2 * shape[0] * shape[1]))
-        for k in range(len(read), end, step):
-            stack = _matrix_in_one_call(by_shape[k:min(k + step, end)], shape)
+    def read(idx: np.ndarray) -> np.ndarray:
+        r, c = shape(kind[idx[0]])
+        step, parts = max(1, _READ_LEAVES // max(1, 2 * r * c)), []
+        for part in (idx[k:k + step].tolist() for k in range(0, idx.size, step)):
+            stack = _matrix_in_one_call(list(map(nodes.__getitem__, part)), (r, c))
             if stack is None:
-                return list(map(_walk_matrix, nodes, [path + key for key in keys], shapes))
-            read.extend(stack)
-    return list(map(read.__getitem__, np.argsort(order).tolist()))
+                faults.append(fault(part))
+            parts.append(stack)
+        return np.empty(0) if faults else np.concatenate(parts)  # never sized from a shape
+
+    stacks = _ShapeStacks(kind, read)
+    if faults:
+        raise min(faults, key=lambda f: f[0])[1]
+    return stacks
+
+
+def _lists(items: list) -> bool:
+    """Whether every item is a list, as the walk takes it (a subclass too)."""
+    return all(issubclass(t, list) for t in set(map(type, items)))
 
 
 def _grid_leaves(node: Any) -> list | None:
     """The leaves, row-major, of a non-empty list of equal-length lists of
     2-element lists (the shape of a matrix document), or None."""
-    if not isinstance(node, list) or not node or set(map(type, node)) != {list}:
+    if not isinstance(node, list) or not node or not _lists(node):
         return None
     entries = list(itertools.chain.from_iterable(node))
     if (
         set(map(len, node)) != {len(node[0])}
-        or set(map(type, entries)) != {list}
+        or not _lists(entries)
         or set(map(len, entries)) != {2}
     ):
         return None
@@ -170,7 +187,7 @@ def _matrix_in_one_call(nodes: list, shape: tuple[int, int]) -> np.ndarray | Non
     whose leaves are exactly int or float, all finite as floats) are built in
     one numpy call: the leaves become one float array, each by float(), viewed
     as complex, which keeps the bits complex(re, im) gives, -0.0 included."""
-    if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {shape[0]}:
+    if not _lists(nodes) or set(map(len, nodes)) != {shape[0]}:
         return None
     rows = list(itertools.chain.from_iterable(nodes))
     leaves = _grid_leaves(rows)
@@ -189,13 +206,10 @@ def _walk_matrix(node: Any, path: str, shape: tuple[int, int]) -> np.ndarray:
     rows = _as_list(node, path)
     if not rows:
         raise InputDocumentError(path, "matrix must be non-empty")
-    data = []
-    width = None
+    data: list[list[complex]] = []
     for i, row in enumerate(rows):
         entries = _as_list(row, f"{path}/{i}")
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
+        if data and len(entries) != len(data[0]):
             raise InputDocumentError(f"{path}/{i}", "ragged matrix rows")
         data.append([parse_complex(e, f"{path}/{i}/{j}") for j, e in enumerate(entries)])
     m = np.array(data, dtype=complex)
@@ -244,9 +258,10 @@ def load_rep(doc: Any) -> UnitaryRep:
     dim = _positive_int(_need(node, "dim", ""), "/dim")
     mats_doc = _element_table(_need(node, "matrices", ""), group, "/matrices")
     keys = [element_key(g) for g in group.elements]
-    mats = _read_matrices([mats_doc[k] for k in keys], [(dim, dim)] * len(keys), "/matrices/", keys)
-    try:
-        return unitary_rep(group, dict(zip(group.elements, mats)))
+    stacks = _read_matrices([mats_doc[k] for k in keys], [0] * len(keys), lambda k: (dim, dim),
+                            lambda i: (i, f"/matrices/{keys[i]}"))
+    try:  # the checks of `unitary_rep`, on the stack as read
+        return _checked_rep(group, stacks)
     except ValueError as exc:
         raise InputDocumentError("/matrices", str(exc))
 
@@ -323,15 +338,16 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
     group = load_group(_need(node, "group", ""), "/group")
 
     pts_node = _as_list(_need(node, "points", ""), "/points")
-    points: dict[str, int] = {}  # in document order, to the index in sorted order
+    points: dict[str, int] = {}  # each id to its place in document order
     for i, p in enumerate(pts_node):
         if not isinstance(p, str):
             raise InputDocumentError(f"/points/{i}", "point ids are strings")
         if p in points:
             raise InputDocumentError(f"/points/{i}", f"duplicate point id {p!r}")
-        points[p] = 0
+        points[p] = i
     pts = tuple(sorted(points))
-    points.update((p, i) for i, p in enumerate(pts))
+    index = {p: i for i, p in enumerate(pts)}
+    n = len(pts)
 
     base = _point_table(_need(node, "base", ""), points, "/base")
     for p in points:
@@ -343,32 +359,38 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
         return {p: _positive_int(fd_node[p], f"/{field}/{p}") for p in points}
 
     action_node = _element_table(_need(node, "action", ""), group, "/action")
-    table = np.empty((group.order, len(pts)), dtype=np.intp)
-    for g, elem in enumerate(group.elements):
-        key = element_key(elem)
+    gkeys = [element_key(elem) for elem in group.elements]
+    table = np.empty((group.order, n), dtype=np.intp)
+    for g, key in enumerate(gkeys):
         images = _point_table(action_node[key], points, f"/action/{key}")
         for p in points:
             q = images[p]
             if not isinstance(q, str) or q not in points:
                 raise InputDocumentError(f"/action/{key}/{p}", f"image {q!r} is not a point")
-            table[g, points[p]] = points[q]
+            table[g, index[p]] = index[q]
 
-    keys = list(points)  # document order, in which nodes are read and refused
-    at = np.array(list(points.values()), dtype=np.intp)  # their sorted indices
-    unsort = np.argsort(at).tolist()  # the document position of each sorted point
-
-    def load_transport(field: str, dims: dict[str, int]) -> list[np.ndarray]:
-        """T(g, p) at g * len(points) + p, points sorted."""
+    def load_transport(field: str, dims: dict[str, int]) -> _ShapeStacks:
+        """T(g, p) at g * n + p, points sorted, read in one call once every row
+        passes `_point_table`; a row that fails it is met after those before."""
         t_node = _element_table(_need(node, field, ""), group, f"/{field}")
-        out: list[np.ndarray] = []
-        sizes, cols = [dims[p] for p in pts], [dims[p] for p in keys]  # Python ints, any size
-        for g, elem in enumerate(group.elements):
-            key = element_key(elem)
-            row = _point_table(t_node[key], points, f"/{field}/{key}")
-            shapes = list(zip(map(sizes.__getitem__, table[g, at].tolist()), cols))
-            mats = _read_matrices([row[p] for p in keys], shapes, f"/{field}/{key}/", keys)
-            out += map(mats.__getitem__, unsort)
-        return out
+        first: dict[int, int] = {}  # each dim (a Python int of any size) to its first point
+        code = np.array([first.setdefault(dims[p], i) for i, p in enumerate(pts)], dtype=np.intp)
+        kind = (code[table] * n + code).ravel().tolist()  # the dims at g·p and at p
+
+        def read(rows: list) -> _ShapeStacks:
+            nodes = [row[p] for row in rows for p in pts]
+            return _read_matrices(
+                nodes, kind[:len(nodes)], lambda k: (dims[pts[k // n]], dims[pts[k % n]]),
+                lambda i: ((i // n, points[pts[i % n]]), f"/{field}/{gkeys[i // n]}/{pts[i % n]}"))
+
+        rows: list = []
+        for key in gkeys:
+            try:
+                rows.append(_point_table(t_node[key], points, f"/{field}/{key}"))
+            except InputDocumentError:
+                read(rows)  # a fault in an earlier row is met first
+                raise
+        return read(rows)
 
     fiber_dim = load_point_ints("fiber_dim")
     two_bundle = "fiber_dim_out" in node or "transport_out" in node
@@ -377,11 +399,8 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
         t_in = load_transport("transport", fiber_dim)
         t_out = load_transport("transport_out", fiber_out)
         dims = {p: fiber_dim[p] + fiber_out[p] for p in pts}
-        transports = []
-        for a, b in zip(t_in, t_out):
-            m = np.zeros((len(a) + len(b), a.shape[1] + b.shape[1]), dtype=complex)
-            m[: len(a), : a.shape[1]], m[len(a) :, a.shape[1] :] = a, b
-            transports.append(m)
+        kind = (t_in.cls * len(t_out.stacks) + t_out.cls).tolist()
+        transports = _ShapeStacks(kind, lambda i: _block_diagonal(t_in.take(i), t_out.take(i)))
     else:
         dims, transports = fiber_dim, load_transport("transport", fiber_dim)
     bundle = _from_tables(group, pts, base, dims, table, transports)
@@ -389,15 +408,24 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
     if "symbol" not in node:
         return bundle, None
     sym_node = _point_table(node["symbol"], points, "/symbol")
-    shapes = [(fiber_out[p] if two_bundle else fiber_dim[p], fiber_dim[p]) for p in keys]
-    values: dict[str, np.ndarray] = {}
-    for p, m in zip(keys, _read_matrices([sym_node[p] for p in keys], shapes, "/symbol/", keys)):
-        if two_bundle:  # the symbol below the diagonal, its adjoint above
-            a, folded = fiber_dim[p], np.zeros((sum(m.shape),) * 2, dtype=complex)
-            folded[a:, :a], folded[:a, a:] = m, m.conj().T
-            m = folded
-        values[p] = m
-    return bundle, symbol_field(bundle, values)
+    shapes = [(fiber_out[p] if two_bundle else fiber_dim[p], fiber_dim[p]) for p in pts]
+    read = _read_matrices([sym_node[p] for p in pts], shapes, lambda k: k,
+                          lambda i: (points[pts[i]], f"/symbol/{pts[i]}"))
+    if two_bundle:  # the symbol below the diagonal, its adjoint above
+        def fold(idx: np.ndarray) -> np.ndarray:  # diag(adjoint, symbol), column blocks swapped
+            s = read.take(idx)
+            return np.roll(_block_diagonal(s.conj().transpose(0, 2, 1), s), s.shape[2], axis=2)
+
+        return bundle, SymbolField(bundle, _ShapeStacks(read.cls.tolist(), fold))
+    return bundle, SymbolField(bundle, read)
+
+
+def _block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stack of block-diagonal matrices with a's matrices over b's."""
+    (k, r, c), (s, t) = a.shape, b.shape[1:]
+    m = np.zeros((k, r + s, c + t), dtype=complex)
+    m[:, :r, :c], m[:, r:, c:] = a, b
+    return m
 
 
 # ---------------------------------------------------------------------------

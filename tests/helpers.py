@@ -6,7 +6,8 @@ averages, the subgroup lattice, the subgroup dual and the restriction test
 from the old `random_bundle` loop and from a plain walk of a bundle
 document; the dense section oracle for alpha-ellipticity, a symbol with an
 isotype killed on any orbit, and the per-XPoint loop that the batched
-ellipticity verdict replaced."""
+ellipticity verdict replaced; a numpy-only writer of valid free-orbit bundle
+documents."""
 
 import functools
 import itertools
@@ -680,3 +681,29 @@ def reference_elliptic_loop(sym, alpha, *, tol=1e-8):
             warnings.append(f"orbit of {rep_point!r}: singular values spread by {spread:.3e}")
         verdict = verdict and rep_ok
     return entries, verdict, warnings
+
+
+def free_orbit_bundle_doc(orders, dim, rng):
+    """A valid bundle document, written with numpy alone: G acting on itself
+    by translation, with dense transports T(g, p) = U(g + p) U(p)^* and the
+    symbol U(p) S U(p)^*, for a random unitary U(p) per point and one random
+    S, so the cocycle and equivariance laws hold up to rounding.  Points are
+    listed in reverse order, so the document order is not the sorted one."""
+    elems = list(itertools.product(*(range(n) for n in orders)))
+    key = lambda g: ",".join(map(str, g))  # noqa: E731
+    name = {g: "p" + "_".join(map(str, g)) for g in elems}
+    unitary = {g: np.linalg.qr(rng.standard_normal((dim, dim))
+                               + 1j * rng.standard_normal((dim, dim)))[0] for g in elems}
+    s = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    node = lambda m: np.stack([m.real, m.imag], axis=-1).tolist()  # noqa: E731
+    plus = lambda g, h: tuple((a + b) % n for a, b, n in zip(g, h, orders))  # noqa: E731
+    return {
+        "group": {"orders": list(orders)},
+        "points": [name[g] for g in reversed(elems)],
+        "base": {name[g]: name[g] for g in elems},
+        "fiber_dim": {name[g]: dim for g in elems},
+        "action": {key(g): {name[h]: name[plus(g, h)] for h in elems} for g in elems},
+        "transport": {key(g): {name[h]: node(unitary[plus(g, h)] @ unitary[h].conj().T)
+                               for h in elems} for g in elems},
+        "symbol": {name[g]: node(unitary[g] @ s @ unitary[g].conj().T) for g in elems},
+    }

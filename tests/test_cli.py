@@ -583,6 +583,33 @@ def test_a_z4000_fixed_point_peaks_under_100_mb(tmp_path, verb):
     assert peak_kib < 100 * 1024
 
 
+def test_a_large_declared_fiber_is_refused_without_a_stack_of_its_size(tmp_path):
+    # Z_65536 fixes one point with a 64-dimensional fiber: /transport/0/p is
+    # the 64 x 64 identity and every later row holds [].  A transport stack
+    # sized from the declared dims would take 65536 * 64 * 64 * 16 B = 4.3 GB.
+    n = 1 << 16
+    eye = [[[float(i == j), 0.0] for j in range(64)] for i in range(64)]
+    doc = {"group": {"orders": [n]}, "points": ["p"], "base": {"p": "p"}, "fiber_dim": {"p": 64},
+           "action": {str(g): {"p": "p"} for g in range(n)},
+           "transport": {str(g): [] if g else {"p": eye} for g in range(n)}}
+    path = tmp_path / "z65536.json"
+    path.write_text(json.dumps(doc))
+    job = [sys.executable, "-m", "equifred", "check", "--input", str(path), "--alpha", "0"]
+    # untouched pages of a stack that size would not show in the peak RSS, so
+    # the job's address space is capped at 1 GiB too (one BLAS thread, so the
+    # job itself reserves about 150 MB)
+    capped = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2); "
+    env = {**_src_env(), **dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
+    proc = subprocess.run([sys.executable, "-c", capped + _PEAK_OF_CHILD, *job],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, peak_kib = map(int, proc.stdout.split())
+    [(pointer, detail)] = pointer_lines(proc.stderr)
+    assert (code, pointer, detail) == (1, "/transport/1", "expected an object, got list")
+    assert resolves(doc, pointer, detail)
+    assert peak_kib < 300 * 1024
+
+
 @pytest.mark.parametrize("order", [10**12, 2**63], ids=["1e12", "2^63"])
 def test_induce_refuses_a_huge_group_before_closing_the_subgroup(tmp_path, order):
     # the subgroup spanned by 2 has order/2 elements, closed one at a time

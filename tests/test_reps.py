@@ -176,12 +176,8 @@ def test_monomial_rep_checks_like_the_row_loop(case):
 def _as_two_stacks(one):
     """The matrices of a one-stack _ShapeStacks held as two stacks of the
     same shape (even and odd indices), which the law check takes run by run."""
-    two = object.__new__(equifred.reps._ShapeStacks)
-    two.cls = np.arange(len(one.cls)) % 2
-    two.members = [np.flatnonzero(two.cls == k) for k in (0, 1)]
-    two.pos = np.arange(len(one.cls)) // 2
-    two.stacks = [one.stacks[0][idx] for idx in two.members]
-    return two
+    return equifred.reps._ShapeStacks([i % 2 for i in range(len(one.cls))],
+                                      lambda idx: one.stacks[0][idx])
 
 
 @pytest.mark.parametrize("case", [c for c in _monomial_cases() if c[1].shape[1] >= 16])
@@ -192,7 +188,7 @@ def test_one_shape_law_check_finds_what_the_run_split_finds(case, bound):
     run classification.  Both must find the same failures: the doubled-circle
     cases, with their phase errors under and over LAW_TOL."""
     carrier, perm, phase = case
-    one = equifred.reps._ShapeStacks(np.asarray(phase, dtype=complex).reshape(-1, 1, 1))
+    one = equifred.reps._ShapeStacks.of(np.asarray(phase, dtype=complex).reshape(-1, 1, 1))
     found = equifred.reps._law_failures(carrier, np.asarray(perm), one, bound)
     assert found == equifred.reps._law_failures(carrier, np.asarray(perm), _as_two_stacks(one), bound)
     assert bool(found[0] or found[1]) == (reference_monomial_rep(carrier, perm, phase) is not None)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equifred.cli
+import equifred.reps
 from equifred import (
     InputDocumentError,
     canonical_json,
@@ -39,11 +41,20 @@ from equifred.serialize import (
     _read_matrices,
     _walk_matrix,
     parse_complex,
-    parse_matrix,
 )
-from helpers import reference_canonical_json, reference_symbol_defect
+from helpers import free_orbit_bundle_doc, reference_canonical_json, reference_symbol_defect
 
 DATA = Path(__file__).parent / "data"
+
+
+def parse_matrix(node, path):
+    """The two halves of the package's matrix reader on one node, of the shape
+    its first row gives (the walk refuses a node without): the one-call read,
+    or else the walk."""
+    head = node[0] if isinstance(node, list) and node else None
+    shape = (len(node), len(head)) if isinstance(head, list) else (0, 0)
+    stack = _matrix_in_one_call([node], shape)
+    return _walk_matrix(node, path, shape) if stack is None else stack[0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +206,8 @@ def test_a_batch_read_is_the_walk_bit_for_bit(monkeypatch):
     monkeypatch.setattr(serialize, "_walk_matrix", no_walk)
     for bound in (serialize._READ_LEAVES, 16):  # 16: a batch holds eight of the nine 1x1 nodes
         monkeypatch.setattr(serialize, "_READ_LEAVES", bound)
-        read = _read_matrices(nodes, shapes, "/m/", keys)
+        stacks = _read_matrices(nodes, shapes, lambda k: k, lambda i: (i, f"/m/{keys[i]}"))
+        read = [stacks.stacks[k][j] for k, j in zip(stacks.cls, stacks.pos)]
         assert [m.shape for m in read] == shapes
         assert [m.tobytes() for m in read] == walked
 
@@ -459,6 +471,115 @@ def test_two_fiber_transport_out_shape_checked():
     with pytest.raises(InputDocumentError) as err:
         load_bundle(doc)
     assert str(err.value) == "/transport_out/1/r1: shape (2, 1), expected (1, 1)"
+
+
+@pytest.mark.parametrize("table", ["base", "fiber_dim", "action/1", "transport/1", "symbol"])
+def test_a_table_with_a_missing_point_and_an_extra_key_names_the_missing_point(table):
+    # as many keys as points, but not the points: the one key-set comparison
+    # fails, and the walk names the missing point before the extra key
+    doc = _square_bundle_doc()
+    node = doc
+    for part in table.split("/"):
+        node = node[part]
+    node["zz"] = node.pop("p1")
+    with pytest.raises(InputDocumentError) as err:
+        load_bundle(doc)
+    assert str(err.value) == f"/{table}/p1: missing"
+
+
+# A fault in one row of a table is met before any fault in a later row,
+# whether it is a malformed matrix or a row that fails its `_point_table`
+# check, and two faults in one row are met in the document's point order.
+
+MALFORMED = [[["x", 0.0]]]  # 1 x 1, with a string leaf
+NOT_A_PAIR = "0/0: complex entries are [re, im] pairs"
+
+
+def _z4_doc():
+    """Z4 on itself with 1 x 1 fibers; the points are listed p3, p2, p1, p0."""
+    return free_orbit_bundle_doc((4,), 1, np.random.default_rng(0))
+
+
+def _two_fiber_fixture():
+    doc = json.loads((DATA / "bundle_two_fiber.json").read_text())
+    doc["points"] = ["r1", "r0"]  # listed unsorted
+    return doc
+
+
+@pytest.mark.parametrize("make, field, first, later", [
+    (_z4_doc, "transport", "1", "3"),
+    (_two_fiber_fixture, "transport_out", "0", "1"),
+], ids=["z4-transport", "two-fiber-transport_out"])
+@pytest.mark.parametrize("swapped", [False, True], ids=["malformed-first", "missing-first"])
+def test_the_first_row_with_a_fault_is_refused(make, field, first, later, swapped):
+    doc = make()
+    p = doc["points"][0]
+    malformed, missing = (later, first) if swapped else (first, later)
+    doc[field][malformed][p] = MALFORMED
+    del doc[field][missing][p]
+    with pytest.raises(InputDocumentError) as err:
+        load_bundle(doc)
+    fault = ": missing" if swapped else f"/{NOT_A_PAIR}"
+    assert str(err.value) == f"/{field}/{first}/{p}{fault}"
+
+
+@pytest.mark.parametrize("make, table", [
+    (_z4_doc, "transport/1"),
+    (_two_fiber_fixture, "transport_out/0"),
+    (_z4_doc, "symbol"),
+    (_two_fiber_fixture, "symbol"),
+], ids=["z4-transport", "two-fiber-transport_out", "z4-symbol", "two-fiber-symbol"])
+def test_two_faults_in_a_row_are_met_in_document_order(make, table):
+    doc = make()
+    first, last = doc["points"][0], doc["points"][-1]
+    assert first > last  # so the sorted order would meet last first
+    node = doc
+    for part in table.split("/"):
+        node = node[part]
+    node[first] = node[last] = MALFORMED
+    with pytest.raises(InputDocumentError) as err:
+        load_bundle(doc)
+    assert str(err.value) == f"/{table}/{first}/{NOT_A_PAIR}"
+
+
+def test_a_batch_across_rows_is_the_walk_bit_for_bit(monkeypatch):
+    doc = free_orbit_bundle_doc((4,), 2, np.random.default_rng(1))
+    pts = sorted(doc["points"])
+    walked = [_walk_matrix(doc["transport"][g][p], "/t", (2, 2)).tobytes()
+              for g in ("0", "1", "2", "3") for p in pts]
+
+    def no_walk(*args):
+        raise AssertionError("a well-formed document was walked")
+
+    monkeypatch.setattr(serialize, "_walk_matrix", no_walk)
+    monkeypatch.setattr(serialize, "_READ_LEAVES", 24)  # three 2 x 2 nodes: rows hold four
+    t = load_bundle(doc)[0].transports
+    assert [t.take(np.array([i]))[0].tobytes() for i in range(16)] == walked
+
+
+def test_a_refused_batch_the_walk_takes_is_an_internal_inconsistency(monkeypatch):
+    # the one-call read refuses a batch exactly when the walk refuses one of
+    # its nodes; were they ever to disagree, no stack would be kept short
+    doc = _square_bundle_doc()
+    doc["transport"]["1"]["p0"] = MALFORMED
+    monkeypatch.setattr(serialize, "_walk_matrix", lambda node, path, shape: None)
+    with pytest.raises(equifred.reps.InternalInconsistencyError):
+        load_bundle(doc)
+
+
+def test_load_bundle_makes_no_per_node_array():
+    # Z16 x Z16 on itself with 2 x 2 fibers: 65,536 transports in 4 MiB of
+    # stacks.  Reading them into those stacks peaks under 3x their bytes;
+    # a view per node, re-stacked, peaked at 7.6x.
+    doc = free_orbit_bundle_doc((16, 16), 2, np.random.default_rng(2))
+    tracemalloc.start()
+    try:
+        bundle, sym = load_bundle(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert validate_bundle(bundle).ok and sym._equivariant
+    assert peak < 4 * sum(stack.nbytes for stack in bundle.transports.stacks)
 
 
 # ---------------------------------------------------------------------------
