@@ -129,7 +129,7 @@ def _from_tables(
 
 def element_key(g: ElementT) -> str:
     """The document key of a group element: its residues joined by commas."""
-    return ",".join(str(x) for x in g)
+    return ",".join(map(str, g))
 
 
 def sample_bundle(
@@ -214,11 +214,13 @@ def validate_bundle(b: EquivariantSampleBundle) -> BundleValidation:
 
 def _check_bundle(b: EquivariantSampleBundle) -> BundleValidation:
     pts, n_pts, group, A, T = b.points, len(b.points), b.group, b.table, b.transports
-    keys = [element_key(g) for g in group.elements]
     e = group.elements.index(group.identity)
 
+    def key(g: int) -> str:  # made only for a violation that is reported
+        return element_key(group.elements[g])
+
     def at(kind: str, g: int, p: int, detail: str) -> Violation:
-        return Violation(kind, f"/{kind}/{keys[g]}/{pts[p]}", detail)
+        return Violation(kind, f"/{kind}/{key(g)}/{pts[p]}", detail)
 
     out = [at("action", e, p, "identity must fix every point")
            for p in np.flatnonzero(A[e] != np.arange(n_pts))]
@@ -229,7 +231,7 @@ def _check_bundle(b: EquivariantSampleBundle) -> BundleValidation:
     # the label of g·p must be that of g·q for the first point q sharing p's label
     rest = [  # what follows the composition law
         Violation("base", f"/base/{pts[A[g, p]]}",
-                  f"label {b.base[pts[p]]!r} moves inconsistently under {keys[g]}")
+                  f"label {b.base[pts[p]]!r} moves inconsistently under {key(g)}")
         for g, p in np.argwhere(moved != moved[:, lead])
     ]
     non_unitary = _non_unitary(T, LAW_TOL)
@@ -241,9 +243,9 @@ def _check_bundle(b: EquivariantSampleBundle) -> BundleValidation:
     # unitarity bounds every transport by sqrt(1 + LAW_TOL); without it, no bound
     bound = None if non_unitary else math.sqrt(1 + LAW_TOL)
     composition, cocycle = _law_failures(group, A, T, bound)
-    out += [at("action", g, A[h, p], f"composition law fails against {keys[gh]} at {pts[p]}")
+    out += [at("action", g, A[h, p], f"composition law fails against {key(gh)} at {pts[p]}")
             for g, h, p, gh in composition]
-    rest += [at("transport", g, A[h, p], f"{what} against {keys[gh]} at {pts[p]}")
+    rest += [at("transport", g, A[h, p], f"{what} against {key(gh)} at {pts[p]}")
              for g, h, p, gh, what in cocycle]
     return BundleValidation(tuple(out + rest))
 

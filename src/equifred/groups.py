@@ -328,7 +328,8 @@ class SubgroupCharacter:
             raise ValueError("representative must be a character of the parent group")
         _, reps, locate = _perp_table(group, self.subgroup)
         least = reps[locate[self.representative.exponents][0]]
-        object.__setattr__(self, "representative", Character(group, least))
+        if least != self.representative.exponents:
+            object.__setattr__(self, "representative", Character(group, least))
 
     @property
     def exponents(self) -> tuple[int, ...]:

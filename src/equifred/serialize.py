@@ -1,11 +1,11 @@
 """JSON document schemas and byte-stable report serialization.
 
-Element keys are comma-joined residue tuples ("0,1" for (0, 1)) and complex
-entries [re, im] pairs.  Each table of matrix nodes is read in one reader call
-into the shape stacks that are kept; a loading failure carries a pointer to
-its first bad node in document order ("/transport/1/p0").  Serialization sorts
-keys and prints floats at 17 significant digits, so identical inputs produce
-identical bytes.
+Element keys are comma-joined residue tuples ("0,1" for (0, 1)), parsed only
+off a table's one walk in group order; complex entries are [re, im] pairs.
+Each table of matrix nodes is read by one reader call into shape stacks; a
+loading failure points at its first bad node in document order
+("/transport/1/p0").  Serialization sorts keys and prints floats at 17
+significant digits, so identical inputs produce identical bytes.
 """
 from __future__ import annotations
 
@@ -43,25 +43,23 @@ def parse_element_key(key: str, group: Group, path: str) -> ElementT:
     return residues
 
 
-def _element_table(node: Any, group: Group, path: str) -> Mapping:
-    """node as an object with an entry for each element of group, keyed as
-    `element_key` writes it, and no other key (refused as by `_point_table`).
-    The elements are walked one at a time, in `Group.elements` order, up to
-    the first missing key: element i is named by its mixed-radix digits in
-    Python integers, so a group of any order or rank gets its pointer."""
+def _element_table(node: Any, group: Group, path: str) -> tuple[list[str], list]:
+    """The keys and entries, in `Group.elements` order, of node as an object
+    with an entry per element of group, keyed as `element_key` writes it, and
+    no other key (refused as by `_point_table`).  The walk stops at its first
+    missing key, within the box of each factor's first len(node) + 1 residues,
+    so any group gets its pointer; only a key off a complete walk is parsed."""
     node = _as_dict(node, path)
-    for i in range(group.order):
-        rest, digits = i, []
-        for n in reversed(group.orders):
-            rest, r = divmod(rest, n)
-            digits.append(r)
-        if (key := element_key(digits[::-1])) not in node:
+    keys, box = [], itertools.product(*(range(min(n, len(node) + 1)) for n in group.orders))
+    for key in map(element_key, box):
+        if key not in node:
             raise InputDocumentError(f"{path}/{key}", "missing")
-    for key in node:
+        keys.append(key)
+    if len(node) > len(keys):  # the first key off the walk names no element, or a walked one
+        key = next(itertools.filterfalse(set(keys).__contains__, node))
         again = element_key(parse_element_key(key, group, f"{path}/{key}"))
-        if again != key:
-            raise InputDocumentError(f"{path}/{key}", f"element key {key!r} repeats {again!r}")
-    return node
+        raise InputDocumentError(f"{path}/{key}", f"element key {key!r} repeats {again!r}")
+    return keys, list(map(node.__getitem__, keys))
 
 
 def _point_table(node: Any, points: Mapping, path: str) -> Mapping:
@@ -74,10 +72,8 @@ def _point_table(node: Any, points: Mapping, path: str) -> Mapping:
     for p in points:
         if p not in node:
             raise InputDocumentError(f"{path}/{p}", "missing")
-    for key in node:
-        if key not in points:
-            raise InputDocumentError(f"{path}/{key}", f"{key!r} is not a point")
-    return node
+    key = next(itertools.filterfalse(points.__contains__, node))  # the key sets differ
+    raise InputDocumentError(f"{path}/{key}", f"{key!r} is not a point")
 
 
 def _need(doc: Mapping, field: str, path: str) -> Any:
@@ -256,9 +252,8 @@ def load_rep(doc: Any) -> UnitaryRep:
     node = _as_dict(doc, "/")
     group = load_group(_need(node, "group", ""), "/group")
     dim = _positive_int(_need(node, "dim", ""), "/dim")
-    mats_doc = _element_table(_need(node, "matrices", ""), group, "/matrices")
-    keys = [element_key(g) for g in group.elements]
-    stacks = _read_matrices([mats_doc[k] for k in keys], [0] * len(keys), lambda k: (dim, dim),
+    keys, mats = _element_table(_need(node, "matrices", ""), group, "/matrices")
+    stacks = _read_matrices(mats, [0] * len(keys), lambda k: (dim, dim),
                             lambda i: (i, f"/matrices/{keys[i]}"))
     try:  # the checks of `unitary_rep`, on the stack as read
         return _checked_rep(group, stacks)
@@ -358,21 +353,22 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
         fd_node = _point_table(_need(node, field, ""), points, f"/{field}")
         return {p: _positive_int(fd_node[p], f"/{field}/{p}") for p in points}
 
-    action_node = _element_table(_need(node, "action", ""), group, "/action")
-    gkeys = [element_key(elem) for elem in group.elements]
-    table = np.empty((group.order, n), dtype=np.intp)
-    for g, key in enumerate(gkeys):
-        images = _point_table(action_node[key], points, f"/action/{key}")
-        for p in points:
-            q = images[p]
-            if not isinstance(q, str) or q not in points:
-                raise InputDocumentError(f"/action/{key}/{p}", f"image {q!r} is not a point")
-            table[g, index[p]] = index[q]
+    flat: list[int] = []  # A[g, p], g-major, points sorted
+    for key, row in zip(*_element_table(_need(node, "action", ""), group, "/action")):
+        images = _point_table(row, points, f"/action/{key}")
+        found = list(map(images.__getitem__, pts))  # the row in one lookup, points sorted
+        strs = all(map(isinstance, found, itertools.repeat(str)))
+        ids = list(map(index.get, found, itertools.repeat(-1))) if strs else [-1]
+        if -1 in ids:  # walked in document point order to its first bad image
+            p = next(p for p in points if not isinstance(images[p], str) or images[p] not in index)
+            raise InputDocumentError(f"/action/{key}/{p}", f"image {images[p]!r} is not a point")
+        flat += ids
+    table = np.array(flat, dtype=np.intp).reshape(group.order, n)
 
     def load_transport(field: str, dims: dict[str, int]) -> _ShapeStacks:
         """T(g, p) at g * n + p, points sorted, read in one call once every row
         passes `_point_table`; a row that fails it is met after those before."""
-        t_node = _element_table(_need(node, field, ""), group, f"/{field}")
+        keys, t_rows = _element_table(_need(node, field, ""), group, f"/{field}")
         first: dict[int, int] = {}  # each dim (a Python int of any size) to its first point
         code = np.array([first.setdefault(dims[p], i) for i, p in enumerate(pts)], dtype=np.intp)
         kind = (code[table] * n + code).ravel().tolist()  # the dims at g·p and at p
@@ -381,12 +377,12 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
             nodes = [row[p] for row in rows for p in pts]
             return _read_matrices(
                 nodes, kind[:len(nodes)], lambda k: (dims[pts[k // n]], dims[pts[k % n]]),
-                lambda i: ((i // n, points[pts[i % n]]), f"/{field}/{gkeys[i // n]}/{pts[i % n]}"))
+                lambda i: ((i // n, points[pts[i % n]]), f"/{field}/{keys[i // n]}/{pts[i % n]}"))
 
         rows: list = []
-        for key in gkeys:
+        for key, row in zip(keys, t_rows):
             try:
-                rows.append(_point_table(t_node[key], points, f"/{field}/{key}"))
+                rows.append(_point_table(row, points, f"/{field}/{key}"))
             except InputDocumentError:
                 read(rows)  # a fault in an earlier row is met first
                 raise

@@ -707,3 +707,14 @@ def free_orbit_bundle_doc(orders, dim, rng):
                                for h in elems} for g in elems},
         "symbol": {name[g]: node(unitary[g] @ s @ unitary[g].conj().T) for g in elems},
     }
+
+
+def fixed_point_bundle_doc(n):
+    """The Z_n fixed-point bundle document, written with numpy alone: one
+    point that every element fixes, a 1-dimensional fiber, and every
+    transport and the symbol [[1]], each node its own list."""
+    one = np.stack([np.ones((1, 1)), np.zeros((1, 1))], axis=-1)
+    return {"group": {"orders": [n]}, "points": ["p"], "base": {"p": "p"}, "fiber_dim": {"p": 1},
+            "action": {str(g): {"p": "p"} for g in range(n)},
+            "transport": {str(g): {"p": one.tolist()} for g in range(n)},
+            "symbol": {"p": one.tolist()}}

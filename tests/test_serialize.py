@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equifred.bundles
 import equifred.cli
 import equifred.reps
 from equifred import (
@@ -42,7 +43,12 @@ from equifred.serialize import (
     _walk_matrix,
     parse_complex,
 )
-from helpers import free_orbit_bundle_doc, reference_canonical_json, reference_symbol_defect
+from helpers import (
+    fixed_point_bundle_doc,
+    free_orbit_bundle_doc,
+    reference_canonical_json,
+    reference_symbol_defect,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -379,6 +385,33 @@ def test_load_bundle_rejects_foreign_action_key():
         load_bundle(doc)
     assert err.value.path == "/action/7"
 
+    # on Z4, points listed p3, p2, p1, p0: a row is one lookup, points sorted,
+    # and a row that fails it names its first bad image in document point order
+    def refused(mutate):
+        doc = _z4_doc()
+        mutate(doc["action"])
+        with pytest.raises(InputDocumentError) as err:
+            load_bundle(doc)
+        return str(err.value)
+
+    class Alias:  # from a Python caller: equal to a point id, but not a str
+        def __eq__(self, other):
+            return other == "p1"
+
+        def __hash__(self):
+            return hash("p1")
+
+    for q in (5, [1], {}, None, True, "zz", Alias()):
+        assert refused(lambda a: a["1"].update(p0=q)) == f"/action/1/p0: image {q!r} is not a point"
+    doc = _z4_doc()
+    doc["action"]["1"]["p0"] = type("PointId", (str,), {})(doc["action"]["1"]["p0"])
+    assert (load_bundle(doc)[0].table == load_bundle(_z4_doc())[0].table).all()
+    assert refused(lambda a: a["1"].update(p0="zz", p3=5)) == "/action/1/p3: image 5 is not a point"
+    # a row's own point-table fault and a bad image in another: row 0 is met first
+    assert refused(lambda a: (a["0"].pop("p2"), a["1"].update(p0="zz"))) == "/action/0/p2: missing"
+    assert refused(lambda a: (a["0"].update(p1=[1]), a["1"].pop("p2"))) == \
+        "/action/0/p1: image [1] is not a point"
+
 
 def _two_fiber_doc():
     eye = [[[1.0, 0.0]]]
@@ -580,6 +613,116 @@ def test_load_bundle_makes_no_per_node_array():
         tracemalloc.stop()
     assert validate_bundle(bundle).ok and sym._equivariant
     assert peak < 4 * sum(stack.nbytes for stack in bundle.transports.stacks)
+
+
+def _loaded(doc):
+    """The bytes a document loads to: a representation's stack, or a bundle's
+    action table, transport classes and stacks, and symbol stacks."""
+    if "matrices" in doc:
+        return [load_rep(doc).stack.tobytes()]
+    bundle, sym = load_bundle(doc)
+    stacks = (bundle.transports, *([sym.stacks] if sym else []))
+    return [bundle.table.tobytes(), *(a.tobytes() for s in stacks for a in (s.cls, *s.stacks))]
+
+
+VALID_TABLES = {
+    **{name: lambda name=name: json.loads((DATA / f"{name}.json").read_text()) for name in (
+        "bundle_bad_transport", "bundle_fixed_points", "bundle_free_orbit", "bundle_two_fiber",
+        "rep_z3_regular")},
+    "free_orbit_4x4": lambda: free_orbit_bundle_doc((4, 4), 2, np.random.default_rng(3)),
+    "fixed_point_4000": lambda: fixed_point_bundle_doc(4000),
+    "rep_z4xz2_regular": lambda: rep_doc(regular_rep(make_group([4, 2]))),
+}
+
+
+@pytest.mark.parametrize("name", VALID_TABLES)
+def test_a_valid_table_is_never_parsed_again(monkeypatch, name):
+    # a table whose walked keys are all present and that holds no other key
+    # is complete: no key is parsed, each key is made once per table, and a
+    # valid bundle is validated without making one
+    doc = VALID_TABLES[name]()
+    loaded = _loaded(doc)
+    made = []
+
+    def never(*args):
+        raise AssertionError("called on a valid document")
+
+    monkeypatch.setattr(serialize, "parse_element_key", never)
+    monkeypatch.setattr(serialize, "element_key", lambda g: made.append(g) or element_key(g))
+    assert _loaded(doc) == loaded
+    tables = 1 if "matrices" in doc else 2 + ("transport_out" in doc)
+    assert len(made) == tables * math.prod(doc["group"]["orders"])
+    if "action" in doc and name != "bundle_bad_transport":
+        monkeypatch.setattr(equifred.bundles, "element_key", never)
+        assert validate_bundle(load_bundle(doc)[0]).ok
+
+
+@pytest.mark.parametrize("mutate, error", [
+    (lambda d: d["action"].pop("3999"), "/action/3999: missing"),
+    (lambda d: d["transport"].update({"4000": {"p": [[[1.0, 0.0]]]}}),
+     "/transport/4000: element key '4000' is not reduced modulo (4000,)"),
+], ids=["missing", "extra"])
+def test_a_z4000_table_keeps_its_refusals(mutate, error):
+    doc = fixed_point_bundle_doc(4000)
+    mutate(doc)
+    with pytest.raises(InputDocumentError) as err:
+        load_bundle(doc)
+    assert str(err.value) == error
+
+
+def _reference_element_table(node, group, path):
+    """The element table as the two-pass walk read it: every element by its
+    mixed-radix digits up to the first missing key, then every key parsed
+    and written again."""
+    for i in range(group.order):
+        rest, digits = i, []
+        for n in reversed(group.orders):
+            rest, r = divmod(rest, n)
+            digits.append(r)
+        if (key := element_key(digits[::-1])) not in node:
+            raise InputDocumentError(f"{path}/{key}", "missing")
+    for key in node:
+        again = element_key(parse_element_key(key, group, f"{path}/{key}"))
+        if again != key:
+            raise InputDocumentError(f"{path}/{key}", f"element key {key!r} repeats {again!r}")
+    return [element_key(g) for g in group.elements], [node[element_key(g)] for g in group.elements]
+
+
+@st.composite
+def _element_tables(draw):
+    """A group of order at most 27 and a table over it, its keys shuffled, some
+    dropped, and some foreign keys added: off the group, unreduced, not
+    residues, or a second spelling of an element."""
+    orders = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    group = make_group(orders)
+    keys = [element_key(g) for g in group.elements]
+    kept = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+    if draw(st.booleans()):
+        kept = draw(st.permutations(keys))
+    foreign = st.one_of(
+        st.sampled_from(["", "x", "1,", " 0", "-1", "+0", "9", "0,0,0,0", "00"]),
+        st.sampled_from(keys).map(lambda k: "0" + k),
+        st.lists(st.integers(0, 4), min_size=len(orders), max_size=len(orders)).map(element_key),
+    )
+    extra = draw(st.lists(foreign, max_size=2))
+    at = draw(st.lists(st.integers(0, len(kept)), min_size=len(extra), max_size=len(extra)))
+    for i, key in zip(at, extra):
+        kept.insert(i, key)
+    return group, {key: i for i, key in enumerate(kept)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_element_tables())
+def test_one_walk_refuses_what_the_two_pass_walk_refused(table):
+    group, node = table
+    try:
+        expected = _reference_element_table(node, group, "/t")
+    except InputDocumentError as exc:
+        with pytest.raises(InputDocumentError) as err:
+            serialize._element_table(node, group, "/t")
+        assert str(err.value) == str(exc)
+    else:
+        assert serialize._element_table(node, group, "/t") == expected
 
 
 # ---------------------------------------------------------------------------

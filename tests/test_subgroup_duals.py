@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from equifred import (
+    Character,
     Subgroup,
     SubgroupCharacter,
     all_subgroups,
@@ -135,6 +136,35 @@ def test_the_trivial_subgroup_dual_builds_one_character(monkeypatch):
     characters_of_subgroup.cache_clear()
     assert len(characters_of_subgroup(g, h)) == 1
     assert len(made) <= h.order
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["trivial", "full"])
+def test_a_subgroup_dual_builds_one_character_per_member(monkeypatch, whole):
+    # each transversal member is already least, so it is kept as the
+    # representative; only the full subgroup (|H| = 512) tells |H| from 2|H|
+    g = make_group((512,))
+    h = full_subgroup(g) if whole else trivial_subgroup(g)
+    made = []
+    post_init = Character.__post_init__
+
+    def counting(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Character, "__post_init__", counting)
+    characters_of_subgroup.cache_clear()
+    assert len(characters_of_subgroup(g, h)) == h.order
+    assert len(made) == h.order
+
+
+def test_a_least_representative_is_kept():
+    g = make_group((4, 6))
+    h = subgroup_from_generators(g, [[2, 0], [0, 3]])
+    for chi in characters_of_subgroup(g, h):
+        least = chi.representative
+        assert SubgroupCharacter(h, least).representative is least
+    moved = Character(g, (3, 5))  # the annihilator is the even exponents: (1, 1) names it
+    assert SubgroupCharacter(h, moved).representative == Character(g, (1, 1))
 
 
 def test_a_set_that_is_not_a_subgroup_has_no_dual():
