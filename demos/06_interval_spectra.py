@@ -1,10 +1,11 @@
 """Boundary conditions as symmetry: interval spectra via the doubled circle.
 
-An interval problem with Dirichlet or Neumann ends embeds into a periodic
-problem on the doubled circle with a reflection symmetry; the boundary
-condition picks the isotype (odd extensions for Dirichlet, even for
-Neumann).  Mixed ends double twice.  The eigenvalues of -u'' on [0, pi]
-then come out of Sturm counts on the compressed operator, a symmetric
+Doubling the interval [0, pi] across both ends gives a periodic problem on a
+4n-point circle, on which Z2 x Z2 acts by the two flips that fix the ends.
+Every pair of boundary conditions is one character alpha of that group:
+alpha = -1 at a Dirichlet end (odd extension), +1 at a Neumann end (even
+extension).  The eigenvalues of -u'' on [0, pi] then come out of Sturm
+counts on the operator compressed to the alpha-isotype, a symmetric
 tridiagonal matrix, and converge at second order to the classical values.
 """
 from equifred import (
@@ -25,8 +26,8 @@ SIZES = (64, 128, 256)
 for bc in PAIRS:
     problem = double_interval_bvp(SIZES[-1], bc)
     print(f"\n-u'' on [0, pi] with {bc[0]}/{bc[1]} ends")
-    print(f"  doubled onto a {problem.grid_size}-point circle with symmetry "
-          f"group of order {problem.group.order}; "
+    print(f"  doubled onto the {problem.grid_size}-point circle under Z2 x Z2, "
+          f"isotype alpha = {problem.alpha.exponents}; "
           f"{problem.invariant_dim} interior degrees of freedom")
     exact = analytic_bvp_spectrum(bc, COUNT)
     got = mixed_bvp_spectrum(problem, COUNT)

@@ -238,7 +238,7 @@ def cmd_prim(args) -> int:
 
 
 # bvp and sweep hold O(n) arrays: at the peak a grid point cost at most 1.3 KB
-# (a sweep's invariance check; a doubled-circle point of bvp about 0.4 KB), so
+# (a sweep's invariance check; a point of bvp's doubled circle about 0.5 KB), so
 # 2 KB per point bounds a size's memory
 _GRID_BYTES_PER_POINT = 2048
 
@@ -262,7 +262,7 @@ def _check_positive(flag: str, value: int) -> None:
 
 def cmd_bvp(args) -> int:
     _check_positive("--count", args.count)
-    _check_sizes(args.sizes, 4, 1, 4)  # the doubled circle has 2n or 4n points
+    _check_sizes(args.sizes, 4, 1, 4)  # the doubled circle has 4n points
     smallest = double_interval_bvp(min(args.sizes), args.bc)  # the least invariant dimension
     if args.count > smallest.invariant_dim:
         most = f"{smallest.invariant_dim} (the invariant dimension at size {smallest.base_n})"

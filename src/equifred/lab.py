@@ -4,11 +4,13 @@ by doubling into a symmetric circle problem.
 
 Grid functions live on n equispaced points of the circle; the symmetry is a
 cyclic rotation group or the order-two reflection.  Boundary conditions on an
-interval are encoded by doubling: reflections act on the doubled circle, with
-a sign twist on every Dirichlet double, and the boundary-value spectrum is the
-spectrum of the doubled operator compressed to the fully invariant subspace.
+interval are encoded by doubling across both ends: Z_2 x Z_2 acts on the
+4n-point circle by the two flips that fix the ends, every pair of conditions
+is one character alpha of it (-1 at a Dirichlet end, +1 at a Neumann one),
+and the boundary-value spectrum is the spectrum of the doubled operator
+compressed to the alpha-isotypical subspace.
 
-Every symmetry here permutes grid points up to a sign, so it is stored as a
+Every symmetry here permutes grid points, so it is stored as a
 `MonomialRep` (index arrays), and every operator as COO triplets (the
 Laplacian is three diagonals, a potential one); dense matrices are built only
 on request.  The isotypical basis is the exact character-weighted orbit sums,
@@ -89,10 +91,6 @@ def _periodic_laplacian(size: int, h: float, shift: float) -> CooMatrix:
     vals = np.repeat([2.0 / h**2 + shift, -1.0 / h**2, -1.0 / h**2], size)
     cols = np.concatenate([j, (j + 1) % size, (j - 1) % size])
     return CooMatrix(size, np.tile(j, 3), cols, vals)
-
-
-def _trivial(group: Group) -> Character:
-    return character(group, (0,) * group.rank)
 
 
 def build_invariant_circle_operator(
@@ -386,14 +384,16 @@ def _normalize_bc(bc: Sequence[str]) -> tuple[str, str]:
 
 @dataclass(frozen=True, eq=False)
 class DoubledProblem:
-    """Interval problem encoded on a doubled circle with reflection symmetry.
+    """Interval problem as one isotype of an invariant operator on the doubled circle.
 
     The interval [0, pi] is discretized with n subintervals; the circle has
-    grid_size points with the same spacing.  One involution per doubled
-    boundary part acts on circle functions, sign-twisted when that part is
-    Dirichlet; the boundary-value problem is the doubled operator on the fully
-    invariant subspace.  free_nodes are the base-interval node indices that
-    parametrize that subspace (Dirichlet endpoints drop out).
+    grid_size = 4n points with the same spacing h = pi / n.  Z_2 x Z_2 acts
+    on circle functions by the flip a that fixes theta = 0 and the flip b
+    that fixes theta = pi, with all phases +1, and the doubled operator is
+    the periodic second difference.  The pair of conditions is the character
+    alpha: alpha(a) = -1 for a Dirichlet end at 0 and +1 for a Neumann one,
+    alpha(b) likewise at pi.  The boundary-value problem is the doubled
+    operator on the alpha-isotypical subspace, of dimension invariant_dim.
     """
 
     base_n: int
@@ -403,7 +403,7 @@ class DoubledProblem:
     group: Group
     rep: MonomialRep
     coo: CooMatrix
-    free_nodes: tuple[int, ...]
+    alpha: Character
     invariant_dim: int
 
     @property
@@ -412,72 +412,41 @@ class DoubledProblem:
         return self.coo.dense()
 
 
-def _identity(size: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.arange(size), np.ones(size)
-
-
-def _signed_flip(size: int, center_doubled: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, phase) of u_j -> sign * u_{center_doubled - j (mod size)}."""
-    return (center_doubled - np.arange(size)) % size, np.full(size, sign)
-
-
 def double_interval_bvp(n: int, bc: Sequence[str]) -> DoubledProblem:
-    """Double the interval across its boundary parts into a symmetric circle.
+    """Double the interval across both ends into the 4n-point circle.
 
-    Matching boundary conditions double once (circle of 2n points, one
-    involution); mixed conditions double twice (4n points, a Z_2 x Z_2
-    action, doubling across the Dirichlet part first).  Every Dirichlet
-    double carries the sign twist, so the invariant functions vanish there;
-    Neumann doubles are untwisted, matching the even (ghost-point) extension.
+    The alpha-isotypical functions are odd across a Dirichlet end, so they
+    vanish there, and even across a Neumann end, which is the ghost-point
+    extension; every pair of conditions is one character of the same action.
     """
     if n < 4:
         raise ValueError("grid must have at least 4 subintervals")
     left, right = _normalize_bc(bc)
-    h = math.pi / n
-
-    if left == right:
-        size = 2 * n
-        group = Group((2,))
-        sign = -1.0 if left == "dirichlet" else 1.0
-        rows = [_identity(size), _signed_flip(size, 0, sign)]
-        if left == "dirichlet":
-            free = tuple(range(1, n))
-        else:
-            free = tuple(range(0, n + 1))
-    else:
-        size = 4 * n
-        group = Group((2, 2))
-        # first involution doubles across the Dirichlet endpoint, with the
-        # sign twist; the second doubles across the Neumann endpoint
-        if left == "dirichlet":
-            a = _signed_flip(size, 0, -1.0)      # fixes theta = 0
-            b = _signed_flip(size, 2 * n, 1.0)   # fixes theta = pi
-            free = tuple(range(1, n + 1))
-        else:
-            a = _signed_flip(size, 2 * n, -1.0)  # Dirichlet at theta = pi
-            b = _signed_flip(size, 0, 1.0)
-            free = tuple(range(0, n))
-        # elements in order (0,0), (0,1), (1,0), (1,1); U(a) U(b) e_j =
-        # phase_b[j] phase_a[perm_b[j]] e_{perm_a[perm_b[j]]}
-        ab = (a[0][b[0]], b[1] * a[1][b[0]])
-        rows = [_identity(size), b, a, ab]
-    rep = MonomialRep(group, *(np.stack(part) for part in zip(*rows)))
+    size, h = 4 * n, math.pi / n
+    group = Group((2, 2))
+    j = np.arange(size)
+    # elements in order (0,0), (0,1), (1,0), (1,1): 1, b: j -> 2n - j,
+    # a: j -> -j, and ab: j -> j - 2n
+    rep = MonomialRep(group, np.stack([j, 2 * n - j, -j, j - 2 * n]) % size, np.ones((4, size)))
+    alpha = character(group, (left == "dirichlet", right == "dirichlet"))
     lap = _periodic_laplacian(size, h, 0.0)
-    inv_dim = rep.multiplicity(_trivial(group))
     return DoubledProblem(
-        n, (left, right), size, h, group, rep, lap, free, inv_dim
+        n, (left, right), size, h, group, rep, lap, alpha, rep.multiplicity(alpha)
     )
 
 
 def invariant_subspace_basis(problem: DoubledProblem) -> np.ndarray:
-    """Reproducible orthonormal basis of the fully invariant circle functions."""
-    return isotypical_basis(problem.rep, _trivial(problem.group))
+    """Reproducible orthonormal basis of the alpha-isotypical circle functions:
+    the subspace on which the boundary-value problem lives, the same one that
+    the invariant functions of the action twisted by -1 at each Dirichlet
+    flip span."""
+    return isotypical_basis(problem.rep, problem.alpha)
 
 
 def mixed_bvp_spectrum(problem: DoubledProblem, count: int) -> np.ndarray:
     """Lowest eigenvalues of the boundary-value problem, via the doubled circle.
 
-    Compresses the doubled second-difference Laplacian to the invariant
+    Compresses the doubled second-difference Laplacian to the alpha-isotypical
     subspace, where in lead-index order it is real symmetric tridiagonal, and
     takes the eigenvalues from Sturm counts, each to eps times the norm of
     that block; the result approximates the interval spectrum under the
@@ -487,7 +456,7 @@ def mixed_bvp_spectrum(problem: DoubledProblem, count: int) -> np.ndarray:
         raise ValueError(
             f"can return between 1 and {problem.invariant_dim} eigenvalues, got {count}"
         )
-    leads, block = monomial_block(problem.rep, problem.coo, _trivial(problem.group))
+    leads, block = monomial_block(problem.rep, problem.coo, problem.alpha)
     tri = _hermitian_tridiagonal(leads, block)
     if tri is None:
         raise InternalInconsistencyError("the compressed doubled Laplacian is not tridiagonal")
@@ -495,14 +464,10 @@ def mixed_bvp_spectrum(problem: DoubledProblem, count: int) -> np.ndarray:
 
 
 def analytic_bvp_spectrum(bc: Sequence[str], count: int) -> np.ndarray:
-    """Continuum eigenvalues of -u'' on [0, pi] under the boundary conditions."""
-    left, right = _normalize_bc(bc)
-    k = np.arange(count, dtype=float)
-    if left == right == "dirichlet":
-        return (k + 1.0) ** 2
-    if left == right == "neumann":
-        return k**2
-    return (k + 0.5) ** 2
+    """Continuum eigenvalues of -u'' on [0, pi] under the boundary conditions:
+    (k + D/2)^2 for k = 0, 1, ..., with D the number of Dirichlet ends."""
+    ends = _normalize_bc(bc).count("dirichlet")
+    return (np.arange(count, dtype=float) + ends / 2) ** 2
 
 
 def convergence_order(sizes: Sequence[int], errors: Sequence[float]) -> float:

@@ -7,7 +7,8 @@ from the old `random_bundle` loop and from a plain walk of a bundle
 document; the dense section oracle for alpha-ellipticity, a symbol with an
 isotype killed on any orbit, and the per-XPoint loop that the batched
 ellipticity verdict replaced; a numpy-only writer of valid free-orbit bundle
-documents."""
+documents; the sign-twisted doubled-circle actions, the signed-phase monomial
+cases."""
 
 import functools
 import itertools
@@ -20,6 +21,7 @@ import equifred.reps
 from equifred import (
     InternalInconsistencyError,
     ModelInconsistencyError,
+    MonomialRep,
     MultiplicityVector,
     Subgroup,
     build_X,
@@ -718,3 +720,33 @@ def fixed_point_bundle_doc(n):
             "action": {str(g): {"p": "p"} for g in range(n)},
             "transport": {str(g): {"p": one.tolist()} for g in range(n)},
             "symbol": {"p": one.tolist()}}
+
+
+def twisted_double_rep(n, bc):
+    """The sign-twisted doubling of the n-interval [0, pi] under the (left,
+    right) conditions ("d" or "n" first letters), as a `MonomialRep`:
+    matching conditions double once, Z_2 on a 2n-point circle with the flip
+    fixing theta = 0; mixed ones double twice, Z_2 x Z_2 on 4n points, a
+    flipping across the Dirichlet end and b across the Neumann end.  Each
+    Dirichlet flip carries the phase -1, so the trivial isotype of this
+    action is the boundary-value subspace, and these are the signed-phase
+    monomial cases."""
+    left, right = (str(side)[0].lower() for side in bc)
+
+    def flip(size, center_doubled, sign):
+        # u_j -> sign * u_{center_doubled - j (mod size)}
+        return (center_doubled - np.arange(size)) % size, np.full(size, sign)
+
+    size = 2 * n if left == right else 4 * n
+    identity = (np.arange(size), np.ones(size))
+    if left == right:
+        rows, orders = [identity, flip(size, 0, -1.0 if left == "d" else 1.0)], (2,)
+    else:
+        dirichlet_at = 0 if left == "d" else 2 * n
+        a = flip(size, dirichlet_at, -1.0)
+        b = flip(size, 2 * n - dirichlet_at, 1.0)
+        # elements (0,0), (0,1), (1,0), (1,1); U(a) U(b) e_j =
+        # phase_b[j] phase_a[perm_b[j]] e_{perm_a[perm_b[j]]}
+        ab = (a[0][b[0]], b[1] * a[1][b[0]])
+        rows, orders = [identity, b, a, ab], (2, 2)
+    return MonomialRep(make_group(orders), *(np.stack(part) for part in zip(*rows)))

@@ -29,7 +29,7 @@ from equifred import (
     unitary_rep,
 )
 
-from helpers import equivariance_defect
+from helpers import equivariance_defect, twisted_double_rep
 
 Z2 = make_group((2,))
 TRIV = character(Z2, (0,))
@@ -261,25 +261,34 @@ def test_degenerate_operator_shape():
 # interval doubling
 
 
+BOUNDARY_PAIRS = (("d", "d"), ("n", "n"), ("d", "n"), ("n", "d"))
+
+
+def _leads(prob):
+    return tuple(sorted(monomial_block(prob.rep, prob.coo, prob.alpha)[0]))
+
+
 def test_double_matching_dirichlet():
     prob = double_interval_bvp(16, ("dirichlet", "dirichlet"))
-    assert prob.grid_size == 32
-    assert prob.group.orders == (2,)
+    assert prob.grid_size == 64
+    assert prob.group.orders == (2, 2)
+    assert prob.alpha == character(prob.group, (1, 1))
     assert prob.invariant_dim == 15
-    assert prob.free_nodes == tuple(range(1, 16))
-    flip = prob.rep.matrix((1,))
-    assert flip[0, 0] == -1.0  # sign twist kills the boundary node
+    assert _leads(prob) == tuple(range(1, 16))
+    # a Dirichlet end's isotype basis vanishes at that end's node
+    basis = invariant_subspace_basis(prob)
+    assert not basis[[0, 16]].any()
 
 
 def test_double_matching_neumann():
     prob = double_interval_bvp(16, ("neumann", "neumann"))
-    assert prob.grid_size == 32
+    assert prob.grid_size == 64
     assert prob.invariant_dim == 17
-    assert prob.free_nodes == tuple(range(0, 17))
-    # untwisted double: invariant vectors are the even functions
+    assert _leads(prob) == tuple(range(0, 17))
+    # the trivial isotype: the functions even across both ends
     basis = invariant_subspace_basis(prob)
-    flip = prob.rep.matrix((1,))
-    assert np.linalg.norm(flip @ basis - basis, 2) < 1e-10
+    for flip in ((1, 0), (0, 1)):
+        assert np.linalg.norm(prob.rep.matrix(flip) @ basis - basis, 2) < 1e-10
 
 
 def test_double_mixed_conditions():
@@ -287,10 +296,12 @@ def test_double_mixed_conditions():
     assert prob.grid_size == 64
     assert prob.group.orders == (2, 2)
     assert prob.invariant_dim == 16
-    assert prob.free_nodes == tuple(range(1, 17))
+    assert _leads(prob) == tuple(range(1, 17))
+    assert not invariant_subspace_basis(prob)[0].any()
     other = double_interval_bvp(16, ("neumann", "dirichlet"))
     assert other.invariant_dim == 16
-    assert other.free_nodes == tuple(range(0, 16))
+    assert _leads(other) == tuple(range(0, 16))
+    assert not invariant_subspace_basis(other)[16].any()
 
 
 def test_double_bc_aliases_and_errors():
@@ -305,18 +316,19 @@ def test_double_bc_aliases_and_errors():
 
 
 def test_doubled_operator_commutes():
-    for bc in (("d", "d"), ("n", "n"), ("d", "n"), ("n", "d")):
+    for bc in BOUNDARY_PAIRS:
         prob = double_interval_bvp(12, bc)
         assert equivariance_defect(prob.rep, prob.operator) < 1e-10
 
 
 def test_orbit_sum_leads_are_the_free_nodes():
     for n in (9, 12):
-        for bc in (("d", "d"), ("n", "n"), ("d", "n"), ("n", "d")):
+        for bc in BOUNDARY_PAIRS:
             prob = double_interval_bvp(n, bc)
-            trivial = character(prob.group, (0,) * len(prob.group.orders))
-            leads, block = monomial_block(prob.rep, prob.coo, trivial)
-            assert tuple(sorted(leads)) == prob.free_nodes, (n, bc)
+            leads, block = monomial_block(prob.rep, prob.coo, prob.alpha)
+            # the interval's nodes 0..n, less each Dirichlet end
+            free = range(int(bc[0] == "d"), n + int(bc[1] == "n"))
+            assert tuple(sorted(leads)) == tuple(free), (n, bc)
             assert block.size == prob.invariant_dim
             basis = invariant_subspace_basis(prob)
             assert (np.count_nonzero(basis, axis=1) <= 1).all(), (n, bc)
@@ -338,6 +350,35 @@ def test_spectrum_examples_at_n256():
                 assert abs(ev) < 1e-8
             else:
                 assert abs(ev - ref) / ref < 0.01
+
+
+def _discrete_form(prob, count):
+    """(4/h^2) sin^2((k + D/2) h/2) for k < count, D the number of Dirichlet
+    ends: the exact spectrum of the second difference on the alpha-isotype."""
+    ends = prob.bc.count("dirichlet")
+    return 4 / prob.h**2 * np.sin((np.arange(count) + ends / 2) * prob.h / 2) ** 2
+
+
+def test_each_isotype_block_has_the_discrete_closed_form_spectrum():
+    for n in (16, 64):
+        spectra = []
+        for bc in BOUNDARY_PAIRS:
+            prob = double_interval_bvp(n, bc)
+            block = monomial_block(prob.rep, prob.coo, prob.alpha)[1].dense()
+            spectra.append(np.linalg.eigvalsh(block))
+            exact = _discrete_form(prob, prob.invariant_dim)
+            assert np.abs(spectra[-1] - exact).max() <= 1e-12 * 4 / prob.h**2, (n, bc)
+        # the four isotypes split the whole doubled circle
+        whole = np.linalg.eigvalsh(prob.operator)
+        assert np.abs(np.sort(np.concatenate(spectra)) - whole).max() <= 1e-12 * 4 / prob.h**2, n
+
+
+def test_bvp_spectrum_is_within_the_bracket_width_of_the_discrete_form():
+    for n in (64, 256, 4096):
+        for bc in BOUNDARY_PAIRS:
+            prob = double_interval_bvp(n, bc)
+            err = np.abs(mixed_bvp_spectrum(prob, 5) - _discrete_form(prob, 5))
+            assert err.max() <= np.finfo(float).eps * 4 / prob.h**2, (n, bc)
 
 
 def test_spectrum_count_check():
@@ -376,9 +417,6 @@ def test_convergence_order_helper():
 # monomial route against the dense projector route
 
 
-BOUNDARY_PAIRS = (("d", "d"), ("n", "n"), ("d", "n"), ("n", "d"))
-
-
 def _dense(rep):
     """The same representation as validated dense matrices."""
     return unitary_rep(rep.carrier, {g: rep.matrix(g) for g in rep.elements})
@@ -395,8 +433,9 @@ def _lab_reps():
     for n in (7, 8):
         yield f"reflection {n}", reflection_circle_rep(n)
     for n in (9, 12):
+        yield f"doubled {n}", double_interval_bvp(n, ("d", "d")).rep
         for bc in BOUNDARY_PAIRS:
-            yield f"doubled {n} {bc}", double_interval_bvp(n, bc).rep
+            yield f"twisted double {n} {bc}", twisted_double_rep(n, bc)
 
 
 def _loop_flip(size, center, sign):
@@ -432,18 +471,20 @@ def test_vectorised_builders_match_loop_reference():
     degenerate = build_fixed_point_degenerate_operator(8).matrix
     assert np.array_equal(degenerate, mult @ p_even + (np.eye(8) - p_even))
     n = 6
-    flips = {
+    doubled = {(1, 0): _loop_flip(4 * n, 0, 1.0), (0, 1): _loop_flip(4 * n, 2 * n, 1.0)}
+    twisted = {
         ("d", "d"): {(1,): _loop_flip(2 * n, 0, -1.0)},
         ("n", "n"): {(1,): _loop_flip(2 * n, 0, 1.0)},
         ("d", "n"): {(1, 0): _loop_flip(4 * n, 0, -1.0), (0, 1): _loop_flip(4 * n, 2 * n, 1.0)},
         ("n", "d"): {(1, 0): _loop_flip(4 * n, 2 * n, -1.0), (0, 1): _loop_flip(4 * n, 0, 1.0)},
     }
-    for bc, ref in flips.items():
+    for bc in BOUNDARY_PAIRS:
         prob = double_interval_bvp(n, bc)
-        if len(ref) == 2:
-            ref[(1, 1)] = ref[(1, 0)] @ ref[(0, 1)]
-        for g, mat in ref.items():
-            assert np.array_equal(prob.rep.matrix(g), mat), (bc, g)
+        for rep, ref in ((prob.rep, dict(doubled)), (twisted_double_rep(n, bc), twisted[bc])):
+            if len(ref) == 2:
+                ref[(1, 1)] = ref[(1, 0)] @ ref[(0, 1)]
+            for g, mat in ref.items():
+                assert np.array_equal(rep.matrix(g), mat), (bc, g)
         assert np.array_equal(prob.operator, _loop_laplacian(prob.grid_size, prob.h, 0.0))
 
 
@@ -458,8 +499,7 @@ def test_monomial_basis_matches_dense_route_column_for_column():
 
 
 def _dense_route_spectrum(prob, count):
-    trivial = character(prob.group, (0,) * len(prob.group.orders))
-    proj = isotypical_projector(prob.rep, trivial)
+    proj = isotypical_projector(prob.rep, prob.alpha)
     basis = deterministic_range_basis(proj, prob.invariant_dim)
     compressed = basis.conj().T @ prob.operator @ basis
     return np.linalg.eigvalsh((compressed + compressed.conj().T) / 2.0)[:count]

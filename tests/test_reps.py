@@ -47,6 +47,7 @@ from helpers import (
     decompose_oracle,
     multiplicity_oracle,
     reference_monomial_rep,
+    twisted_double_rep,
 )
 
 
@@ -135,8 +136,9 @@ def _monomial_outcome(carrier, perm, phase):
 
 
 def _monomial_cases():
-    """(carrier, perm, phase): the cases above, a subgroup carrier, and the
-    four doubled-circle reps, each as built and broken."""
+    """(carrier, perm, phase): the cases above, a subgroup carrier, the four
+    sign-twisted doubled circles and the doubled circle of
+    `double_interval_bvp`, each as built and broken."""
     g = make_group((3,))
     ones = np.ones((3, 3))
     shifts = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
@@ -157,8 +159,8 @@ def _monomial_cases():
     perm = np.array([[at[big.op(h, x)] for x in big.elements] for h in sub.elements])
     yield sub, perm, np.ones(perm.shape)
     yield sub, perm[[0, 1, 1, 3]], np.ones(perm.shape)
-    for bc in ("d,d", "n,n", "d,n", "n,d"):
-        rep = double_interval_bvp(8, bc.split(",")).rep
+    twisted = [twisted_double_rep(8, bc.split(",")) for bc in ("d,d", "n,n", "d,n", "n,d")]
+    for rep in twisted + [double_interval_bvp(8, ("d", "d")).rep]:
         yield rep.carrier, rep.perm, rep.phase
         yield rep.carrier, rep.perm[::-1], rep.phase
         # phase errors: over the edge cut but under tol everywhere, then over tol

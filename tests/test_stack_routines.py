@@ -39,6 +39,7 @@ from helpers import (
     reference_induce,
     reference_projector,
     reference_symbol_average,
+    twisted_double_rep,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -120,7 +121,8 @@ def _lab_monomial_reps():
     for n in (8, 16):
         for bc in ("dirichlet", "neumann"):
             for other in ("dirichlet", "neumann"):
-                yield double_interval_bvp(n, (bc, other)).rep
+                yield twisted_double_rep(n, (bc, other))
+        yield double_interval_bvp(n, ("dirichlet", "dirichlet")).rep
 
 
 def test_every_lab_monomial_projector_is_the_loop_bit_for_bit():
