@@ -25,6 +25,7 @@ from .groups import (
     SubgroupCharacter,
     all_subgroups,
     coset_table,
+    element_index,
     full_subgroup,
 )
 from .reps import (
@@ -214,7 +215,7 @@ def validate_bundle(b: EquivariantSampleBundle) -> BundleValidation:
 
 def _check_bundle(b: EquivariantSampleBundle) -> BundleValidation:
     pts, n_pts, group, A, T = b.points, len(b.points), b.group, b.table, b.transports
-    e = group.elements.index(group.identity)
+    e = int(element_index(group, [group.identity])[0])
 
     def key(g: int) -> str:  # made only for a violation that is reported
         return element_key(group.elements[g])
@@ -314,8 +315,8 @@ def fiber_rep(b: EquivariantSampleBundle, p: str) -> UnitaryRep:
     """The stabilizer representation on the fiber at p: T(h, p) for h in
     `isotropy(b, p)`, all of one square shape."""
     h = isotropy(b, p)
-    at = np.ravel_multi_index(np.array(h.elements).T, b.group.orders)  # index in group.elements
-    return _from_stack(h, b.transports.take(at * len(b.points) + b.points.index(p)))
+    at = element_index(b.group, h.residues) * len(b.points) + b.points.index(p)
+    return _from_stack(h, b.transports.take(at))
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +643,12 @@ def random_bundle(
     for o in range(count):
         stab = g0 if o == 0 else containing[int(rng.integers(len(containing)))]
         v = random_rep(stab, int(rng.integers(1, max_fiber_dim + 1)), rng)
-        reps_, locate = coset_table(group, stab)
+        reps_, table = coset_table(group, stab)
         ids = [f"o{o}p{j}" for j in range(len(reps_))]
         fdim.update(dict.fromkeys(ids, v.dim))
-        for g in group.elements:
-            for x, pid in zip(reps_, ids):
-                j, h = locate[group.op(g, x)]  # g x = x_j h
-                action[(g, pid)], transport[(g, pid)] = ids[j], v.matrix(h)
+        for g, moves in zip(group.elements, table.tolist()):
+            for pid, (j, h) in zip(ids, moves):  # g + x_i = x_j + h
+                action[(g, pid)], transport[(g, pid)] = ids[j], v.stack[h]
     return sample_bundle(group, fdim, {p: p for p in fdim}, action, fdim, transport)
 
 

@@ -75,10 +75,11 @@ _CEILING_BYTES = 1 << 30
 # induce writes its stack into the report as text: at the peak a stack entry
 # cost about 332 bytes (from the trivial subgroup, order 64..128), so 384 bounds it
 _INDUCE_BYTES_PER_ENTRY = 384
-# induce closes H one element at a time and names G's |G| characters one by one:
-# its memory stays far under the ceiling, its time grows with |G|.  End to end,
-# the slowest shape measured, (Z_2)^k, took 0.64 s at order 4096, 2.6 s at 16384
-# and 11.6 s at 65536 (one BLAS thread), so 4096 keeps induce under a second
+# induce lists H and its cosets as integer arrays and writes |G| matrices: its
+# memory stays far under the ceiling, its time grows with |G|.  End to end, the
+# slowest shape measured, (Z_2)^k from an index-2 subgroup, took 0.31 s at
+# order 4096, 0.66 s at 16384 and 2.5 s at 65536 (one BLAS thread, 2-core VM),
+# so 4096 keeps induce under a second
 _INDUCE_MAX_ORDER = 4096
 
 
@@ -198,7 +199,7 @@ def cmd_induce(args) -> int:
                                  f"induce takes order at most {_INDUCE_MAX_ORDER}, got {order}")
     group, sub, chi = load_induction(doc)
     # the report writes out the induced stack, |G| matrices of side [G:H],
-    # checked before any character of H is named (that builds H's annihilator table)
+    # checked before any character of H is named (that builds H's annihilator)
     need = group.order * (group.order // sub.order) ** 2 * _INDUCE_BYTES_PER_ENTRY
     if need > _CEILING_BYTES:
         raise InputDocumentError("/group/orders", f"inducing from order {sub.order} to order {order}"

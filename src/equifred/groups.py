@@ -1,10 +1,14 @@
 """Finite abelian groups, their subgroups, characters, and character restriction.
 
 A group is a product of cyclic factors Z_{n_1} x ... x Z_{n_k}; elements are
-tuples of residues.  Everything that decides equality of characters (duals,
-annihilators, restriction agreement) is done in exact integer arithmetic;
-complex character values only appear when a numeric evaluation is requested.
-A subgroup character is named by one lookup in its annihilator's coset table.
+tuples of residues or int64 rows, placed by `element_index` alone: at their
+mixed-radix ravel in a group, among the sorted ravels in a subgroup.  A
+subgroup derives everything from the Hermite normal form of its lattice
+(Cohen, A Course in Computational Algebraic Number Theory, 2.4): its elements
+are sums of multiples of the rows, its coset transversal is the box of the
+leading entries, and a coset's least member is k reduction steps.  Characters
+are compared in exact integer arithmetic; complex values appear only when a
+numeric evaluation is requested.
 """
 from __future__ import annotations
 
@@ -47,6 +51,13 @@ class Group:
     def elements(self) -> tuple[ElementT, ...]:
         """All elements in lexicographic order."""
         return tuple(itertools.product(*(range(n) for n in self.orders)))
+
+    @cached_property
+    def residues(self) -> np.ndarray:
+        """The elements as one read-only (|G|, k) int64 array, in the same order."""
+        out = np.indices(self.orders, dtype=np.int64).reshape(self.rank, -1).T
+        out.setflags(write=False)
+        return out
 
     @property
     def identity(self) -> ElementT:
@@ -98,6 +109,18 @@ class Subgroup:
         return self.parent.identity
 
     @cached_property
+    def residues(self) -> np.ndarray:
+        """The elements as one read-only (|H|, k) int64 array, in the same order."""
+        out = np.array(self.elements, dtype=np.int64).reshape(self.order, self.parent.rank)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The read-only Hermite normal form of the elements' lattice (`_hnf`)."""
+        return _hnf(self.parent.orders, self.residues)
+
+    @cached_property
     def _member_set(self) -> frozenset:
         return frozenset(self.elements)
 
@@ -118,23 +141,69 @@ class Subgroup:
         return self.parent == other.parent and self._member_set <= other._member_set
 
 
+def element_index(carrier: Group | Subgroup, residues) -> np.ndarray:
+    """Where each residue row (the last axis, reduced modulo the orders) sits
+    in carrier.elements: its mixed-radix ravel in a group, its place among the
+    sorted ravels of a subgroup's members (-1 off the subgroup)."""
+    group = carrier.parent if isinstance(carrier, Subgroup) else carrier
+    rows = np.moveaxis(np.asarray(residues, dtype=np.int64), -1, 0)
+    at = np.ravel_multi_index(tuple(rows), group.orders, mode="wrap")
+    if carrier is group:
+        return at
+    ravels = element_index(group, carrier.residues)  # increasing, as the elements are sorted
+    place = np.searchsorted(ravels, at)
+    return np.where(ravels.take(place, mode="clip") == at, place, -1)
+
+
+def _hnf(orders: Sequence[int], rows) -> np.ndarray:
+    """The Hermite normal form of the lattice the integer rows and the n_i e_i
+    span: the upper-triangular basis whose leading entries d_i divide the n_i
+    and whose entry j > i lies in [0, d_j), one per lattice.  Column i is
+    cleared by Euclid's steps on all rows at once, modulo the orders."""
+    n = np.array(orders, dtype=np.int64)
+    pool, basis = np.asarray(rows, dtype=np.int64).reshape(-1, n.size) % n, np.diag(n)
+    for i in range(n.size):
+        pool = np.vstack([pool, basis[i]])
+        while True:
+            col = pool[:, i]
+            p = np.argmin(np.where(col > 0, col, n[i] + 1))  # the least positive entry
+            q = np.where(np.arange(col.size) == p, 0, col // col[p])
+            if not q.any():
+                break
+            pool = (pool - q[:, None] * pool[p]) % n
+        basis[i], pool = pool[p], np.delete(pool, p, axis=0)
+    for i, j in itertools.combinations(range(n.size), 2):
+        basis[i] -= basis[i, j] // basis[j, j] * basis[j]
+    basis.setflags(write=False)
+    return basis
+
+
+def _least(basis: np.ndarray, residues) -> np.ndarray:
+    """The least member of the coset of each residue row: k steps
+    g <- g - floor(g_i / d_i) row_i, after which 0 <= g_i < d_i."""
+    out = np.array(residues, dtype=np.int64)
+    for i, row in enumerate(basis):
+        out -= (out[..., i] // row[i])[..., None] * row
+    return out
+
+
+def _spanned(group: Group, basis: np.ndarray) -> Subgroup:
+    """The subgroup with this basis: the sums of c_i row_i, 0 <= c_i < n_i / d_i."""
+    counts = np.array(group.orders) // np.diagonal(basis)
+    ravels = np.sort(element_index(group, np.indices(counts).reshape(group.rank, -1).T @ basis))
+    members = np.unravel_index(ravels, group.orders)
+    sub = Subgroup(group, tuple(zip(*(x.tolist() for x in members))))
+    vars(sub)["basis"] = basis  # the `basis` cache: one normal form per lattice
+    return sub
+
+
 def subgroup_from_generators(group: Group, generators: Iterable[Sequence[int]]) -> Subgroup:
-    """Close a generator list under the group operation.
+    """The subgroup the generators span, from the normal form of their lattice.
 
     Raises ValueError if any generator has the wrong length.  The result is
     canonical: its element tuple is sorted, so equal subgroups compare equal.
     """
-    gens = [group.element(g) for g in generators]
-    closure = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        current = frontier.pop()
-        for g in gens:
-            nxt = group.op(current, g)
-            if nxt not in closure:
-                closure.add(nxt)
-                frontier.append(nxt)
-    return Subgroup(group, tuple(sorted(closure)))
+    return _spanned(group, _hnf(group.orders, [group.element(g) for g in generators]))
 
 
 def trivial_subgroup(group: Group) -> Subgroup:
@@ -146,56 +215,41 @@ def full_subgroup(group: Group) -> Subgroup:
 
 
 def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
-    """Every subgroup, found by adjoining one element g at a time to a found
-    H: the cosets H + k g for k = 0, 1, ... until k g lands in H.
+    """Every subgroup, found by adjoining to a found H the least member x of
+    each other coset: <H, x> has the normal form of H's basis and x, and equal
+    subgroups have equal normal forms.
 
     Intended for small groups (the lattice is walked exhaustively).  Output is
     sorted by (order, element list) so it is deterministic.
     """
-    seen = {trivial_subgroup(group).elements}
-    frontier = [trivial_subgroup(group)]
+    first = trivial_subgroup(group)
+    found, frontier = {first.basis.tobytes(): first}, [first]
     while frontier:
         sub = frontier.pop()
-        for g in group.elements:
-            if sub.contains(g):
-                continue
-            members, step = set(sub.elements), g
-            while not sub.contains(step):
-                members.update(group.op(h, step) for h in sub.elements)
-                step = group.op(step, g)
-            bigger = Subgroup(group, tuple(sorted(members)))
-            if bigger.elements not in seen:
-                seen.add(bigger.elements)
+        for x in coset_transversal(group, sub)[1:]:
+            basis = _hnf(group.orders, np.vstack([sub.basis, x]))
+            if basis.tobytes() not in found:
+                found[basis.tobytes()] = bigger = _spanned(group, basis)
                 frontier.append(bigger)
-    subs = [Subgroup(group, els) for els in seen]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    return tuple(subs)
+    return tuple(sorted(found.values(), key=lambda s: (s.order, s.elements)))
 
 
 def coset_transversal(group: Group, sub: Subgroup) -> tuple[ElementT, ...]:
-    """Lexicographically least representative of each coset of `sub`, in order.
-
-    Walking the group in lexicographic order guarantees the first element met
-    in each coset is its least member, so the choice is reproducible.
-    """
+    """The least member of each coset of `sub`, in increasing order: the box
+    [0, d_1) x ... x [0, d_k) of its basis's leading entries."""
     if sub.parent != group:
         raise ValueError("subgroup does not belong to this group")
-    reps = []
-    covered: set = set()
-    for g in group.elements:
-        if g in covered:
-            continue
-        reps.append(g)
-        covered.update(group.op(g, h) for h in sub.elements)
-    return tuple(reps)
+    return tuple(itertools.product(*(range(d) for d in np.diagonal(sub.basis).tolist())))
 
 
-def coset_table(group: Group, sub: Subgroup) -> tuple[tuple[ElementT, ...], dict]:
-    """The transversal (x_0, x_1, ...) of `coset_transversal` and the table
-    g -> (j, h) with g = x_j + h, h in `sub`."""
+def coset_table(group: Group, sub: Subgroup) -> tuple[tuple[ElementT, ...], np.ndarray]:
+    """The transversal x_0, x_1, ... of `coset_transversal` and how G moves it:
+    the (|G|, [G:H], 2) table of (j, h) with g + x_i = x_j + h at [g, i]."""
     reps = coset_transversal(group, sub)
-    locate = {group.op(x, h): (j, h) for j, x in enumerate(reps) for h in sub.elements}
-    return reps, locate
+    moved = group.residues[:, None] + np.array(reps, dtype=np.int64)
+    least = _least(sub.basis, moved)
+    j = np.ravel_multi_index(tuple(np.moveaxis(least, -1, 0)), np.diagonal(sub.basis))
+    return reps, np.stack([j, element_index(sub, moved - least)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,26 +284,15 @@ def character(group: Group, exponents: Sequence[int]) -> Character:
     return Character(group, tuple(int(a) for a in exponents))
 
 
-def _phase_lcm(group: Group) -> int:
-    return math.lcm(*group.orders)
-
-
-def _phase_numerator(group: Group, exponents: Sequence[int], g: ElementT) -> int:
-    """Exact phase of chi(g) as a multiple of 1/lcm(orders), reduced mod lcm."""
-    lcm = _phase_lcm(group)
-    total = 0
-    for a, x, n in zip(exponents, g, group.orders):
-        total += a * x * (lcm // n)
-    return total % lcm
-
-
 def char_eval(chi: Character, g: ElementT) -> complex:
     """Evaluate chi at g.  The phase is reduced exactly before exponentiating."""
-    if not chi.group.contains(g):
-        g = chi.group.element(g)
-    lcm = _phase_lcm(chi.group)
-    num = _phase_numerator(chi.group, chi.exponents, g)
-    return cmath.exp(2j * cmath.pi * num / lcm)
+    group = chi.group
+    if not group.contains(g):
+        g = group.element(g)
+    lcm, num = math.lcm(*group.orders), 0
+    for a, x, n in zip(chi.exponents, g, group.orders):
+        num += a * x * (lcm // n)
+    return cmath.exp(2j * cmath.pi * (num % lcm) / lcm)
 
 
 def character_table(
@@ -268,7 +311,7 @@ def character_table(
     """
     reps = [c.representative if isinstance(c, SubgroupCharacter) else c for c in chars]
     group = reps[0].group
-    lcm = _phase_lcm(group)
+    lcm = math.lcm(*group.orders)
     scale = np.array([lcm // n for n in group.orders], dtype=np.int64)
     exps = np.array([c.exponents for c in reps], dtype=np.int64).reshape(len(reps), group.rank)
     res = np.array(elements, dtype=np.int64).reshape(len(elements), group.rank)
@@ -286,37 +329,36 @@ def char_mul(a: Character, b: Character) -> Character:
 
 def dual_characters(group: Group) -> tuple[Character, ...]:
     """All |G| characters, in lexicographic exponent order."""
-    return tuple(
-        Character(group, exps)
-        for exps in itertools.product(*(range(n) for n in group.orders))
-    )
+    return tuple(Character(group, exps) for exps in group.elements)
 
 
 @lru_cache(maxsize=None)
-def _perp_table(group: Group, sub: Subgroup) -> tuple[Subgroup, tuple[ElementT, ...], dict]:
+def _perp(group: Group, sub: Subgroup) -> Subgroup:
     """The annihilator of H, as the subgroup of the exponent tuples of the
-    characters trivial on H (they add like elements), and its `coset_table`,
-    whose transversal names the characters of H, each by its least member."""
+    characters trivial on H (they add like elements).  With H's basis B and
+    N = diag(orders), these are the e with B N^-1 e integral: the columns of
+    the integer upper-triangular C with C B = N span them.  Its transversal
+    names the characters of H."""
     if sub.parent != group:
         raise ValueError("subgroup does not belong to this group")
-    perp = Subgroup(group, tuple(e for e in group.elements
-                                 if all(_phase_numerator(group, e, h) == 0 for h in sub.elements)))
-    return (perp, *coset_table(group, perp))
+    basis, dual = sub.basis, np.diag(group.orders).astype(object)  # Python ints: exact
+    for j in range(group.rank):  # C column by column, B being upper triangular
+        dual[:, j] = (dual[:, j] - dual[:, :j] @ basis[:j, j]) // basis[j, j]
+    return _spanned(group, _hnf(group.orders, dual.T % np.array(group.orders)))
 
 
 def annihilator(group: Group, sub: Subgroup) -> tuple[Character, ...]:
     """Characters of the group that are identically 1 on the subgroup."""
-    return tuple(Character(group, e) for e in _perp_table(group, sub)[0].elements)
+    return tuple(Character(group, e) for e in _perp(group, sub).elements)
 
 
 @dataclass(frozen=True)
 class SubgroupCharacter:
-    """Character of a subgroup, named by a parent-group representative.
-
-    The dual of H is the quotient of the parent dual by the annihilator of H;
-    the stored representative is the lexicographically least exponent tuple in
-    its annihilator coset (one lookup in `_perp_table`), so equality and hashing
-    are canonical, and two characters agree on H exactly when they are equal.
+    """Character of a subgroup H, named by a parent-group representative: the
+    least exponent tuple of its coset of the annihilator of H (kept when it
+    lies in the transversal's box, else reduced by the annihilator's basis).
+    Equality and hashing are canonical: two characters agree on H exactly when
+    they are equal.
     """
 
     subgroup: Subgroup
@@ -326,10 +368,10 @@ class SubgroupCharacter:
         group = self.subgroup.parent
         if self.representative.group != group:
             raise ValueError("representative must be a character of the parent group")
-        _, reps, locate = _perp_table(group, self.subgroup)
-        least = reps[locate[self.representative.exponents][0]]
-        if least != self.representative.exponents:
-            object.__setattr__(self, "representative", Character(group, least))
+        basis, exps = _perp(group, self.subgroup).basis, self.representative.exponents
+        if any(e >= d for e, d in zip(exps, np.diagonal(basis).tolist())):
+            least = _least(basis, exps).tolist()
+            object.__setattr__(self, "representative", Character(group, tuple(least)))
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -344,9 +386,10 @@ class SubgroupCharacter:
 @lru_cache(maxsize=None)
 def characters_of_subgroup(group: Group, sub: Subgroup) -> tuple[SubgroupCharacter, ...]:
     """The |H| distinct characters of a subgroup H, one per coset of its
-    annihilator: the transversal of the annihilator's coset table, each
-    coset named by its least member, in increasing order."""
-    out = tuple(SubgroupCharacter(sub, Character(group, e)) for e in _perp_table(group, sub)[1])
+    annihilator: the annihilator's transversal, each coset named by its least
+    member, in increasing order."""
+    names = coset_transversal(group, _perp(group, sub))
+    out = tuple(SubgroupCharacter(sub, Character(group, e)) for e in names)
     if len(out) != sub.order:
         raise RuntimeError(
             f"subgroup dual has {len(out)} members, expected {sub.order}"

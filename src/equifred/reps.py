@@ -34,6 +34,7 @@ from .groups import (
     coset_table,
     coset_transversal,
     dual_characters,
+    element_index,
     full_subgroup,
     trivial_subgroup,
 )
@@ -158,7 +159,7 @@ def _checked_rep(carrier: CarrierT, transports: _ShapeStacks) -> UnitaryRep:
     """`unitary_rep`'s checks, in its order, of the one (|carrier|, d, d) stack
     of transports in carrier order, which the UnitaryRep then keeps."""
     elems = carrier.elements
-    if _off_identity(transports, np.array([elems.index(carrier.identity)]), LAW_TOL):
+    if _off_identity(transports, element_index(carrier, [carrier.identity]), LAW_TOL):
         raise ValueError("matrix at the identity is not the identity")
     bad = _non_unitary(transports, LAW_TOL)
     if bad:
@@ -191,9 +192,10 @@ class _ShapeStacks:
     indices that stacks[k] holds, and stack(members[k]) builds it."""
 
     def __init__(self, kind: Sequence, stack: Callable[[np.ndarray], np.ndarray]):
-        kinds: dict = {}
-        self.cls = np.array([kinds.setdefault(k, len(kinds)) for k in kind], dtype=np.intp)
-        self.members = [np.flatnonzero(self.cls == k) for k in range(len(kinds))]
+        # one sort numbers the kinds (integers, or shape tuples as rows)
+        _, first, cls = np.unique(np.asarray(kind), axis=0, return_index=True, return_inverse=True)
+        self.cls = np.argsort(np.argsort(first))[cls.reshape(-1)]
+        self.members = [np.flatnonzero(self.cls == k) for k in range(first.size)]
         self.pos = np.empty(len(self.cls), dtype=np.intp)
         for idx in self.members:
             self.pos[idx] = np.arange(idx.size)
@@ -245,21 +247,16 @@ def _law_failures(
     bound, every pair is checked.  Every threshold goes through `_norms_over`.
     """
     order, n_pts = table.shape
-    elems = carrier.elements
-    group = carrier if isinstance(carrier, Group) else carrier.parent
-    residues = np.array(elems, dtype=np.intp).reshape(order, group.rank).T
-    at = np.full(group.order, -1, dtype=np.intp)
-    at[np.ravel_multi_index(residues, group.orders)] = np.arange(order)
+    residues = carrier.residues
 
     def plus(h: int) -> np.ndarray:  # carrier index of g + h for every g
-        return at[np.ravel_multi_index(residues + residues[:, [h]], group.orders, mode="wrap")]
+        return element_index(carrier, residues + residues[h])
 
     if isinstance(carrier, Group) and bound is not None:
         steps = sum(n - 1 for n in carrier.orders)
         # tol / (2 (1 + 2L) c^(L+1)), without overflow
         cut = LAW_TOL / (2 * (1 + 2 * steps)) * math.exp(-(steps + 1) * math.log(bound))
-        e = elems.index(carrier.identity)
-        gens = [elems.index(carrier.element(x)) for x in np.eye(carrier.rank, dtype=int)]
+        e, *gens = element_index(carrier, np.eye(carrier.rank + 1, carrier.rank, -1))
         fixed = e * n_pts + np.arange(n_pts)
         if (table[e] == np.arange(n_pts)).all() and not _off_identity(transports, fixed, cut):
             if not any(_pair_failures(table, transports, plus, gens, cut)):
@@ -455,8 +452,7 @@ def restrict_rep(rep: UnitaryRep, sub: Subgroup) -> UnitaryRep:
     """Restriction of a group representation to a subgroup carrier."""
     if not isinstance(rep.carrier, Group) or sub.parent != rep.carrier:
         raise ValueError("can only restrict a full-group representation to its subgroup")
-    row = {g: i for i, g in enumerate(rep.elements)}
-    return _from_stack(sub, rep.stack[[row[h] for h in sub.elements]])
+    return _from_stack(sub, rep.stack[element_index(rep.carrier, sub.residues)])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -682,19 +678,19 @@ def _dual_projectors(rep: RepT) -> np.ndarray:
     """Every projector sum_h conj(chi(h)) U(h) / |H| of the carrier H, in dual
     order: one in-place forward DFT (numpy's sign is conj chi) of the grid of
     H's group holding U(h), or a MonomialRep's phases, at h and zeros elsewhere,
-    read row-major for a Group and at the representatives for a Subgroup."""
+    read in group order for a Group and at the representatives for a Subgroup."""
     carrier, d = rep.carrier, rep.dim
     group = getattr(carrier, "parent", carrier)
-    grid = np.zeros(group.orders + (d, d), dtype=complex)
-    at = tuple(np.array(carrier.elements).T)
+    out = np.zeros((group.order, d, d), dtype=complex)
+    at = element_index(group, carrier.residues)
     if isinstance(rep, UnitaryRep):
-        grid[at] = rep.stack
+        out[at] = rep.stack
     else:
-        grid[tuple(c[:, None] for c in at) + (rep.perm, np.arange(d))] = rep.phase
-    out = np.fft.fftn(grid, axes=tuple(range(group.rank)), out=grid).reshape(group.order, d, d)
+        out[at[:, None], rep.perm, np.arange(d)] = rep.phase
+    grid = out.reshape(group.orders + (d, d))
+    np.fft.fftn(grid, axes=tuple(range(group.rank)), out=grid)
     if group is not carrier:
-        exps = np.array([chi.exponents for chi in carrier_dual(carrier)]).T
-        out = out[np.ravel_multi_index(exps, group.orders)]
+        out = out[element_index(group, [chi.exponents for chi in carrier_dual(carrier)])]
     out /= carrier.order
     return out
 
@@ -828,12 +824,9 @@ def induce(rep: UnitaryRep, gamma: Group) -> UnitaryRep:
     element acts as a block permutation of the cosets twisted by the subgroup
     representation; the dimension is the index times dim(rep).
     """
-    reps_, locate = coset_table(gamma, _as_subgroup(rep.carrier, gamma))
+    reps_, table = coset_table(gamma, _as_subgroup(rep.carrier, gamma))
     n, r, d = gamma.order, len(reps_), rep.dim
-    row = {h: i for i, h in enumerate(rep.elements)}
-    # g x_i = x_j h: block (j, i) of U(g) is rep(h)
-    at = [locate[gamma.op(g, x)] for g in gamma.elements for x in reps_]
-    j, h = np.moveaxis(np.array([(c, row[e]) for c, e in at]).reshape(n, r, 2), 2, 0)
+    j, h = np.moveaxis(table, 2, 0)  # g + x_i = x_j + h: block (j, i) of U(g) is rep(h)
     stack = np.zeros((n, r, d, r, d), dtype=complex)
     stack[np.arange(n)[:, None], j, :, np.arange(r), :] = rep.stack[h]
     return _from_stack(gamma, stack.reshape(n, r * d, r * d))
@@ -866,9 +859,8 @@ def frobenius_hom_map(
         "map does not intertwine the subgroup actions", target, f, source, tol=LAW_TOL
     )
     averaged = _group_average(target, f, source)
-    reps_ = coset_transversal(gamma, sub)
-    blocks = [averaged @ source.matrix(gamma.inv(x)) for x in reps_]
-    return np.vstack(blocks)
+    minus = element_index(gamma, -np.array(coset_transversal(gamma, sub)))
+    return np.vstack([averaged @ m for m in source.stack[minus]])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from functools import lru_cache
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -123,7 +123,7 @@ _NUMBER_TYPES = frozenset((int, float))
 _READ_LEAVES = 1 << 14  # the most leaves any one np.fromiter call of the reader reads
 
 
-def _read_matrices(nodes: list, kind: list, shape: Callable, where: Callable) -> _ShapeStacks:
+def _read_matrices(nodes: list, kind: Sequence, shape: Callable, where: Callable) -> _ShapeStacks:
     """The `_ShapeStacks` of nodes by kind, node i of shape shape(kind[i])
     (Python ints of any size, at least 1) with where(i) its (place in
     document order, pointer).  A kind's stack concatenates
@@ -281,8 +281,8 @@ def load_induction(doc: Any) -> tuple[Group, Subgroup, Character]:
 
 
 def _induction_parts(doc: Any) -> tuple[Group, list, Character]:
-    """`load_induction` up to the closure, which walks the subgroup one
-    element at a time: the group, the generators and the character."""
+    """`load_induction` up to the closure, which lists every element of the
+    subgroup: the group, the generators and the character."""
     node = _as_dict(doc, "/")
     group = load_group(_need(node, "group", ""), "/group")
     gens_node = _need(node, "subgroup_generators", "")
@@ -371,7 +371,7 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
         keys, t_rows = _element_table(_need(node, field, ""), group, f"/{field}")
         first: dict[int, int] = {}  # each dim (a Python int of any size) to its first point
         code = np.array([first.setdefault(dims[p], i) for i, p in enumerate(pts)], dtype=np.intp)
-        kind = (code[table] * n + code).ravel().tolist()  # the dims at g·p and at p
+        kind = (code[table] * n + code).ravel()  # the dims at g·p and at p
 
         def read(rows: list) -> _ShapeStacks:
             nodes = [row[p] for row in rows for p in pts]
@@ -395,7 +395,7 @@ def load_bundle(doc: Any) -> tuple[EquivariantSampleBundle, SymbolField | None]:
         t_in = load_transport("transport", fiber_dim)
         t_out = load_transport("transport_out", fiber_out)
         dims = {p: fiber_dim[p] + fiber_out[p] for p in pts}
-        kind = (t_in.cls * len(t_out.stacks) + t_out.cls).tolist()
+        kind = t_in.cls * len(t_out.stacks) + t_out.cls
         transports = _ShapeStacks(kind, lambda i: _block_diagonal(t_in.take(i), t_out.take(i)))
     else:
         dims, transports = fiber_dim, load_transport("transport", fiber_dim)

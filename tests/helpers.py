@@ -1,14 +1,15 @@
 """Shared helpers: group enumeration, trace-based multiplicity oracles and
 loop references for the batched representation, monomial and bundle checks,
 the orbit and stabilizer walks, the stack builders, projectors and group
-averages, the subgroup lattice, the subgroup dual and the restriction test
-(on their own annihilator walk), and the flat report writer; raw bundle data
-from the old `random_bundle` loop and from a plain walk of a bundle
-document; the dense section oracle for alpha-ellipticity, a symbol with an
-isotype killed on any orbit, and the per-XPoint loop that the batched
-ellipticity verdict replaced; a numpy-only writer of valid free-orbit bundle
-documents; the sign-twisted doubled-circle actions, the signed-phase monomial
-cases."""
+averages, the tuple closure of a generator set, the coset transversal walk
+and the dict coset table, the subgroup lattice, the subgroup dual and the
+restriction test (on their own annihilator walk), and the flat report
+writer; raw bundle data from the old `random_bundle` loop and from a plain
+walk of a bundle document; the dense section oracle for alpha-ellipticity, a
+symbol with an isotype killed on any orbit, and the per-XPoint loop that the
+batched ellipticity verdict replaced; a numpy-only writer of valid
+free-orbit bundle documents; the sign-twisted doubled-circle actions, the
+signed-phase monomial cases."""
 
 import functools
 import itertools
@@ -40,11 +41,9 @@ from equifred import (
     orbits,
     propagate_symbol,
     random_rep,
-    subgroup_from_generators,
     trivial_subgroup,
 )
 from equifred.bundles import BundleValidation, Violation
-from equifred.groups import all_subgroups, coset_table
 
 
 def _partitions(n):
@@ -170,7 +169,7 @@ def reference_monomial_rep(carrier, perm, phase, *, tol=1e-10):
 def reference_random_bundle(group, rng, *, n_orbits=None, max_fiber_dim=3, min_isotropy=None):
     """The dict loop `random_bundle` was written as, drawing from rng in the
     same order: its raw (group, points, base, action, fiber_dim, transport)."""
-    subs = all_subgroups(group)
+    subs = reference_all_subgroups(group)
     if min_isotropy is not None:
         g0 = min_isotropy
     else:
@@ -182,7 +181,7 @@ def reference_random_bundle(group, rng, *, n_orbits=None, max_fiber_dim=3, min_i
     for o in range(count):
         stab = g0 if o == 0 else containing[int(rng.integers(len(containing)))]
         v = random_rep(stab, int(rng.integers(1, max_fiber_dim + 1)), rng)
-        reps_, locate = coset_table(group, stab)
+        reps_, locate = reference_coset_table(group, stab)
         ids = [f"o{o}p{j}" for j in range(len(reps_))]
         for j, pid in enumerate(ids):
             points.append(pid)
@@ -190,7 +189,7 @@ def reference_random_bundle(group, rng, *, n_orbits=None, max_fiber_dim=3, min_i
             fdim[pid] = v.dim
         for g in group.elements:
             for j, pid in enumerate(ids):
-                tgt_j, h = locate[group.op(g, reps_[j])]
+                tgt_j, h = locate[element_sum(group, g, reps_[j])]
                 action[(g, pid)] = ids[tgt_j]
                 transport[(g, pid)] = v.matrix(h)
     return group, points, base, action, fdim, transport
@@ -493,12 +492,12 @@ def reference_induce(rep, gamma):
     """The double loop that the one-gather `induce` replaced, as a (|G|, n, n)
     stack in carrier order: block (j, i) of U(g) is rep(h) where g x_i = x_j h."""
     sub = rep.carrier if isinstance(rep.carrier, Subgroup) else full_subgroup(gamma)
-    reps_, locate = coset_table(gamma, sub)
+    reps_, locate = reference_coset_table(gamma, sub)
     r, d = len(reps_), rep.dim
     out = np.zeros((gamma.order, r * d, r * d), dtype=complex)
     for k, g in enumerate(gamma.elements):
         for i, x in enumerate(reps_):
-            j, h = locate[gamma.op(g, x)]
+            j, h = locate[element_sum(gamma, g, x)]
             out[k, j * d : (j + 1) * d, i * d : (i + 1) * d] = rep.matrix(h)
     return out
 
@@ -520,9 +519,51 @@ def reference_frobenius_average(f, source, target):
     ) / len(target.elements)
 
 
+def element_sum(group, a, b):
+    """a + b in the group, residue by residue, written apart from `groups`."""
+    return tuple((x + y) % n for x, y, n in zip(a, b, group.orders))
+
+
+def reference_closure(group, generators):
+    """The tuple closure that `groups.subgroup_from_generators` replaced: the
+    generators (reduced) added to each member met until nothing new appears."""
+    gens = [tuple(int(r) % n for r, n in zip(g, group.orders)) for g in generators]
+    closure = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        current = frontier.pop()
+        for g in gens:
+            nxt = element_sum(group, current, g)
+            if nxt not in closure:
+                closure.add(nxt)
+                frontier.append(nxt)
+    return Subgroup(group, tuple(sorted(closure)))
+
+
+def reference_coset_transversal(group, sub):
+    """The walk that `groups.coset_transversal` replaced: the group in
+    lexicographic order, each element not yet covered starting a coset."""
+    reps = []
+    covered = set()
+    for g in group.elements:
+        if g in covered:
+            continue
+        reps.append(g)
+        covered.update(element_sum(group, g, h) for h in sub.elements)
+    return tuple(reps)
+
+
+def reference_coset_table(group, sub):
+    """The dict coset table that `groups.coset_table` replaced: the walked
+    transversal (x_0, x_1, ...) and g -> (j, h) with g = x_j + h, h in sub."""
+    reps = reference_coset_transversal(group, sub)
+    locate = {element_sum(group, x, h): (j, h) for j, x in enumerate(reps) for h in sub.elements}
+    return reps, locate
+
+
 def reference_all_subgroups(group):
     """The closure that `groups.all_subgroups` replaced: each H + g closed by
-    `subgroup_from_generators` over every element of H and g."""
+    `reference_closure` over every element of H and g."""
     seen = {trivial_subgroup(group).elements}
     frontier = [trivial_subgroup(group)]
     while frontier:
@@ -530,7 +571,7 @@ def reference_all_subgroups(group):
         for g in group.elements:
             if sub.contains(g):
                 continue
-            bigger = subgroup_from_generators(group, sub.elements + (g,))
+            bigger = reference_closure(group, sub.elements + (g,))
             if bigger.elements not in seen:
                 seen.add(bigger.elements)
                 frontier.append(bigger)

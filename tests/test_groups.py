@@ -9,25 +9,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equifred import (
+    Group,
+    Subgroup,
     all_subgroups,
     annihilator,
     associated,
     char_eval,
     char_mul,
     character,
+    character_rep,
     character_table,
     characters_of_subgroup,
     coset_transversal,
     dual_characters,
     full_subgroup,
+    induce,
     make_group,
     restrict_character,
     subgroup_from_generators,
     trivial_subgroup,
 )
-from equifred.groups import SubgroupCharacter
+from equifred.groups import SubgroupCharacter, coset_table
 
-from helpers import abelian_orders, reference_all_subgroups
+from helpers import (
+    abelian_orders,
+    element_sum,
+    reference_all_subgroups,
+    reference_annihilator,
+    reference_closure,
+    reference_coset_table,
+    reference_coset_transversal,
+    reference_subgroup_character,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -439,3 +452,56 @@ def test_all_subgroups_matches_the_generator_closure(orders):
 
 def test_z8_x_z8_has_37_subgroups():
     assert len(all_subgroups(make_group((8, 8)))) == 37
+
+
+# ---------------------------------------------------------------------------
+# the array layer against the tuple references
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_the_array_layer_equals_the_tuple_references(data):
+    orders = data.draw(st.one_of(
+        st.lists(st.integers(1, 12), min_size=1, max_size=3),
+        st.integers(1, 10).map(lambda k: [2] * k),
+    ))
+    g = make_group(orders)
+    gens = data.draw(st.lists(st.tuples(*(st.integers(-30, 30) for _ in orders)), max_size=4))
+    h = subgroup_from_generators(g, gens)
+    assert h == reference_closure(g, gens)
+
+    reps, table = coset_table(g, h)
+    ref_reps, locate = reference_coset_table(g, h)
+    assert reps == coset_transversal(g, h) == ref_reps
+    assert table.shape == (g.order, len(reps), 2)
+    # entry [x, i] is where x + x_i lands, for every x and a few drawn i
+    for i in [0] + data.draw(st.lists(st.integers(0, len(reps) - 1), max_size=2)):
+        want = [locate[element_sum(g, x, reps[i])] for x in g.elements]
+        assert table[:, i].tolist() == [[j, h.elements.index(m)] for j, m in want]
+
+    perp = [chi.exponents for chi in reference_annihilator(g, h)]
+    assert [chi.exponents for chi in annihilator(g, h)] == perp
+    named = reference_coset_transversal(g, Subgroup(g, tuple(perp)))
+    assert [chi.exponents for chi in characters_of_subgroup(g, h)] == list(named)
+    for e in data.draw(st.lists(st.sampled_from(g.elements), max_size=3)):
+        chi = character(g, e)
+        assert SubgroupCharacter(h, chi).exponents == reference_subgroup_character(h, chi)
+    if g.order <= 12:
+        assert all_subgroups(g) == reference_all_subgroups(g)
+
+
+def test_the_group_layer_adds_no_element_at_a_time(monkeypatch):
+    calls = []
+    op = Group.op
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return op(self, a, b)
+
+    monkeypatch.setattr(Group, "op", counted)
+    g = make_group((2, 2, 2, 3, 4, 2))  # a group no other test caches a dual of
+    h = subgroup_from_generators(g, [(1, 0, 0, 1, 2, 0), (0, 1, 1, 0, 0, 1)])
+    characters_of_subgroup.cache_clear()
+    dual = characters_of_subgroup(g, h)
+    induce(character_rep(dual[-1]), g)
+    assert h.order == 12 and len(dual) == 12 and calls == []
