@@ -23,6 +23,7 @@ from .groups import (
     Group,
     Subgroup,
     SubgroupCharacter,
+    _hnf,
     all_subgroups,
     coset_table,
     element_index,
@@ -285,10 +286,18 @@ def _index(b: EquivariantSampleBundle, p: str) -> int:
     return b.points.index(p)
 
 
+def _stabilizer(b: EquivariantSampleBundle, at: np.ndarray) -> Subgroup:
+    """The subgroup the elements at these indices span, which must be them."""
+    sub = Subgroup(b.group, _hnf(b.group.orders, b.group.residues[at]))
+    if sub.order != at.size:
+        raise ModelInconsistencyError(f"stabilizer {_elements(b, at)} is not a subgroup")
+    return sub
+
+
 def isotropy(b: EquivariantSampleBundle, p: str) -> Subgroup:
     """Stabilizer subgroup of a point: the g with A[g, p] = p."""
     i = _index(b, p)
-    return Subgroup(b.group, _elements(b, np.flatnonzero(b.table[:, i] == i)))
+    return _stabilizer(b, np.flatnonzero(b.table[:, i] == i))
 
 
 def minimal_isotropy(b: EquivariantSampleBundle) -> Subgroup:
@@ -308,7 +317,7 @@ def minimal_isotropy(b: EquivariantSampleBundle) -> Subgroup:
             f"stabilizer {_elements(b, least)} is not contained in "
             f"{_elements(b, np.flatnonzero(fixes[:, outside[0]]))}"
         )
-    return Subgroup(b.group, _elements(b, least))
+    return _stabilizer(b, least)
 
 
 def fiber_rep(b: EquivariantSampleBundle, p: str) -> UnitaryRep:
@@ -380,7 +389,7 @@ def partition_by_beta(x_orbits: tuple, gamma0: Subgroup) -> dict:
     parts: dict[SubgroupCharacter, list] = {}
     for orb in x_orbits:
         rho = orb[0].rho
-        if not gamma0._member_set <= rho.subgroup._member_set:
+        if not gamma0.is_subgroup_of(rho.subgroup):
             raise ValueError("gamma0 must be contained in every stabilizer appearing in X")
         beta = SubgroupCharacter(gamma0, rho.representative)
         parts.setdefault(beta, []).append(orb)

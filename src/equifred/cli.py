@@ -27,12 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from .bundles import (
-    ModelInconsistencyError,
     alpha_elliptic_check,
     prim_enumerate,
     validate_bundle,
 )
-from .groups import Group, SubgroupCharacter, character
+from .groups import Group, SubgroupCharacter, character, subgroup_from_generators
 from .lab import (
     analytic_bvp_spectrum,
     build_fixed_point_degenerate_operator,
@@ -58,15 +57,10 @@ from .serialize import (
     character_doc,
     group_doc,
     load_bundle,
-    load_induction,
     load_rep,
     multiplicity_doc,
     rep_doc,
 )
-
-
-class _CliError(Exception):
-    pass
 
 
 # the memory ceiling of one job, against which the grid sizes and an induced
@@ -113,7 +107,7 @@ def _load_json(path: str):
     try:
         raw = Path(path).read_text()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -128,14 +122,14 @@ def _emit(args, doc) -> None:
         try:
             Path(args.out).write_text(text)
         except OSError as exc:
-            raise _CliError(f"cannot write {args.out}: {exc}")
+            raise ValueError(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
 
 
 def _alpha_for(group, exponents):
     if len(exponents) != len(group.orders):
-        raise _CliError(
+        raise ValueError(
             f"--alpha has {len(exponents)} exponents, group has {len(group.orders)} factors"
         )
     return character(group, exponents)
@@ -154,9 +148,9 @@ def _checked_bundle(args):
 
 def cmd_check(args) -> int:
     if args.tol <= 0:
-        raise _CliError("--tol must be positive")
+        raise ValueError("--tol must be positive")
     if not math.isfinite(args.tol):
-        raise _CliError(f"--tol must be finite, got {args.tol}")
+        raise ValueError(f"--tol must be finite, got {args.tol}")
     bundle, symbol = _checked_bundle(args)
     if symbol is None:
         raise InputDocumentError("/symbol", "missing (check needs a symbol field)")
@@ -192,15 +186,15 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    doc = _load_json(args.input)
-    order = _induction_parts(doc)[0].order
+    group, gens, chi = _induction_parts(_load_json(args.input))
+    order = group.order
     if order > _INDUCE_MAX_ORDER:
         raise InputDocumentError("/group/orders",
                                  f"induce takes order at most {_INDUCE_MAX_ORDER}, got {order}")
-    group, sub, chi = load_induction(doc)
+    sub = subgroup_from_generators(group, gens)
     # the report writes out the induced stack, |G| matrices of side [G:H],
-    # checked before any character of H is named (that builds H's annihilator)
-    need = group.order * (group.order // sub.order) ** 2 * _INDUCE_BYTES_PER_ENTRY
+    # checked from H's normal form before any member or character of H is listed
+    need = order * (order // sub.order) ** 2 * _INDUCE_BYTES_PER_ENTRY
     if need > _CEILING_BYTES:
         raise InputDocumentError("/group/orders", f"inducing from order {sub.order} to order {order}"
                                  f" needs about {need / 2**30:.3g} GiB, over the 1 GiB ceiling")
@@ -250,15 +244,15 @@ def _check_sizes(sizes, smallest: int, step: int, points_per_n: int) -> None:
     for n in sizes:
         if n < smallest or n % step:
             rule = f"at least {smallest}" + (f" and a multiple of {step}" if step > 1 else "")
-            raise _CliError(f"--sizes: {n} is not a grid size here (must be {rule})")
+            raise ValueError(f"--sizes: {n} is not a grid size here (must be {rule})")
         if n * points_per_n * _GRID_BYTES_PER_POINT > _CEILING_BYTES:
             need = n * points_per_n * _GRID_BYTES_PER_POINT / 2**30
-            raise _CliError(f"--sizes: {n} needs about {need:.3g} GiB, over the 1 GiB ceiling")
+            raise ValueError(f"--sizes: {n} needs about {need:.3g} GiB, over the 1 GiB ceiling")
 
 
 def _check_positive(flag: str, value: int) -> None:
     if value < 1:
-        raise _CliError(f"{flag} must be at least 1, got {value}")
+        raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
 def cmd_bvp(args) -> int:
@@ -267,7 +261,7 @@ def cmd_bvp(args) -> int:
     smallest = double_interval_bvp(min(args.sizes), args.bc)  # the least invariant dimension
     if args.count > smallest.invariant_dim:
         most = f"{smallest.invariant_dim} (the invariant dimension at size {smallest.base_n})"
-        raise _CliError(f"--count must be at most {most}, got {args.count}")
+        raise ValueError(f"--count must be at most {most}, got {args.count}")
     tables = []
     for n in args.sizes:
         problem = smallest if n == smallest.base_n else double_interval_bvp(n, args.bc)
@@ -302,7 +296,7 @@ _SWEEP_GROUP = Group((2,))
 
 def cmd_sweep(args) -> int:
     if args.family not in _SWEEP_FAMILIES:
-        raise _CliError(
+        raise ValueError(
             f"unknown family {args.family!r}; choose from {sorted(_SWEEP_FAMILIES)}"
         )
     _check_positive("--k", args.k)
@@ -408,13 +402,10 @@ def _run_verb(args) -> int:
     except InputDocumentError as exc:
         print(f"input error at {exc}", file=sys.stderr)
         return 1
-    except _CliError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
     except AmbiguousRankError as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return 2
-    except (ModelInconsistencyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except InternalInconsistencyError as exc:

@@ -3,12 +3,12 @@
 A group is a product of cyclic factors Z_{n_1} x ... x Z_{n_k}; elements are
 tuples of residues or int64 rows, placed by `element_index` alone: at their
 mixed-radix ravel in a group, among the sorted ravels in a subgroup.  A
-subgroup derives everything from the Hermite normal form of its lattice
-(Cohen, A Course in Computational Algebraic Number Theory, 2.4): its elements
-are sums of multiples of the rows, its coset transversal is the box of the
-leading entries, and a coset's least member is k reduction steps.  Characters
-are compared in exact integer arithmetic; complex values appear only when a
-numeric evaluation is requested.
+subgroup is its lattice's Hermite normal form, `Subgroup(parent, basis)` (Cohen,
+A Course in Computational Algebraic Number Theory, 2.4); element lists go
+through `subgroup_from_generators`.  Its elements are sums of multiples of the
+rows, its coset transversal is the box of the leading entries, and membership
+and a coset's least member are k reduction steps.  Characters are compared in
+exact integer arithmetic; complex values only for a numeric evaluation.
 """
 from __future__ import annotations
 
@@ -46,6 +46,16 @@ class Group:
     @property
     def rank(self) -> int:
         return len(self.orders)
+
+    @property
+    def parent(self) -> Group:
+        """The group a carrier lives in: a group is its own."""
+        return self
+
+    @cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The normal form of the whole lattice, as a `Subgroup`'s: the unit rows."""
+        return tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
 
     @cached_property
     def elements(self) -> tuple[ElementT, ...]:
@@ -91,18 +101,22 @@ def make_group(orders: Sequence[int]) -> Group:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup stored as its canonical sorted element list."""
+    """A subgroup, held as the Hermite normal form of its lattice (`_hnf`):
+    k rows of Python ints, so equality and hashing are exact.  Its members
+    are the sums of c_i row_i, 0 <= c_i < n_i / d_i, derived on request."""
 
     parent: Group
-    elements: tuple[ElementT, ...]
+    basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.elements, tuple):
-            object.__setattr__(self, "elements", tuple(self.elements))
+        hnf = _hnf(self.parent.orders, self.basis)
+        if not np.array_equal(self.basis, hnf):
+            raise ValueError(f"{self.basis} is not the normal form of its lattice")
+        object.__setattr__(self, "basis", hnf)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return math.prod(n // d for n, d in zip(self.parent.orders, _diagonal(self.basis)))
 
     @property
     def identity(self) -> ElementT:
@@ -110,42 +124,31 @@ class Subgroup:
 
     @cached_property
     def residues(self) -> np.ndarray:
-        """The elements as one read-only (|H|, k) int64 array, in the same order."""
-        out = np.array(self.elements, dtype=np.int64).reshape(self.order, self.parent.rank)
+        """The members as one read-only (|H|, k) int64 array, in increasing ravel order."""
+        group = self.parent
+        counts = [n // d for n, d in zip(group.orders, _diagonal(self.basis))]
+        spans = np.indices(counts, dtype=np.int64).reshape(group.rank, -1).T @ self.basis
+        out = np.stack(np.unravel_index(np.sort(element_index(group, spans)), group.orders), -1)
         out.setflags(write=False)
         return out
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        """The read-only Hermite normal form of the elements' lattice (`_hnf`)."""
-        return _hnf(self.parent.orders, self.residues)
-
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.elements)
-
-    def __hash__(self) -> int:
-        # a frozenset keeps its hash, so a subgroup as a cache key costs O(1)
-        return hash((self.parent, self._member_set))
+    def elements(self) -> tuple[ElementT, ...]:
+        """The members as residue tuples, in the same order."""
+        return tuple(map(tuple, self.residues.tolist()))
 
     def contains(self, g: ElementT) -> bool:
-        return g in self._member_set
-
-    def op(self, a: ElementT, b: ElementT) -> ElementT:
-        return self.parent.op(a, b)
-
-    def inv(self, a: ElementT) -> ElementT:
-        return self.parent.inv(a)
+        return self.parent.contains(g) and not _least(self.basis, g).any()
 
     def is_subgroup_of(self, other: "Subgroup") -> bool:
-        return self.parent == other.parent and self._member_set <= other._member_set
+        return self.parent == other.parent and not _least(other.basis, self.basis).any()
 
 
 def element_index(carrier: Group | Subgroup, residues) -> np.ndarray:
     """Where each residue row (the last axis, reduced modulo the orders) sits
     in carrier.elements: its mixed-radix ravel in a group, its place among the
     sorted ravels of a subgroup's members (-1 off the subgroup)."""
-    group = carrier.parent if isinstance(carrier, Subgroup) else carrier
+    group = carrier.parent
     rows = np.moveaxis(np.asarray(residues, dtype=np.int64), -1, 0)
     at = np.ravel_multi_index(tuple(rows), group.orders, mode="wrap")
     if carrier is group:
@@ -155,30 +158,36 @@ def element_index(carrier: Group | Subgroup, residues) -> np.ndarray:
     return np.where(ravels.take(place, mode="clip") == at, place, -1)
 
 
-def _hnf(orders: Sequence[int], rows) -> np.ndarray:
+def _diagonal(basis) -> list[int]:
+    """The leading entries d_i of a normal form."""
+    return [row[i] for i, row in enumerate(basis)]
+
+
+def _hnf(orders: Sequence[int], rows) -> tuple[tuple[int, ...], ...]:
     """The Hermite normal form of the lattice the integer rows and the n_i e_i
-    span: the upper-triangular basis whose leading entries d_i divide the n_i
-    and whose entry j > i lies in [0, d_j), one per lattice.  Column i is
+    span, in Python ints: the one upper-triangular basis whose leading entries
+    d_i divide the n_i and whose entry j > i lies in [0, d_j).  Column i is
     cleared by Euclid's steps on all rows at once, modulo the orders."""
     n = np.array(orders, dtype=np.int64)
     pool, basis = np.asarray(rows, dtype=np.int64).reshape(-1, n.size) % n, np.diag(n)
     for i in range(n.size):
-        pool = np.vstack([pool, basis[i]])
+        pool = np.concatenate([pool, basis[i:i + 1]])
         while True:
             col = pool[:, i]
-            p = np.argmin(np.where(col > 0, col, n[i] + 1))  # the least positive entry
-            q = np.where(np.arange(col.size) == p, 0, col // col[p])
+            p = np.where(col > 0, col, orders[i] + 1).argmin()  # the least positive entry
+            q = col // col[p]
+            q[p] = 0
             if not q.any():
                 break
             pool = (pool - q[:, None] * pool[p]) % n
-        basis[i], pool = pool[p], np.delete(pool, p, axis=0)
+        basis[i], pool = pool[p], pool[col == 0]  # every other entry of column i is now 0
+    out = basis.tolist()
     for i, j in itertools.combinations(range(n.size), 2):
-        basis[i] -= basis[i, j] // basis[j, j] * basis[j]
-    basis.setflags(write=False)
-    return basis
+        out[i] = [x - out[i][j] // out[j][j] * y for x, y in zip(out[i], out[j])]
+    return tuple(map(tuple, out))
 
 
-def _least(basis: np.ndarray, residues) -> np.ndarray:
+def _least(basis, residues) -> np.ndarray:
     """The least member of the coset of each residue row: k steps
     g <- g - floor(g_i / d_i) row_i, after which 0 <= g_i < d_i."""
     out = np.array(residues, dtype=np.int64)
@@ -187,31 +196,21 @@ def _least(basis: np.ndarray, residues) -> np.ndarray:
     return out
 
 
-def _spanned(group: Group, basis: np.ndarray) -> Subgroup:
-    """The subgroup with this basis: the sums of c_i row_i, 0 <= c_i < n_i / d_i."""
-    counts = np.array(group.orders) // np.diagonal(basis)
-    ravels = np.sort(element_index(group, np.indices(counts).reshape(group.rank, -1).T @ basis))
-    members = np.unravel_index(ravels, group.orders)
-    sub = Subgroup(group, tuple(zip(*(x.tolist() for x in members))))
-    vars(sub)["basis"] = basis  # the `basis` cache: one normal form per lattice
-    return sub
-
-
 def subgroup_from_generators(group: Group, generators: Iterable[Sequence[int]]) -> Subgroup:
-    """The subgroup the generators span, from the normal form of their lattice.
+    """The subgroup the generators span: the normal form of their lattice.
 
-    Raises ValueError if any generator has the wrong length.  The result is
-    canonical: its element tuple is sorted, so equal subgroups compare equal.
+    Raises ValueError if any generator has the wrong length.  This is the
+    entry for an element list; equal subgroups have one normal form.
     """
-    return _spanned(group, _hnf(group.orders, [group.element(g) for g in generators]))
+    return Subgroup(group, _hnf(group.orders, [group.element(g) for g in generators]))
 
 
 def trivial_subgroup(group: Group) -> Subgroup:
-    return Subgroup(group, (group.identity,))
+    return Subgroup(group, np.diag(group.orders))
 
 
 def full_subgroup(group: Group) -> Subgroup:
-    return Subgroup(group, group.elements)
+    return Subgroup(group, group.basis)
 
 
 def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
@@ -223,13 +222,13 @@ def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
     sorted by (order, element list) so it is deterministic.
     """
     first = trivial_subgroup(group)
-    found, frontier = {first.basis.tobytes(): first}, [first]
+    found, frontier = {first.basis: first}, [first]
     while frontier:
         sub = frontier.pop()
         for x in coset_transversal(group, sub)[1:]:
-            basis = _hnf(group.orders, np.vstack([sub.basis, x]))
-            if basis.tobytes() not in found:
-                found[basis.tobytes()] = bigger = _spanned(group, basis)
+            basis = _hnf(group.orders, [*sub.basis, x])
+            if basis not in found:
+                found[basis] = bigger = Subgroup(group, basis)
                 frontier.append(bigger)
     return tuple(sorted(found.values(), key=lambda s: (s.order, s.elements)))
 
@@ -239,7 +238,7 @@ def coset_transversal(group: Group, sub: Subgroup) -> tuple[ElementT, ...]:
     [0, d_1) x ... x [0, d_k) of its basis's leading entries."""
     if sub.parent != group:
         raise ValueError("subgroup does not belong to this group")
-    return tuple(itertools.product(*(range(d) for d in np.diagonal(sub.basis).tolist())))
+    return tuple(itertools.product(*(range(d) for d in _diagonal(sub.basis))))
 
 
 def coset_table(group: Group, sub: Subgroup) -> tuple[tuple[ElementT, ...], np.ndarray]:
@@ -248,7 +247,7 @@ def coset_table(group: Group, sub: Subgroup) -> tuple[tuple[ElementT, ...], np.n
     reps = coset_transversal(group, sub)
     moved = group.residues[:, None] + np.array(reps, dtype=np.int64)
     least = _least(sub.basis, moved)
-    j = np.ravel_multi_index(tuple(np.moveaxis(least, -1, 0)), np.diagonal(sub.basis))
+    j = np.ravel_multi_index(tuple(np.moveaxis(least, -1, 0)), _diagonal(sub.basis))
     return reps, np.stack([j, element_index(sub, moved - least)], axis=-1)
 
 
@@ -341,10 +340,10 @@ def _perp(group: Group, sub: Subgroup) -> Subgroup:
     names the characters of H."""
     if sub.parent != group:
         raise ValueError("subgroup does not belong to this group")
-    basis, dual = sub.basis, np.diag(group.orders).astype(object)  # Python ints: exact
+    basis, dual = np.array(sub.basis), np.diag(group.orders).astype(object)  # Python ints: exact
     for j in range(group.rank):  # C column by column, B being upper triangular
         dual[:, j] = (dual[:, j] - dual[:, :j] @ basis[:j, j]) // basis[j, j]
-    return _spanned(group, _hnf(group.orders, dual.T % np.array(group.orders)))
+    return subgroup_from_generators(group, dual.T % np.array(group.orders))
 
 
 def annihilator(group: Group, sub: Subgroup) -> tuple[Character, ...]:
@@ -369,7 +368,7 @@ class SubgroupCharacter:
         if self.representative.group != group:
             raise ValueError("representative must be a character of the parent group")
         basis, exps = _perp(group, self.subgroup).basis, self.representative.exponents
-        if any(e >= d for e, d in zip(exps, np.diagonal(basis).tolist())):
+        if any(e >= d for e, d in zip(exps, _diagonal(basis))):
             least = _least(basis, exps).tolist()
             object.__setattr__(self, "representative", Character(group, tuple(least)))
 
@@ -411,6 +410,6 @@ def associated(alpha: Character, rho: SubgroupCharacter, gamma0: Subgroup) -> bo
     group = alpha.group
     if gamma0.parent != group or rho.subgroup.parent != group:
         raise ValueError("all arguments must refer to the same parent group")
-    if not gamma0._member_set <= rho.subgroup._member_set:
+    if not gamma0.is_subgroup_of(rho.subgroup):
         raise ValueError("gamma0 must be contained in the subgroup of rho")
     return restrict_character(alpha, gamma0) == restrict_character(rho.representative, gamma0)

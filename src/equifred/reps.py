@@ -28,6 +28,7 @@ from .groups import (
     Group,
     Subgroup,
     SubgroupCharacter,
+    _diagonal,
     associated,
     character_table,
     characters_of_subgroup,
@@ -229,22 +230,22 @@ def _law_failures(
     shape or by over LAW_TOL in 2-norm.  A representation is a bundle over
     one point; a monomial one is a bundle of lines over its basis indices.
 
-    The Cayley edges (g, e_i, p), e_i the standard generators, go first.
-    Take h = h' + e_i on a path of L <= sum_i (n_i - 1) steps and q = e_i·p.
-    If 0·p = p and every edge keeps the action law, g·(h·p) = g·(h'·q) =
-    (g+h')·q = (g+h)·p by induction, so the integer edge check is exact.
-    For D(g, h, p) = T(g, h·p) T(h, p) - T(g+h, p) the same step gives
-    D(g, h, p) = D(g+h', e_i, p) + D(g, h', q) T(e_i, p) - T(g, h·p) D(h', e_i, p);
+    The Cayley edges (g, r_i, p), r_i the rows of the carrier's `basis`, go
+    first: every h is sum_i c_i r_i, 0 <= c_i < n_i / d_i, so take h = h' + r_i
+    on a path of L <= sum_i (n_i / d_i - 1) steps and q = r_i·p.  If 0·p = p
+    and every edge keeps the action law, g·(h·p) = g·(h'·q) = (g+h')·q =
+    (g+h)·p by induction, so the integer edge check is exact.  For
+    D(g, h, p) = T(g, h·p) T(h, p) - T(g+h, p) the same step gives
+    D(g, h, p) = D(g+h', r_i, p) + D(g, h', q) T(r_i, p) - T(g, h·p) D(h', r_i, p);
     with d0 = max_p |T(0, p) - I|_2 and e the largest edge defect,
 
         |D(g, h, p)|_2 <= c^(L+1) d0 + (1 + c) e sum_{j<L} c^j
                        <= c^(L+1) (d0 + 2 L e).
 
-    So when d0 and e are at most tol / (2 (1 + 2L) c^(L+1)), about
-    tol / (4 sum_i n_i) for c near 1, every pair is within tol/2, too far
-    from tol for rounding to flip a decision, and both laws hold.  Otherwise,
-    and always on a Subgroup carrier (no standard generators) or without a
-    bound, every pair is checked.  Every threshold goes through `_norms_over`.
+    So when d0 and e are at most tol / (2 (1 + 2L) c^(L+1)), about tol / (4 L)
+    for c near 1, every pair is within tol/2, too far from tol for rounding
+    to flip a decision, and both laws hold.  Otherwise, or without a bound,
+    every pair is checked.  Every threshold goes through `_norms_over`.
     """
     order, n_pts = table.shape
     residues = carrier.residues
@@ -252,11 +253,11 @@ def _law_failures(
     def plus(h: int) -> np.ndarray:  # carrier index of g + h for every g
         return element_index(carrier, residues + residues[h])
 
-    if isinstance(carrier, Group) and bound is not None:
-        steps = sum(n - 1 for n in carrier.orders)
+    if bound is not None:
+        steps = sum(n // d - 1 for n, d in zip(carrier.parent.orders, _diagonal(carrier.basis)))
         # tol / (2 (1 + 2L) c^(L+1)), without overflow
         cut = LAW_TOL / (2 * (1 + 2 * steps)) * math.exp(-(steps + 1) * math.log(bound))
-        e, *gens = element_index(carrier, np.eye(carrier.rank + 1, carrier.rank, -1))
+        e, *gens = element_index(carrier, [carrier.identity, *carrier.basis])
         fixed = e * n_pts + np.arange(n_pts)
         if (table[e] == np.arange(n_pts)).all() and not _off_identity(transports, fixed, cut):
             if not any(_pair_failures(table, transports, plus, gens, cut)):

@@ -281,8 +281,8 @@ def load_induction(doc: Any) -> tuple[Group, Subgroup, Character]:
 
 
 def _induction_parts(doc: Any) -> tuple[Group, list, Character]:
-    """`load_induction` up to the closure, which lists every element of the
-    subgroup: the group, the generators and the character."""
+    """`load_induction` short of the subgroup: the group, the generators and
+    the character, for a caller that bounds the group first."""
     node = _as_dict(doc, "/")
     group = load_group(_need(node, "group", ""), "/group")
     gens_node = _need(node, "subgroup_generators", "")

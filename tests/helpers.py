@@ -41,6 +41,7 @@ from equifred import (
     orbits,
     propagate_symbol,
     random_rep,
+    subgroup_from_generators,
     trivial_subgroup,
 )
 from equifred.bundles import BundleValidation, Violation
@@ -132,7 +133,7 @@ def reference_unitary_rep(carrier, matrices, *, tol=1e-10):
             return f"matrix for {g} is not unitary to {tol}"
     for g in elems:
         for h in elems:
-            if np.linalg.norm(store[g] @ store[h] - store[carrier.op(g, h)], 2) > tol:
+            if np.linalg.norm(store[g] @ store[h] - store[carrier.parent.op(g, h)], 2) > tol:
                 return f"homomorphism law fails at ({g}, {h}) beyond {tol}"
     return None
 
@@ -156,7 +157,7 @@ def reference_monomial_rep(carrier, perm, phase, *, tol=1e-10):
         return f"phases are not unit modulus to {tol}"
     index = {g: i for i, g in enumerate(elems)}
     for i, g in enumerate(elems):
-        prod = [index[carrier.op(g, h)] for h in elems]
+        prod = [index[carrier.parent.op(g, h)] for h in elems]
         # U(g) U(h) e_j = phase[h, j] phase[g, perm[h, j]] e_{perm[g, perm[h, j]]}
         bad = ~(perm[i, perm] == perm[prod]).all(axis=1)
         defect = np.abs(phase * phase[i, perm] - phase[prod])
@@ -355,7 +356,7 @@ def reference_isotropy(group, points, action, p):
     """The stabilizer of p by one action lookup per element (ValueError off the points)."""
     if p not in points:
         raise ValueError(f"{p!r} is not a point of the bundle")
-    return Subgroup(group, tuple(sorted(g for g in group.elements if action[(g, p)] == p)))
+    return subgroup_of_members(group, [g for g in group.elements if action[(g, p)] == p])
 
 
 def reference_minimal_isotropy(group, points, action):
@@ -515,13 +516,22 @@ def reference_frobenius_average(f, source, target):
     sum_h T(h) f S(-h) / |H| over the subgroup carrier of T."""
     gamma = source.carrier
     return sum(
-        target.matrix(h) @ f @ source.matrix(gamma.inv(h)) for h in target.elements
+        target.matrix(h) @ f @ source.matrix(gamma.parent.inv(h)) for h in target.elements
     ) / len(target.elements)
 
 
 def element_sum(group, a, b):
     """a + b in the group, residue by residue, written apart from `groups`."""
     return tuple((x + y) % n for x, y, n in zip(a, b, group.orders))
+
+
+def subgroup_of_members(group, members):
+    """The subgroup whose members are exactly these elements, spanned by
+    `subgroup_from_generators` and checked against them, sorted."""
+    members = tuple(sorted(members))
+    sub = subgroup_from_generators(group, members)
+    assert sub.elements == members, f"{members} is not a subgroup"
+    return sub
 
 
 def reference_closure(group, generators):
@@ -537,7 +547,7 @@ def reference_closure(group, generators):
             if nxt not in closure:
                 closure.add(nxt)
                 frontier.append(nxt)
-    return Subgroup(group, tuple(sorted(closure)))
+    return subgroup_of_members(group, closure)
 
 
 def reference_coset_transversal(group, sub):
@@ -575,7 +585,7 @@ def reference_all_subgroups(group):
             if bigger.elements not in seen:
                 seen.add(bigger.elements)
                 frontier.append(bigger)
-    subs = [Subgroup(group, els) for els in seen]
+    subs = [subgroup_of_members(group, els) for els in seen]
     subs.sort(key=lambda s: (s.order, s.elements))
     return tuple(subs)
 

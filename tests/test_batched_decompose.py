@@ -26,7 +26,6 @@ from equifred import (
     haar_unitary,
     induce,
     load_bundle,
-    load_induction,
     load_rep,
     make_group,
     random_rep,
@@ -35,6 +34,7 @@ from equifred import (
     subgroup_from_generators,
 )
 from equifred.lab import reflection_circle_rep
+from equifred.serialize import load_induction
 from helpers import reference_decompose
 
 DATA = Path(__file__).parent / "data"

@@ -538,6 +538,12 @@ def test_propagate_symbol_rejects_non_invariant_seed():
         propagate_symbol(b, {"p0": seed, "p1": np.eye(2)})
 
 
+def test_propagate_symbol_refuses_seeds_that_miss_an_orbit():
+    b = fixed_two_point_bundle()  # two fixed points, two orbits
+    with pytest.raises(ValueError, match="^seeds cover no orbit containing 'p1'$"):
+        propagate_symbol(b, {"p0": np.eye(2)})
+
+
 def test_gamma_symbol_eval_identity_and_projector():
     b = fixed_two_point_bundle()
     x = build_X(b)

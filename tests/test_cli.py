@@ -699,6 +699,13 @@ def test_induce_residues_and_exponents_must_be_integers(tmp_path, capsys, field,
     assert len(err.splitlines()) == 1
 
 
+def test_bvp_block_that_is_not_tridiagonal_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(equifred.lab, "_hermitian_tridiagonal", lambda leads, block: None)
+    rc, out, err = run(capsys, "bvp", "--bc", "dirichlet,neumann", "--sizes", "32", "--count", "2")
+    assert rc == 3 and out == ""
+    assert err == "internal: the compressed doubled Laplacian is not tridiagonal\n"
+
+
 def test_induce_reduces_integer_residues_and_exponents(tmp_path, capsys):
     path = tmp_path / "induce.json"
     path.write_text(json.dumps(

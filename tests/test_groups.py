@@ -1,5 +1,6 @@
 """Exact group, subgroup, and character arithmetic."""
 
+import dataclasses
 import itertools
 import math
 
@@ -29,7 +30,7 @@ from equifred import (
     subgroup_from_generators,
     trivial_subgroup,
 )
-from equifred.groups import SubgroupCharacter, coset_table
+from equifred.groups import SubgroupCharacter, coset_table, element_index
 
 from helpers import (
     abelian_orders,
@@ -40,6 +41,7 @@ from helpers import (
     reference_coset_table,
     reference_coset_transversal,
     reference_subgroup_character,
+    subgroup_of_members,
 )
 
 
@@ -148,6 +150,40 @@ def test_all_subgroups_are_closed():
             for a, b in itertools.product(members, repeat=2):
                 assert g.op(a, b) in members
             assert g.order % h.order == 0
+
+
+def test_a_subgroup_is_its_normal_form():
+    assert [f.name for f in dataclasses.fields(Subgroup)] == ["parent", "basis"]
+    for orders in abelian_orders(16):
+        g = make_group(orders)
+        for s in all_subgroups(g):
+            again = Subgroup(s.parent, s.basis)
+            assert again == s and hash(again) == hash(s)
+            assert element_index(s, s.residues).tolist() == list(range(s.order))
+            assert all(type(x) is int for row in s.basis for x in row)
+
+
+@pytest.mark.parametrize("orders, basis", [
+    ((4,), ((2,), (0,))),  # two rows for one factor (the list {0, 1} is in test_subgroup_duals)
+    ((4,), ((3,),)),  # spans the whole group, whose form is ((1,),)
+    ((4,), ((0,),)),  # the trivial subgroup is ((4,),)
+    ((4, 4), ((2, 1), (0, 4))),  # twice (2, 1) is (0, 2), missing from the rows
+    ((4, 4), ((2, 3), (0, 2))),  # an entry right of a leading entry d is not below d
+])
+def test_a_matrix_that_is_not_its_own_normal_form_is_refused(orders, basis):
+    with pytest.raises(ValueError, match="is not the normal form of its lattice$"):
+        Subgroup(make_group(orders), basis)
+
+
+def test_membership_and_inclusion_are_reductions():
+    g = make_group((4, 4))
+    h = Subgroup(g, ((2, 1), (0, 2)))
+    assert h == subgroup_from_generators(g, [(2, 1)]) and h.order == 4
+    assert [x for x in g.elements if h.contains(x)] == list(h.elements)
+    assert not h.contains((2, 5)) and not h.contains((2,))  # unreduced, short
+    subs = all_subgroups(g)
+    for a, b in itertools.product(subs, repeat=2):
+        assert a.is_subgroup_of(b) == (set(a.elements) <= set(b.elements))
 
 
 def test_coset_transversal_z6():
@@ -481,7 +517,7 @@ def test_the_array_layer_equals_the_tuple_references(data):
 
     perp = [chi.exponents for chi in reference_annihilator(g, h)]
     assert [chi.exponents for chi in annihilator(g, h)] == perp
-    named = reference_coset_transversal(g, Subgroup(g, tuple(perp)))
+    named = reference_coset_transversal(g, subgroup_of_members(g, perp))
     assert [chi.exponents for chi in characters_of_subgroup(g, h)] == list(named)
     for e in data.draw(st.lists(st.sampled_from(g.elements), max_size=3)):
         chi = character(g, e)

@@ -576,6 +576,40 @@ def test_non_hermitian_blocks_get_the_dense_svd():
             assert value == float(np.sort(s)[3])
 
 
+def _on_trivial_group(n, m, kind):
+    """The dense n x n matrix m as a GridOperator of the group of order 1,
+    whose one block is m itself."""
+    rep = MonomialRep(make_group((1,)), np.arange(n)[None], np.ones((1, n)))
+    return GridOperator(n, _coo(m), rep, kind)
+
+
+def test_blocks_that_are_not_tridiagonal_get_the_dense_svd():
+    """Coupling sites two apart leaves no tridiagonal form in lead-index
+    order: `_hermitian_tridiagonal` gives None, and the sweep takes the SVD."""
+    import equifred.lab as lab
+
+    def family(n):
+        shift = np.roll(np.eye(n), 2, axis=1)
+        m = 3.0 * np.eye(n) - shift - shift.T + np.diag(np.linspace(0.0, 1.0, n))
+        return _on_trivial_group(n, m, "two_apart")
+
+    alpha = character(make_group((1,)), (0,))
+    sweep = fredholm_proxy_sweep(family, alpha, (16, 32))
+    for n, value in zip(sweep.sizes, sweep.values):
+        op = family(n)
+        assert lab._hermitian_tridiagonal(*monomial_block(op.group_rep, op.coo, alpha)) is None
+        s = np.linalg.svd(isotypical_block(op, alpha), compute_uv=False)
+        assert value == float(np.sort(s)[3])
+
+
+def test_a_fall_between_the_bands_is_inconclusive():
+    # (16 / n) I: the fourth value falls from 1 to 1/2, neither a fifth nor 80 percent
+    sweep = fredholm_proxy_sweep(lambda n: _on_trivial_group(n, 16.0 / n * np.eye(n), "scaled"),
+                                 character(make_group((1,)), (0,)), (16, 32))
+    assert sweep.values == pytest.approx((1.0, 0.5), rel=1e-12)
+    assert sweep.verdict == "inconclusive"
+
+
 def test_sweep_needs_two_distinct_sizes():
     with pytest.raises(ValueError, match="two distinct sizes"):
         fredholm_proxy_sweep(_laplacian_family, TRIV, (16, 16))

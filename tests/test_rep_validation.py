@@ -17,6 +17,7 @@ from equifred import (
     InternalInconsistencyError,
     conjugate_rep,
     decompose,
+    full_subgroup,
     haar_unitary,
     make_group,
     random_rep,
@@ -146,6 +147,23 @@ def test_valid_rep_is_accepted_along_the_edges(monkeypatch):
     # edge cut and one product per element and generator; and no pass over
     # all |G|^2 pairs
     assert sum(sizes) == 2 + g.order * (1 + g.rank)
+
+
+def test_a_subgroup_carrier_makes_the_decisions_of_its_group(monkeypatch):
+    g = make_group((8, 8))
+    mats = _mats(random_rep(g, 3, np.random.default_rng(5)))
+    sizes = _spy(monkeypatch)
+    unitary_rep(g, mats)
+    on_group = sizes.copy()
+    sizes.clear()
+    unitary_rep(full_subgroup(g), mats)
+    assert sizes == on_group and sum(sizes) == 2 + g.order * (1 + g.rank)
+    # a proper subgroup walks the edges of its rows (2, 2) and (0, 4)
+    h = subgroup_from_generators(g, [(2, 6), (0, 4)])
+    sizes.clear()
+    assert h.basis == ((2, 2), (0, 4))
+    assert _same_as_reference(h, {x: mats[x] for x in h.elements}) is None
+    assert sum(sizes) == 2 + h.order * (1 + 2)
 
 
 @pytest.mark.parametrize("size, accepted", [(2e-11, True), (1e-10, False)])

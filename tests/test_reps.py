@@ -10,6 +10,7 @@ from equifred import (
     AmbiguousRankError,
     InternalInconsistencyError,
     MonomialRep,
+    Subgroup,
     all_subgroups,
     character,
     character_rep,
@@ -152,7 +153,7 @@ def _monomial_cases():
     yield g, shifts[:2], ones[:2]
     yield (make_group((4,)), np.array([[0, 1], [1, 0], [0, 1], [1, 0]]),
            np.array([[1, 1], [1j, 1j], [-1, -1], [-1j, -1j]]))
-    # translation on Z4 x Z2, carried by a subgroup with no standard generators
+    # translation on Z4 x Z2, carried by a subgroup: its edges are its basis rows
     big = make_group((4, 2))
     sub = subgroup_from_generators(big, [(2, 0), (0, 1)])
     at = {x: i for i, x in enumerate(big.elements)}
@@ -173,6 +174,27 @@ def _monomial_cases():
 @pytest.mark.parametrize("case", list(_monomial_cases()))
 def test_monomial_rep_checks_like_the_row_loop(case):
     assert _monomial_outcome(*case) == reference_monomial_rep(*case)
+
+
+def test_a_subgroup_carrier_is_checked_along_its_basis(monkeypatch):
+    """The valid subgroup-carried cases make one identity decision and one per
+    basis row, each over every (element, index): no pass over all pairs."""
+    sizes = []
+    original = equifred.reps._norms_over
+
+    def spy(stack, tol):
+        sizes.append(len(stack))
+        return original(stack, tol)
+
+    monkeypatch.setattr(equifred.reps, "_norms_over", spy)
+    cases = [c for c in _monomial_cases() if isinstance(c[0], Subgroup)]
+    for carrier, perm, phase in cases:
+        sizes.clear()
+        if reference_monomial_rep(carrier, perm, phase) is None:
+            assert _monomial_outcome(carrier, perm, phase) is None
+            d, k = perm.shape[1], len(carrier.basis)
+            assert sizes == [d] + [carrier.order * d] * k
+    assert len(cases) == 2
 
 
 def _as_two_stacks(one):
@@ -299,6 +321,11 @@ def test_null_space_basis_matches_rank_rule():
     assert np.allclose(a @ null, 0.0, atol=1e-12)
     with pytest.raises(AmbiguousRankError):
         null_space_basis(np.diag([1.0, 1e-8]))
+
+
+def test_null_space_basis_of_an_empty_matrix_is_the_identity():
+    null = null_space_basis(np.zeros((0, 3)))
+    assert null.dtype == complex and (null == np.eye(3)).all()
 
 
 def test_deterministic_range_basis_reproducible():

@@ -24,7 +24,6 @@ from equifred import (
     induce,
     isotypical_projector,
     load_bundle,
-    load_induction,
     make_group,
     random_bundle,
     random_rep,
@@ -34,6 +33,7 @@ from equifred import (
     subgroup_from_generators,
 )
 from equifred.lab import double_interval_bvp, reflection_circle_rep, rotation_circle_rep
+from equifred.serialize import load_induction
 from helpers import (
     reference_frobenius_average,
     reference_induce,

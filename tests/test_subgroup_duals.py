@@ -167,7 +167,10 @@ def test_a_least_representative_is_kept():
     assert SubgroupCharacter(h, moved).representative == Character(g, (1, 1))
 
 
-def test_a_set_that_is_not_a_subgroup_has_no_dual():
+def test_a_set_that_is_not_a_normal_form_has_no_dual():
+    """A subgroup is its normal form: the element list {0, 1} of Z4, which
+    once reached `characters_of_subgroup`, cannot be built at all."""
     g = make_group((4,))
-    with pytest.raises(RuntimeError, match="^subgroup dual has 4 members, expected 2$"):
-        characters_of_subgroup(g, Subgroup(g, ((0,), (1,))))
+    with pytest.raises(ValueError, match=r"^\(\(0,\), \(1,\)\) is not the normal form"):
+        Subgroup(g, ((0,), (1,)))
+    assert len(characters_of_subgroup(g, subgroup_from_generators(g, [(0,), (1,)]))) == 4
